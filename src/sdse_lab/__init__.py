@@ -14,12 +14,12 @@ from .mixtures import (ALL_CONDITIONS, Condition, ConditionLabel, ConditionedMix
                        FULL_COND, GaussianComponent, IMAGE_COND, TEXT_COND,
                        UNCONDITIONED, isotropic_component, load_mixture,
                        mixture_density, mixture_log_density, mixture_score,
-                       noised_mixture, save_mixture, sub_mixture, toy_mixture)
+                       noised_mixture, sub_mixture, toy_mixture)
 from .mesh import (LatentMesh, build_laplacian, grid_mesh, icosphere_mesh, load_mesh,
                    smoothness_gradient, smoothness_loss)
 from .optimize import Trajectory, optimize_point, trajectory_from_csv
 from .oracle import NoiseOracle, forward_diffuse, predict_noise
-from .samplers import SamplerKind, TimestepSampler, sample_timestep, timestep_sequence
+from .samplers import SamplerKind, TimestepSampler, timestep_sequence
 from .schedule import NoiseSchedule, linear_beta_schedule
 from .views import (RegionAllocation, ViewSpec, allocate_views, backprop_view,
                     edit_step, make_view, region_weights, render_view)

@@ -12,16 +12,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .configs import (ConfigError, MeshRunConfig, ToyRunConfig,
+from .configs import (SCHEDULE_STEPS, ConfigError, MeshRunConfig, ToyRunConfig,
                       default_mesh_config, default_toy_config, load_json,
-                      parse_mesh_config, parse_toy_config, resolve_data_path)
-from .experiments import (MeshEditConfig, PROFILES, convergence_check,
-                          run_mesh_edit)
+                      parse_mesh_config, parse_thresholds, parse_toy_config,
+                      resolve_data_path)
+from .experiments import PROFILES, Phase, convergence_check, phase_band, run_mesh_edit
 from .mesh import load_mesh
 from .mixtures import FULL_COND, load_mixture
 from .optimize import optimize_point, trajectory_from_csv
@@ -43,16 +44,22 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+_PHASES = {"small": Phase.SMALL, "middle": Phase.MIDDLE, "large": Phase.EARLY_LARGE}
+
+
 def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                default=_json_default) + "\n", encoding="utf-8")
 
 
-def _seed_override(seeds: tuple[int, ...]) -> tuple[int, ...]:
+def _override_seeds(cfg: dict, seed: int | None) -> None:
+    """--seed, then SDSE_SEED, replace the config's seed list."""
     env = os.environ.get("SDSE_SEED")
-    if env is None:
-        return seeds
-    return (int(env),)
+    if env is not None:
+        seed = int(env)
+    if seed is not None:
+        cfg["seeds"] = [seed]
+        cfg.pop("seed", None)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -76,8 +83,7 @@ def _resolve_toy_config(args: argparse.Namespace) -> ToyRunConfig:
         cfg["estimators"] = list(args.estimator)
         cfg.pop("estimator", None)
     if args.phase:
-        bands = {"small": (1, 150), "middle": (151, 800), "large": (801, 1000)}
-        lo, hi = bands[args.phase]
+        lo, hi = phase_band(_PHASES[args.phase], parse_thresholds(cfg), SCHEDULE_STEPS)
         cfg.setdefault("sampler", {})
         cfg["sampler"]["kind"] = "uniform"
         cfg["sampler"]["t_min"] = lo
@@ -88,16 +94,8 @@ def _resolve_toy_config(args: argparse.Namespace) -> ToyRunConfig:
             cfg[key] = val
     if args.steps is not None:
         cfg["steps"] = args.steps
-    if args.seed is not None:
-        cfg["seeds"] = [args.seed]
-        cfg.pop("seed", None)
-    parsed = parse_toy_config(cfg)
-    seeds = _seed_override(parsed.seeds)
-    if seeds != parsed.seeds:
-        cfg["seeds"] = list(seeds)
-        cfg.pop("seed", None)
-        parsed = parse_toy_config(cfg)
-    return parsed
+    _override_seeds(cfg, args.seed)
+    return parse_toy_config(cfg)
 
 
 def cmd_toy(args: argparse.Namespace) -> int:
@@ -157,16 +155,8 @@ def _resolve_mesh_config(args: argparse.Namespace) -> MeshRunConfig:
         cfg["allocator"] = False
     if args.steps is not None:
         cfg["steps"] = args.steps
-    if args.seed is not None:
-        cfg["seeds"] = [args.seed]
-        cfg.pop("seed", None)
-    parsed = parse_mesh_config(cfg)
-    seeds = _seed_override(parsed.seeds)
-    if seeds != parsed.seeds:
-        cfg["seeds"] = list(seeds)
-        cfg.pop("seed", None)
-        parsed = parse_mesh_config(cfg)
-    return parsed
+    _override_seeds(cfg, args.seed)
+    return parse_mesh_config(cfg)
 
 
 def _write_step_report(reports, path: Path, digest: str) -> None:
@@ -198,14 +188,8 @@ def cmd_mesh_edit(args: argparse.Namespace) -> int:
     summary_runs = []
     dispersion_by_w1 = {}
     for w1 in cfg.w1_values:
-        run_cfg = MeshEditConfig(steps=cfg.steps, views_per_step=cfg.views_per_step,
-                                 first_batch=cfg.first_batch, lr=cfg.lr, w1=w1,
-                                 allocator=cfg.allocator, t_min=cfg.t_min,
-                                 t_max=cfg.t_max, support=cfg.support,
-                                 threshold_distance=cfg.threshold_distance,
-                                 weights=cfg.weights, thresholds=cfg.thresholds)
-        reports = run_mesh_edit(mesh, cfg.profile, mixture, sched,
-                                list(cfg.seeds), run_cfg, config_digest=digest)
+        reports = run_mesh_edit(mesh, cfg.profile, mixture, sched, list(cfg.seeds),
+                                replace(cfg.edit, w1=w1), config_digest=digest)
         tag = f"w1_{w1:g}" if len(cfg.w1_values) > 1 else "steps"
         _write_step_report(reports, out_dir / f"mesh_{cfg.profile}_{tag}.csv", digest)
         profile_map = PROFILES[cfg.profile]
@@ -214,7 +198,7 @@ def cmd_mesh_edit(args: argparse.Namespace) -> int:
         dispersion_by_w1[w1] = disp
         for rep in reports:
             summary_runs.append({"w1": w1, "seed": rep.seed,
-                                 "allocator": cfg.allocator,
+                                 "allocator": cfg.edit.allocator,
                                  "steps_to_threshold": rep.steps_to_threshold,
                                  "view_counts": rep.allocation.counts,
                                  "weights": rep.allocation.weights,

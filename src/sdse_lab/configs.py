@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib.resources import files
 from pathlib import Path
 
+from .experiments import MeshEditConfig
 from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
 from .samplers import SamplerKind, TimestepSampler
+from .schedule import linear_beta_schedule
 
 
 class ConfigError(ValueError):
@@ -39,6 +42,8 @@ def _get_number(cfg: dict, key: str, path: str, default=None, integer=False,
     val = cfg[key]
     _expect(isinstance(val, (int, float)) and not isinstance(val, bool),
             f"{path}{key}", "expected a number")
+    _expect(isinstance(val, int) or math.isfinite(val), f"{path}{key}",
+            "expected a finite number")
     if integer:
         _expect(float(val).is_integer(), f"{path}{key}", "expected an integer")
         val = int(val)
@@ -49,8 +54,39 @@ def _get_number(cfg: dict, key: str, path: str, default=None, integer=False,
     return val
 
 
+def parse_thresholds(cfg: dict) -> StageThresholds:
+    """The config's staging thresholds {"M": small_max, "L": middle_max}."""
+    th = cfg.get("thresholds", {})
+    _expect(isinstance(th, dict), "thresholds", "expected an object")
+    default = StageThresholds()
+    small = _get_number(th, "M", "thresholds.", default=default.small_max, integer=True,
+                        minimum=1)
+    middle = _get_number(th, "L", "thresholds.", default=default.middle_max, integer=True,
+                         minimum=2)
+    _expect(small < middle, "thresholds.L", "must exceed thresholds.M")
+    return StageThresholds(small_max=small, middle_max=middle)
+
+
+def _parse_weights(cfg: dict) -> GuidanceWeights:
+    default = GuidanceWeights()
+    return GuidanceWeights(
+        omega_t=_get_number(cfg, "omega_t", "", default=default.omega_t, minimum=0.0),
+        omega_i=_get_number(cfg, "omega_i", "", default=default.omega_i, minimum=0.0))
+
+
+def _parse_seeds(cfg: dict) -> tuple[int, ...]:
+    if "seeds" in cfg:
+        raw_seeds = cfg["seeds"]
+        _expect(isinstance(raw_seeds, list) and raw_seeds, "seeds",
+                "expected a non-empty list")
+        return tuple(int(s) for s in raw_seeds)
+    return (int(_get_number(cfg, "seed", "", default=0, integer=True)),)
+
+
 ESTIMATOR_NAMES = {k.value: k for k in EstimatorKind}
 SAMPLER_NAMES = {k.value: k for k in SamplerKind}
+# Both commands run on the standard linear-beta schedule; samplers must stay inside it.
+SCHEDULE_STEPS = linear_beta_schedule().num_steps
 
 
 def config_digest(cfg: dict) -> str:
@@ -114,8 +150,7 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
                 f"unknown estimator {name!r}; choices: {sorted(ESTIMATOR_NAMES)}")
         estimators.append(ESTIMATOR_NAMES[name])
 
-    omega_t = _get_number(cfg, "omega_t", "", default=7.5, minimum=0.0)
-    omega_i = _get_number(cfg, "omega_i", "", default=1.5, minimum=0.0)
+    weights = _parse_weights(cfg)
 
     sampler = cfg.get("sampler", {})
     _expect(isinstance(sampler, dict), "sampler", "expected an object")
@@ -123,83 +158,46 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
     _expect(kind_name in SAMPLER_NAMES, "sampler.kind",
             f"unknown kind {kind_name!r}; choices: {sorted(SAMPLER_NAMES)}")
     t_min = _get_number(sampler, "t_min", "sampler.", default=1, integer=True, minimum=1)
-    t_max = _get_number(sampler, "t_max", "sampler.", default=800, integer=True, minimum=1)
+    t_max = _get_number(sampler, "t_max", "sampler.", default=800, integer=True, minimum=1,
+                        maximum=SCHEDULE_STEPS)
     _expect(t_min <= t_max, "sampler.t_max", "must be >= sampler.t_min")
     jitter = _get_number(sampler, "jitter", "sampler.", default=0.0, minimum=0.0)
-
-    th = cfg.get("thresholds", {})
-    _expect(isinstance(th, dict), "thresholds", "expected an object")
-    small = _get_number(th, "M", "thresholds.", default=150, integer=True, minimum=1)
-    middle = _get_number(th, "L", "thresholds.", default=800, integer=True, minimum=2)
-    _expect(small < middle, "thresholds.L", "must exceed thresholds.M")
+    thresholds = parse_thresholds(cfg)
 
     lr = _get_number(cfg, "lr", "", default=1e-2, minimum=0.0)
     steps = _get_number(cfg, "steps", "", default=2000, integer=True, minimum=1)
-
-    if "seeds" in cfg:
-        raw_seeds = cfg["seeds"]
-        _expect(isinstance(raw_seeds, list) and raw_seeds, "seeds",
-                "expected a non-empty list")
-        seeds = tuple(int(s) for s in raw_seeds)
-    else:
-        seeds = (int(_get_number(cfg, "seed", "", default=0, integer=True)),)
+    seeds = _parse_seeds(cfg)
 
     theta0 = cfg.get("theta0", [0.5, 1.0])
     _expect(isinstance(theta0, list) and len(theta0) == 2, "theta0",
             "expected a 2-element list")
+    theta0 = (float(theta0[0]), float(theta0[1]))
     noising = bool(cfg.get("noising", True))
 
-    return ToyRunConfig(mixture_path=path, estimators=tuple(estimators),
-                        weights=GuidanceWeights(omega_t=omega_t, omega_i=omega_i),
-                        sampler_kind=SAMPLER_NAMES[kind_name], t_min=t_min,
-                        t_max=t_max, jitter=jitter,
-                        thresholds=StageThresholds(small_max=small, middle_max=middle),
-                        lr=lr, steps=steps, seeds=seeds,
-                        theta0=(float(theta0[0]), float(theta0[1])),
-                        noising=noising, raw=normalize_toy_dict(cfg))
-
-
-def normalize_toy_dict(cfg: dict) -> dict:
-    """Canonical dict for digesting: defaults resolved, single/plural unified."""
-    sampler = cfg.get("sampler", {})
-    th = cfg.get("thresholds", {})
-    est = cfg.get("estimators", [cfg.get("estimator")] if "estimator" in cfg else None)
-    seeds = cfg.get("seeds", [cfg.get("seed", 0)])
-    return {
-        "mixture_path": cfg.get("mixture_path", ""),
-        "estimators": est,
-        "omega_t": cfg.get("omega_t", 7.5),
-        "omega_i": cfg.get("omega_i", 1.5),
-        "sampler": {"kind": sampler.get("kind", "non_increasing"),
-                    "t_min": sampler.get("t_min", 1),
-                    "t_max": sampler.get("t_max", 800),
-                    "jitter": sampler.get("jitter", 0.0)},
-        "thresholds": {"M": th.get("M", 150), "L": th.get("L", 800)},
-        "lr": cfg.get("lr", 1e-2),
-        "steps": cfg.get("steps", 2000),
-        "seeds": list(seeds),
-        "theta0": cfg.get("theta0", [0.5, 1.0]),
-        "noising": cfg.get("noising", True),
+    raw = {
+        "mixture_path": path, "estimators": [e.value for e in estimators],
+        "omega_t": weights.omega_t, "omega_i": weights.omega_i,
+        "sampler": {"kind": kind_name, "t_min": t_min, "t_max": t_max, "jitter": jitter},
+        "thresholds": {"M": thresholds.small_max, "L": thresholds.middle_max},
+        "lr": lr, "steps": steps, "seeds": list(seeds), "theta0": list(theta0),
+        "noising": noising,
     }
+    return ToyRunConfig(mixture_path=path, estimators=tuple(estimators), weights=weights,
+                        sampler_kind=SAMPLER_NAMES[kind_name], t_min=t_min,
+                        t_max=t_max, jitter=jitter, thresholds=thresholds,
+                        lr=lr, steps=steps, seeds=seeds, theta0=theta0,
+                        noising=noising, raw=raw)
 
 
 @dataclass(frozen=True)
 class MeshRunConfig:
+    """Resolved mesh-edit configuration: one edit config run per (w1, seed)."""
+
     mesh_path: str
     mixture_path: str
     profile: str
     w1_values: tuple[float, ...]
-    allocator: bool
-    steps: int
-    views_per_step: int
-    first_batch: int
-    lr: float
-    t_min: int
-    t_max: int
-    support: int
-    threshold_distance: float
-    weights: GuidanceWeights
-    thresholds: StageThresholds
+    edit: MeshEditConfig       # w1 is set per run from w1_values
     seeds: tuple[int, ...]
     raw: dict = field(repr=False, default_factory=dict)
 
@@ -217,8 +215,9 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
     profile = cfg.get("profile", "head_dominant")
     _expect(profile in ("head_dominant", "body_dominant"), "profile",
             "expected 'head_dominant' or 'body_dominant'")
+    default = MeshEditConfig()
 
-    w1 = cfg.get("w1", 300.0)
+    w1 = cfg.get("w1", default.w1)
     if isinstance(w1, list):
         _expect(bool(w1), "w1", "expected a number or non-empty list")
         w1_values = tuple(float(v) for v in w1)
@@ -227,55 +226,48 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
     for i, v in enumerate(w1_values):
         _expect(v >= 0, f"w1[{i}]", "must be >= 0")
 
-    steps = _get_number(cfg, "steps", "", default=400, integer=True, minimum=1)
-    views = _get_number(cfg, "views_per_step", "", default=10, integer=True, minimum=1)
-    first = _get_number(cfg, "first_batch", "", default=250, integer=True, minimum=1)
-    lr = _get_number(cfg, "lr", "", default=0.02, minimum=0.0)
-    t_min = _get_number(cfg, "t_min", "", default=1, integer=True, minimum=1)
-    t_max = _get_number(cfg, "t_max", "", default=800, integer=True, minimum=1)
+    t_min = _get_number(cfg, "t_min", "", default=default.t_min, integer=True, minimum=1)
+    t_max = _get_number(cfg, "t_max", "", default=default.t_max, integer=True, minimum=1,
+                        maximum=SCHEDULE_STEPS)
     _expect(t_min <= t_max, "t_max", "must be >= t_min")
-    support = _get_number(cfg, "support", "", default=8, integer=True, minimum=1)
-    thresh_dist = _get_number(cfg, "threshold_distance", "", default=0.5, minimum=0.0)
-    omega_t = _get_number(cfg, "omega_t", "", default=7.5, minimum=0.0)
-    omega_i = _get_number(cfg, "omega_i", "", default=1.5, minimum=0.0)
-    th = cfg.get("thresholds", {})
-    small = _get_number(th, "M", "thresholds.", default=150, integer=True, minimum=1)
-    middle = _get_number(th, "L", "thresholds.", default=800, integer=True, minimum=2)
-    _expect(small < middle, "thresholds.L", "must exceed thresholds.M")
-
-    if "seeds" in cfg:
-        raw_seeds = cfg["seeds"]
-        _expect(isinstance(raw_seeds, list) and raw_seeds, "seeds",
-                "expected a non-empty list")
-        seeds = tuple(int(s) for s in raw_seeds)
-    else:
-        seeds = (int(_get_number(cfg, "seed", "", default=0, integer=True)),)
+    edit = MeshEditConfig(
+        steps=_get_number(cfg, "steps", "", default=default.steps, integer=True, minimum=1),
+        views_per_step=_get_number(cfg, "views_per_step", "", default=default.views_per_step,
+                                   integer=True, minimum=1),
+        first_batch=_get_number(cfg, "first_batch", "", default=default.first_batch,
+                                integer=True, minimum=1),
+        lr=_get_number(cfg, "lr", "", default=default.lr, minimum=0.0),
+        w1=w1_values[0], allocator=bool(cfg.get("allocator", default.allocator)),
+        t_min=t_min, t_max=t_max,
+        support=_get_number(cfg, "support", "", default=default.support, integer=True,
+                            minimum=1),
+        threshold_distance=_get_number(cfg, "threshold_distance", "",
+                                       default=default.threshold_distance, minimum=0.0),
+        weights=_parse_weights(cfg), thresholds=parse_thresholds(cfg))
+    seeds = _parse_seeds(cfg)
 
     raw = {
         "mesh_path": mesh_path, "mixture_path": mixture_path, "profile": profile,
-        "w1": list(w1_values), "allocator": bool(cfg.get("allocator", True)),
-        "steps": steps, "views_per_step": views, "first_batch": first, "lr": lr,
-        "t_min": t_min, "t_max": t_max, "support": support,
-        "threshold_distance": thresh_dist, "omega_t": omega_t, "omega_i": omega_i,
-        "thresholds": {"M": small, "L": middle}, "seeds": list(seeds),
+        "w1": list(w1_values), "allocator": edit.allocator, "steps": edit.steps,
+        "views_per_step": edit.views_per_step, "first_batch": edit.first_batch,
+        "lr": edit.lr, "t_min": t_min, "t_max": t_max, "support": edit.support,
+        "threshold_distance": edit.threshold_distance,
+        "omega_t": edit.weights.omega_t, "omega_i": edit.weights.omega_i,
+        "thresholds": {"M": edit.thresholds.small_max, "L": edit.thresholds.middle_max},
+        "seeds": list(seeds),
     }
-    return MeshRunConfig(mesh_path=mesh_path, mixture_path=mixture_path,
-                         profile=profile, w1_values=w1_values,
-                         allocator=bool(cfg.get("allocator", True)), steps=steps,
-                         views_per_step=views, first_batch=first, lr=lr,
-                         t_min=t_min, t_max=t_max, support=support,
-                         threshold_distance=thresh_dist,
-                         weights=GuidanceWeights(omega_t=omega_t, omega_i=omega_i),
-                         thresholds=StageThresholds(small_max=small, middle_max=middle),
-                         seeds=seeds, raw=raw)
+    return MeshRunConfig(mesh_path=mesh_path, mixture_path=mixture_path, profile=profile,
+                         w1_values=w1_values, edit=edit, seeds=seeds, raw=raw)
 
 
 def load_json(path) -> dict:
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        cfg = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError("", f"not valid JSON ({err})") from err
+    _expect(isinstance(cfg, dict), "", "config must be a JSON object")
+    return cfg
 
 
 def resolve_data_path(path: str) -> str:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
-from .mesh import LatentMesh
+from .mesh import LatentMesh, _laplacian
 from .mixtures import (ALL_CONDITIONS, Condition, ConditionedMixture, FULL_COND,
                        IMAGE_COND, TEXT_COND, UNCONDITIONED, FrozenMixture,
                        sub_mixture)
@@ -211,19 +211,15 @@ def density_diagnostics(traj: Trajectory, mix: ConditionedMixture,
     """
     if traj.num_rows == 0:
         raise ValueError("trajectory is empty")
-    frozen = {cond: FrozenMixture(sub_mixture(mix, cond)) for cond in ALL_CONDITIONS}
+    log_dens = {cond: FrozenMixture(sub_mixture(mix, cond)).log_density(traj.thetas)
+                for cond in ALL_CONDITIONS}
     header = ["step"] + [_COND_NAMES[c] for c in conds] + ["log_ratio_img", "log_ratio_full"]
     rows = np.zeros((traj.num_rows, len(header)))
-    for i in range(traj.num_rows):
-        theta = traj.thetas[i]
-        rows[i, 0] = traj.steps[i]
-        for j, cond in enumerate(conds):
-            rows[i, 1 + j] = np.exp(frozen[cond].log_density(theta))
-        lp = frozen[UNCONDITIONED].log_density(theta)
-        lpi = frozen[IMAGE_COND].log_density(theta)
-        lpf = frozen[FULL_COND].log_density(theta)
-        rows[i, -2] = lpi - lp
-        rows[i, -1] = lpf - lpi
+    rows[:, 0] = traj.steps
+    for j, cond in enumerate(conds):
+        rows[:, 1 + j] = np.exp(log_dens[cond])
+    rows[:, -2] = log_dens[IMAGE_COND] - log_dens[UNCONDITIONED]
+    rows[:, -1] = log_dens[FULL_COND] - log_dens[IMAGE_COND]
     return DiagnosticsTable(header=tuple(header), rows=rows)
 
 
@@ -275,25 +271,14 @@ class EditReport:
 
 
 def region_subgraph_laplacians(mesh: LatentMesh) -> dict[int, sp.csr_matrix]:
+    """Laplacian of each region's induced subgraph, on the region's own vertex order."""
     out = {}
     for region in mesh.region_ids():
         verts = mesh.region_vertices(region)
         index = {int(v): k for k, v in enumerate(verts)}
-        rows, cols, vals = [], [], []
-        deg = np.zeros(len(verts))
-        for i, j in mesh.edges:
-            if mesh.regions[i] == region and mesh.regions[j] == region:
-                a, b = index[i], index[j]
-                rows += [a, b]
-                cols += [b, a]
-                vals += [-1.0, -1.0]
-                deg[a] += 1
-                deg[b] += 1
-        rows += list(range(len(verts)))
-        cols += list(range(len(verts)))
-        vals += list(deg)
-        out[int(region)] = sp.csr_matrix((vals, (rows, cols)),
-                                         shape=(len(verts), len(verts)))
+        edges = [(index[i], index[j]) for i, j in mesh.edges
+                 if mesh.regions[i] == region and mesh.regions[j] == region]
+        out[int(region)] = _laplacian(len(verts), edges)
     return out
 
 

@@ -83,14 +83,11 @@ def _connected(n: int, edges) -> bool:
     return bool(seen.all())
 
 
-def build_laplacian(mesh: LatentMesh) -> sp.csr_matrix:
-    """Combinatorial Laplacian L = D - A of the mesh graph (sparse, symmetric)."""
-    n = mesh.num_vertices
-    if not _connected(n, mesh.edges):
-        raise ValueError("mesh graph must be connected")
+def _laplacian(n: int, edges) -> sp.csr_matrix:
+    """Combinatorial Laplacian L = D - A of an n-vertex edge list (no connectivity check)."""
     rows, cols, vals = [], [], []
     deg = np.zeros(n)
-    for i, j in mesh.edges:
+    for i, j in edges:
         rows += [i, j]
         cols += [j, i]
         vals += [-1.0, -1.0]
@@ -100,6 +97,13 @@ def build_laplacian(mesh: LatentMesh) -> sp.csr_matrix:
     cols += list(range(n))
     vals += list(deg)
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def build_laplacian(mesh: LatentMesh) -> sp.csr_matrix:
+    """Combinatorial Laplacian L = D - A of the mesh graph (sparse, symmetric)."""
+    if not _connected(mesh.num_vertices, mesh.edges):
+        raise ValueError("mesh graph must be connected")
+    return _laplacian(mesh.num_vertices, mesh.edges)
 
 
 def smoothness_loss(lap: sp.spmatrix, delta: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
@@ -152,97 +151,120 @@ class ConditionedMixture:
         return sub_mixture(self, cond).means()
 
 
+def condition_support(mix: ConditionedMixture, cond: Condition) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the components admitted by `cond` and their renormalized log weights."""
+    idx = np.array([k for k, lab in enumerate(mix.labels()) if cond.admits(lab)], dtype=int)
+    wts = mix.weights()[idx]
+    if idx.size == 0 or wts.sum() <= 0.0:
+        raise ValueError(f"condition has no support: {cond}")
+    return idx, _log_weights(wts)
+
+
 def sub_mixture(mix: ConditionedMixture, cond: Condition) -> ConditionedMixture:
     """Renormalized sub-mixture of components admitted by the conditioning pair."""
-    selected = [(c, lab) for c, lab in mix.components if cond.admits(lab)]
-    if not selected:
-        raise ValueError(f"condition has no support: {cond}")
+    idx, _ = condition_support(mix, cond)
+    selected = [mix.components[k] for k in idx]
     total = sum(c.weight for c, _ in selected)
-    if total <= 0.0:
-        raise ValueError(f"condition has no support: {cond}")
-    renormed = tuple(
+    return ConditionedMixture(tuple(
         (GaussianComponent(c.weight / total, c.mean, c.covariance), lab)
-        for c, lab in selected
-    )
-    return ConditionedMixture(renormed)
+        for c, lab in selected))
+
+
+def _pushforward(ab: float, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked components (mu, S) forward-diffused to (sqrt(ab) mu, ab S + (1-ab) I)."""
+    return np.sqrt(ab) * means, ab * covs + (1.0 - ab) * np.eye(means.shape[-1])
 
 
 def noised_mixture(mix: ConditionedMixture, sched: NoiseSchedule, t: int) -> ConditionedMixture:
     """Pushforward of the mixture through forward diffusion at timestep t.
 
-    Component (w, mu, S) maps to (w, sqrt(ab) mu, ab S + (1-ab) I); weights and
-    labels are preserved.
+    Weights and labels are preserved.
     """
-    ab = sched.alpha_bar(t)
-    eye = np.eye(mix.dim)
-    out = tuple(
-        (GaussianComponent(c.weight, np.sqrt(ab) * c.mean,
-                           ab * c.covariance + (1.0 - ab) * eye), lab)
-        for c, lab in mix.components
-    )
-    return ConditionedMixture(out)
+    means, covs = _pushforward(sched.alpha_bar(t), mix.means(), mix.covariances())
+    return ConditionedMixture(tuple(
+        (GaussianComponent(c.weight, mean, cov), lab)
+        for (c, lab), mean, cov in zip(mix.components, means, covs)))
 
 
 # ---------------------------------------------------------------------------
-# Log-space density machinery shared by the pure functions and the cached
-# oracle. Parameters are frozen into plain arrays once per mixture.
+# The Gaussian log-density kernel shared by the pure functions, the cached
+# oracle, the diagnostics and the plots. Parameters are frozen into plain
+# arrays once per mixture.
 # ---------------------------------------------------------------------------
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-class FrozenMixture:
-    """Precomputed arrays for fast repeated density/score evaluation."""
+def _log_weights(wts: np.ndarray) -> np.ndarray:
+    """Log of the weights normalized to sum to one; zero weights map to -inf."""
+    with np.errstate(divide="ignore"):
+        return np.where(wts > 0, np.log(np.maximum(wts, 1e-300) / wts.sum()), -np.inf)
 
-    __slots__ = ("means", "log_wts", "iso", "inv_vars", "inv_covs", "log_norms", "dim")
+
+class FrozenMixture:
+    """Precomputed arrays for fast repeated density/score evaluation.
+
+    Isotropic components take a diagonal path; any other covariance uses
+    stored inverses. Evaluation accepts one point (d,) or a stack (..., d).
+    """
+
+    __slots__ = ("means", "covs", "log_wts", "iso", "inv_vars", "inv_covs", "log_norms", "dim")
 
     def __init__(self, mix: ConditionedMixture):
-        self.means = mix.means()
-        self.dim = mix.dim
-        wts = mix.weights()
-        total = wts.sum()
-        with np.errstate(divide="ignore"):
-            self.log_wts = np.where(wts > 0, np.log(np.maximum(wts, 1e-300) / total), -np.inf)
-        covs = mix.covariances()
+        self._freeze(mix.means(), mix.covariances(), _log_weights(mix.weights()))
+
+    def _freeze(self, means: np.ndarray, covs: np.ndarray, log_wts: np.ndarray) -> None:
+        self.means, self.covs, self.log_wts = means, covs, log_wts
+        self.dim = means.shape[1]
         diag = covs[:, np.arange(self.dim), np.arange(self.dim)]
         off = covs - diag[:, :, None] * np.eye(self.dim)
-        is_iso = np.all(np.abs(off) == 0.0) and np.all(diag == diag[:, :1])
-        if is_iso:
-            self.iso = True
+        self.iso = bool(not off.any() and np.all(diag == diag[:, :1]))
+        if self.iso:
             variances = diag[:, 0]
-            self.inv_vars = 1.0 / variances
-            self.inv_covs = None
+            self.inv_vars, self.inv_covs = 1.0 / variances, None
             self.log_norms = -0.5 * self.dim * (_LOG_2PI + np.log(variances))
         else:
-            self.iso = False
-            self.inv_vars = None
-            self.inv_covs = np.linalg.inv(covs)
             sign, logdet = np.linalg.slogdet(covs)
             if np.any(sign <= 0):
                 raise ValueError("covariance must be positive definite")
+            self.inv_vars, self.inv_covs = None, np.linalg.inv(covs)
             self.log_norms = -0.5 * (self.dim * _LOG_2PI + logdet)
 
-    def component_log_densities(self, z: np.ndarray) -> np.ndarray:
-        d = self.means - z
+    def pushforward(self, ab: float) -> "FrozenMixture":
+        """The same mixture forward-diffused to signal level ab (weights kept)."""
+        out = object.__new__(FrozenMixture)
+        out._freeze(*_pushforward(ab, self.means, self.covs), self.log_wts)
+        return out
+
+    def evaluate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-component (log N_k(z), mean_k - z) for every component at once."""
+        d = self.means - z[..., None, :]
         if self.iso:
-            maha = np.einsum("kd,kd->k", d, d) * self.inv_vars
+            maha = (d * d).sum(-1) * self.inv_vars
         else:
-            maha = np.einsum("kd,kde,ke->k", d, self.inv_covs, d)
-        return self.log_norms - 0.5 * maha
+            maha = np.einsum("...kd,kde,...ke->...k", d, self.inv_covs, d)
+        return self.log_norms - 0.5 * maha, d
 
-    def log_density(self, z: np.ndarray) -> float:
-        return float(logsumexp(self.log_wts + self.component_log_densities(z)))
+    def log_density(self, z: np.ndarray):
+        return logsumexp(self.log_wts + self.evaluate(z)[0], axis=-1)
 
-    def score(self, z: np.ndarray) -> np.ndarray:
-        """Gradient of log density: responsibility-weighted pull toward the means."""
-        d = self.means - z
-        logp = self.log_wts + self.component_log_densities(z)
-        logp -= logp.max()
-        resp = np.exp(logp)
+    def masked_score(self, evaluated: tuple[np.ndarray, np.ndarray], idx,
+                     log_wts: np.ndarray) -> np.ndarray:
+        """Score of the sub-mixture (idx, log_wts) at the point `evaluated` came from.
+
+        The gradient of the log density is the responsibility-weighted pull
+        toward the component means.
+        """
+        log_n, d = evaluated
+        logp = log_wts + log_n[idx]
+        resp = np.exp(logp - logp.max())
         resp /= resp.sum()
         if self.iso:
-            return (resp * self.inv_vars) @ d
-        return np.einsum("k,kde,ke->d", resp, self.inv_covs, d)
+            return (resp * self.inv_vars[idx]) @ d[idx]
+        return np.einsum("k,kde,ke->d", resp, self.inv_covs[idx], d[idx])
+
+    def score(self, z: np.ndarray) -> np.ndarray:
+        return self.masked_score(self.evaluate(z), slice(None), self.log_wts)
 
 
 def _as_point(mix: ConditionedMixture, z) -> np.ndarray:
@@ -313,10 +335,6 @@ def mixture_to_dict(mix: ConditionedMixture) -> dict:
 def load_mixture(path) -> ConditionedMixture:
     with open(path, "r", encoding="utf-8") as fh:
         return mixture_from_dict(json.load(fh))
-
-
-def save_mixture(mix: ConditionedMixture, path) -> None:
-    Path(path).write_text(json.dumps(mixture_to_dict(mix), indent=2) + "\n", encoding="utf-8")
 
 
 def toy_mixture() -> ConditionedMixture:

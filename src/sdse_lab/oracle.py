@@ -21,14 +21,15 @@ from .mixtures import (
     Condition,
     ConditionedMixture,
     FULL_COND,
+    FrozenMixture,
     IMAGE_COND,
     UNCONDITIONED,
+    condition_support,
+    mixture_score,
     noised_mixture,
     sub_mixture,
 )
 from .schedule import NoiseSchedule
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def forward_diffuse(z, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
@@ -44,56 +45,8 @@ def forward_diffuse(z, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
 def predict_noise(mix: ConditionedMixture, sched: NoiseSchedule, z_t, t: int,
                   cond: Condition) -> np.ndarray:
     """Oracle noise prediction: -sigma_t times the noised sub-mixture score."""
-    from .mixtures import mixture_score
-
     target = noised_mixture(sub_mixture(mix, cond), sched, t)
     return -sched.sigma(t) * mixture_score(target, z_t)
-
-
-class _ComponentTable:
-    """Transformed component parameters at one timestep (t=0 means raw).
-
-    Only isotropic-per-component covariances get the fast diagonal path; full
-    covariances fall back to stored inverses.
-    """
-
-    __slots__ = ("means", "inv_vars", "inv_covs", "log_norms", "iso", "dim")
-
-    def __init__(self, mix: ConditionedMixture, sched: NoiseSchedule | None, t: int):
-        means = mix.means()
-        covs = mix.covariances()
-        self.dim = means.shape[1]
-        if t > 0:
-            ab = sched.alpha_bar(t)
-            means = np.sqrt(ab) * means
-            covs = ab * covs + (1.0 - ab) * np.eye(self.dim)
-        self.means = means
-        diag = covs[:, np.arange(self.dim), np.arange(self.dim)]
-        off = covs.copy()
-        off[:, np.arange(self.dim), np.arange(self.dim)] = 0.0
-        if not off.any() and np.all(diag == diag[:, :1]):
-            self.iso = True
-            variances = diag[:, 0]
-            self.inv_vars = 1.0 / variances
-            self.inv_covs = None
-            self.log_norms = -0.5 * self.dim * (_LOG_2PI + np.log(variances))
-        else:
-            self.iso = False
-            self.inv_vars = None
-            self.inv_covs = np.linalg.inv(covs)
-            sign, logdet = np.linalg.slogdet(covs)
-            if np.any(sign <= 0):
-                raise ValueError("covariance must be positive definite")
-            self.log_norms = -0.5 * (self.dim * _LOG_2PI + logdet)
-
-    def evaluate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-component (log N_k(z), mean - z) for all components at once."""
-        d = self.means - z
-        if self.iso:
-            maha = (d * d).sum(axis=1) * self.inv_vars
-        else:
-            maha = np.einsum("kd,kde,ke->k", d, self.inv_covs, d)
-        return self.log_norms - 0.5 * maha, d
 
 
 class NoiseOracle:
@@ -108,9 +61,8 @@ class NoiseOracle:
         self.mixture = mix
         self.schedule = sched
         self.noising = bool(noising)
-        self._subs: dict[Condition, ConditionedMixture] = {}
-        self._tables: dict[int, _ComponentTable] = {}
-        self._masks: dict[Condition, tuple[np.ndarray, np.ndarray]] = {}
+        self._tables: dict[int, FrozenMixture] = {0: FrozenMixture(mix)}
+        self._supports: dict[Condition, tuple[np.ndarray, np.ndarray]] = {}
         self._eval_key: tuple[int, bytes] | None = None
         self._eval_val: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -118,36 +70,17 @@ class NoiseOracle:
     def dim(self) -> int:
         return self.mixture.dim
 
-    def sub(self, cond: Condition) -> ConditionedMixture:
-        if cond not in self._subs:
-            self._subs[cond] = sub_mixture(self.mixture, cond)
-        return self._subs[cond]
-
-    def _mask(self, cond: Condition) -> tuple[np.ndarray, np.ndarray]:
-        """Component indices and renormalized log weights of one sub-mixture."""
-        hit = self._masks.get(cond)
+    def _support(self, cond: Condition) -> tuple[np.ndarray, np.ndarray]:
+        hit = self._supports.get(cond)
         if hit is None:
-            labels = self.mixture.labels()
-            idx = np.array([k for k, lab in enumerate(labels) if cond.admits(lab)],
-                           dtype=int)
-            if idx.size == 0:
-                raise ValueError(f"condition has no support: {cond}")
-            wts = self.mixture.weights()[idx]
-            total = wts.sum()
-            if total <= 0.0:
-                raise ValueError(f"condition has no support: {cond}")
-            with np.errstate(divide="ignore"):
-                log_wts = np.where(wts > 0, np.log(np.maximum(wts, 1e-300) / total),
-                                   -np.inf)
-            hit = (idx, log_wts)
-            self._masks[cond] = hit
+            hit = self._supports[cond] = condition_support(self.mixture, cond)
         return hit
 
-    def _table(self, t: int) -> _ComponentTable:
+    def _table(self, t: int) -> FrozenMixture:
+        """Component table at timestep t; t=0 is the raw mixture."""
         hit = self._tables.get(t)
         if hit is None:
-            hit = _ComponentTable(self.mixture, self.schedule, t)
-            self._tables[t] = hit
+            hit = self._tables[t] = self._tables[0].pushforward(self.schedule.alpha_bar(t))
         return hit
 
     def _evaluate(self, z: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,36 +95,16 @@ class NoiseOracle:
         z_t = np.asarray(z_t, dtype=float)
         sigma = self.schedule.sigma(t)
         table_t = t if self.noising else 0
-        log_n, diffs = self._evaluate(z_t, table_t)
-        idx, log_wts = self._mask(cond)
-        logp = log_wts + log_n[idx]
-        m = logp.max()
-        resp = np.exp(logp - m)
-        resp /= resp.sum()
-        table = self._table(table_t)
-        if table.iso:
-            score = (resp * table.inv_vars[idx]) @ diffs[idx]
-        else:
-            score = np.einsum("k,kde,ke->d", resp, table.inv_covs[idx], diffs[idx])
-        return -sigma * score
-
-    def raw_log_density(self, z, cond: Condition) -> float:
-        z = np.asarray(z, dtype=float)
-        log_n, _ = self._evaluate(z, 0)
-        idx, log_wts = self._mask(cond)
-        logp = log_wts + log_n[idx]
-        m = logp.max()
-        return float(m + np.log(np.exp(logp - m).sum()))
-
-    def raw_density(self, z, cond: Condition) -> float:
-        return float(np.exp(self.raw_log_density(z, cond)))
+        evaluated = self._evaluate(z_t, table_t)
+        idx, log_wts = self._support(cond)
+        return -sigma * self._table(table_t).masked_score(evaluated, idx, log_wts)
 
     def density_bundle(self, z: np.ndarray) -> tuple[float, float, float]:
         """Raw densities (p, p_img, p_full) at z from one component evaluation."""
         log_n, _ = self._evaluate(np.asarray(z, dtype=float), 0)
         out = []
         for cond in (UNCONDITIONED, IMAGE_COND, FULL_COND):
-            idx, log_wts = self._mask(cond)
+            idx, log_wts = self._support(cond)
             logp = log_wts + log_n[idx]
             m = logp.max()
             out.append(float(np.exp(m) * np.exp(logp - m).sum()))
@@ -201,7 +114,7 @@ class NoiseOracle:
         out = []
         for cond in ALL_CONDITIONS:
             try:
-                self._mask(cond)
+                self._support(cond)
             except ValueError:
                 continue
             out.append(cond)

@@ -27,12 +27,8 @@ def density_grid(mix: ConditionedMixture, bounds: tuple[float, float, float, flo
     x0, x1, y0, y1 = bounds
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
-    frozen = FrozenMixture(mix)
-    dens = np.zeros((resolution, resolution))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            dens[i, j] = np.exp(frozen.log_density(np.array([x, y])))
-    return xs, ys, dens
+    points = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    return xs, ys, np.exp(FrozenMixture(mix).log_density(points))
 
 
 def marching_squares(xs: np.ndarray, ys: np.ndarray, grid: np.ndarray,

@@ -57,9 +57,3 @@ def timestep_sequence(sampler: TimestepSampler, rng: np.random.Generator,
     np.clip(ts, sampler.t_min, sampler.t_max, out=ts)
     return np.minimum.accumulate(ts)
 
-
-def sample_timestep(sampler: TimestepSampler, step: int, rng: np.random.Generator) -> int:
-    """Timestep emitted at a given step index (generates the sequence and indexes it)."""
-    if not 0 <= step < sampler.total_steps:
-        raise ValueError(f"step {step} out of range [0, {sampler.total_steps})")
-    return int(timestep_sequence(sampler, rng)[step])

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from sdse_lab.cli import main
 
 TOY_CONFIG = {
@@ -131,6 +133,19 @@ def test_toy_estimator_and_phase_flags(tmp_path):
     assert summary["config"]["sampler"]["kind"] == "uniform"
 
 
+def test_toy_phase_band_follows_config_thresholds(tmp_path):
+    cfg = write_config(tmp_path, {**TOY_CONFIG, "estimators": ["m1"], "seeds": [0],
+                                  "thresholds": {"M": 100, "L": 500}})
+    out = tmp_path / "out"
+    assert main(["toy", "--config", cfg, "--phase", "middle", "--out", str(out),
+                 "--no-svg"]) == 0
+    sampler = json.loads((out / "summary.json").read_text())["config"]["sampler"]
+    assert (sampler["t_min"], sampler["t_max"]) == (101, 500)
+    timesteps = [int(row.split(",")[1]) for row in
+                 (out / "m1_seed0.csv").read_text().splitlines()[4:]]
+    assert min(timesteps) >= 101 and max(timesteps) <= 500
+
+
 def test_toy_env_seed_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, TOY_CONFIG)
     out = tmp_path / "out"
@@ -153,6 +168,30 @@ def test_toy_sampler_schema_error(tmp_path, capsys):
     cfg = write_config(tmp_path, bad)
     assert main(["toy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "sampler.t_max" in capsys.readouterr().err
+
+
+def test_toy_sampler_beyond_schedule_is_config_error(tmp_path, capsys):
+    bad = {**TOY_CONFIG, "sampler": {"kind": "uniform", "t_min": 1, "t_max": 1200}}
+    cfg = write_config(tmp_path, bad)
+    assert main(["toy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "sampler.t_max: must be <= 1000" in err
+    assert "Traceback" not in err
+
+
+def test_toy_infinite_lr_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TOY_CONFIG).replace('"lr": 0.01', '"lr": Infinity'))
+    assert main(["toy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "lr: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["toy", "--phase", "small"], ["mesh-edit", "--steps", "3"]])
+def test_non_object_config_is_config_error(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, [1, 2])
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +231,13 @@ def test_mesh_edit_paired_w1_comparison(tmp_path):
     assert set(comp["mean_dispersion"]) == {"0.0", "300.0"}
     assert (out / "mesh_head_dominant_w1_0.csv").exists()
     assert (out / "mesh_head_dominant_w1_300.csv").exists()
+
+
+def test_mesh_edit_sampler_beyond_schedule_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**MESH_CONFIG, "t_max": 1200})
+    assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "t_max: must be <= 1000" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_mesh_edit_missing_fixture(tmp_path, capsys):

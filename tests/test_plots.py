@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
-from sdse_lab.mixtures import toy_mixture
+from sdse_lab.mixtures import FrozenMixture, mixture_density, toy_mixture
 from sdse_lab.plots import density_grid, marching_squares, plot_trajectories_svg
+from sdse_lab.verify import random_conditioned_mixture
 
 
 def test_marching_squares_on_a_cone():
@@ -48,3 +50,19 @@ def test_svg_without_trajectories_is_valid():
     mix = toy_mixture()
     svg = plot_trajectories_svg(mix, [], resolution=20)
     assert "<svg" in svg and "</svg>" in svg
+
+
+ISO_MIX = toy_mixture()
+
+
+@pytest.mark.parametrize("mix", [ISO_MIX,
+                                 random_conditioned_mixture(np.random.default_rng(4),
+                                                            full_cov=True)],
+                         ids=["isotropic", "full_covariance"])
+def test_density_grid_matches_pointwise_density(mix):
+    assert FrozenMixture(mix).iso == (mix is ISO_MIX)
+    xs, ys, grid = density_grid(mix, (-1.5, 3.5, -1.0, 4.0), resolution=9)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            expected = mixture_density(mix, [x, y])
+            assert grid[i, j] == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sdse_lab.samplers import (SamplerKind, TimestepSampler, sample_timestep,
-                               timestep_sequence)
+from sdse_lab.samplers import SamplerKind, TimestepSampler, timestep_sequence
 
 
 def test_envelope_endpoints_without_jitter():
     sampler = TimestepSampler(SamplerKind.NON_INCREASING, 1, 800, 257)
-    rng = np.random.default_rng(0)
-    assert sample_timestep(sampler, 0, rng) == 800
-    assert sample_timestep(sampler, 256, np.random.default_rng(0)) == 1
+    ts = timestep_sequence(sampler, np.random.default_rng(0))
+    assert ts[0] == 800
+    assert ts[256] == 1
 
 
 def test_single_step_sequence_is_t_max():
@@ -47,14 +46,6 @@ def test_sequence_deterministic_given_seed():
     a = timestep_sequence(sampler, np.random.default_rng(7))
     b = timestep_sequence(sampler, np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
-
-
-def test_step_out_of_range():
-    sampler = TimestepSampler(SamplerKind.UNIFORM, 1, 10, 5)
-    with pytest.raises(ValueError):
-        sample_timestep(sampler, 5, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        sample_timestep(sampler, -1, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kwargs", [
