@@ -86,8 +86,8 @@ class ConvergenceReport:
     residual_ema_norm: float
 
     def __post_init__(self):
-        if self.distance < 0:
-            raise ValueError("distance must be >= 0")
+        if not self.distance >= 0:
+            raise ValueError(f"distance must be >= 0, got {self.distance}")
 
 
 def residual_ema_norm(traj: Trajectory, window: int = DEFAULT_EMA_WINDOW) -> float:
@@ -272,13 +272,16 @@ class EditReport:
 
 def region_subgraph_laplacians(mesh: LatentMesh) -> dict[int, sp.csr_matrix]:
     """Laplacian of each region's induced subgraph, on the region's own vertex order."""
+    edges = np.asarray(mesh.edges, dtype=np.intp).reshape(-1, 2)
+    ends = mesh.regions[edges]
+    inside = ends[:, 0] == ends[:, 1]
+    local = np.empty(mesh.num_vertices, dtype=np.intp)
     out = {}
     for region in mesh.region_ids():
         verts = mesh.region_vertices(region)
-        index = {int(v): k for k, v in enumerate(verts)}
-        edges = [(index[i], index[j]) for i, j in mesh.edges
-                 if mesh.regions[i] == region and mesh.regions[j] == region]
-        out[int(region)] = _laplacian(len(verts), edges)
+        local[verts] = np.arange(verts.size)
+        sub_edges = local[edges[inside & (ends[:, 0] == region)]]
+        out[int(region)] = _laplacian(verts.size, sub_edges)
     return out
 
 
@@ -299,6 +302,26 @@ def mode_distance_of_regions(mesh: LatentMesh, regions: list[int], modes: np.nda
     verts = np.concatenate([mesh.region_vertices(r) for r in regions])
     d = np.linalg.norm(mesh.codes[verts][:, None, :] - modes[None, :, :], axis=2)
     return float(d.min(axis=1).mean())
+
+
+def _measuring_gradients(mesh: LatentMesh, counts: dict[int, int], oracle: NoiseOracle,
+                         profile: dict[int, Condition], rng: np.random.Generator,
+                         config: MeshEditConfig):
+    """Per-view gradients of the measuring pass, yielded one at a time in view order.
+
+    Regions come in the allocation's (sorted) order; each view draws its blend,
+    then t, then the noise sample. Streaming them lets region_weights reduce
+    each gradient before the next is built.
+    """
+    for region, count in counts.items():
+        for _ in range(count):
+            view = make_view(mesh, region, rng, config.support)
+            t = int(rng.integers(config.t_min, config.t_max + 1))
+            epsilon = rng.standard_normal(mesh.latent_dim)
+            z_t = forward_diffuse(render_view(mesh, view), t, epsilon, oracle.schedule)
+            res = target_residual(oracle, z_t, t, epsilon, profile[region],
+                                  config.weights, config.thresholds, config.estimator)
+            yield backprop_view(mesh, view, res)
 
 
 def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
@@ -328,20 +351,11 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
         rng = np.random.default_rng(seed)
         current = mesh
 
-        # Measuring pass: uniformly spread views, per-view gradients only.
+        # Measuring pass: uniformly spread views, streamed into the region weights.
         base_counts = allocate_views({r: 1.0 for r in region_ids}, config.first_batch)
-        per_view = []
-        for region in region_ids:
-            for _ in range(base_counts.counts[region]):
-                view = make_view(current, region, rng, config.support)
-                t = int(rng.integers(config.t_min, config.t_max + 1))
-                epsilon = rng.standard_normal(current.latent_dim)
-                z_t = forward_diffuse(render_view(current, view), t, epsilon, sched)
-                res = target_residual(oracle, z_t, t, epsilon, profile[region],
-                                      config.weights, config.thresholds,
-                                      config.estimator)
-                per_view.append(backprop_view(current, view, res))
-        weights_map = region_weights(per_view, current)
+        weights_map = region_weights(
+            _measuring_gradients(current, base_counts.counts, oracle, profile, rng, config),
+            current)
         if config.allocator:
             allocation = allocate_views(weights_map, config.views_per_step)
         else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,7 +61,22 @@ class LatentMesh:
         return np.flatnonzero(self.regions == region)
 
     def with_codes(self, codes: np.ndarray) -> "LatentMesh":
-        return replace(self, codes=np.asarray(codes, dtype=float))
+        """Same mesh with new codes of the same shape.
+
+        The topology was validated when this mesh was built and cannot change,
+        so the new mesh shares the edges and regions and only the shape of
+        the codes is checked.
+        """
+        codes = np.array(codes, dtype=float)
+        if codes.shape != self.codes.shape:
+            raise ValueError(f"codes must keep the mesh's {self.codes.shape} shape, "
+                             f"got {codes.shape}")
+        codes.flags.writeable = False
+        mesh = object.__new__(type(self))
+        object.__setattr__(mesh, "edges", self.edges)
+        object.__setattr__(mesh, "codes", codes)
+        object.__setattr__(mesh, "regions", self.regions)
+        return mesh
 
 
 def _connected(n: int, edges) -> bool:
@@ -85,17 +100,12 @@ def _connected(n: int, edges) -> bool:
 
 def _laplacian(n: int, edges) -> sp.csr_matrix:
     """Combinatorial Laplacian L = D - A of an n-vertex edge list (no connectivity check)."""
-    rows, cols, vals = [], [], []
-    deg = np.zeros(n)
-    for i, j in edges:
-        rows += [i, j]
-        cols += [j, i]
-        vals += [-1.0, -1.0]
-        deg[i] += 1.0
-        deg[j] += 1.0
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += list(deg)
+    ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    diag = np.arange(n)
+    rows = np.concatenate([ends[:, 0], ends[:, 1], diag])
+    cols = np.concatenate([ends[:, 1], ends[:, 0], diag])
+    vals = np.concatenate([np.full(2 * len(ends), -1.0),
+                           np.bincount(ends.ravel(), minlength=n).astype(float)])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 

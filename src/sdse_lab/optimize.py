@@ -115,15 +115,15 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
 
     Deterministic given the seed: the timestep sequence is drawn first, then
     one noise sample per step. Aborts with the guard flag set if the iterate
-    norm ever exceeds 1e3.
+    norm ever exceeds 1e3 or stops being finite.
     """
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta0 must be finite")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
+    if not 0 <= lr < np.inf:
+        raise ValueError(f"lr must be a finite number >= 0, got {lr}")
     if oracle is None:
         oracle = NoiseOracle(mix, sched, noising=noising)
     dim = theta.size
@@ -157,7 +157,7 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
         out_ts[i + 1] = t
         densities[i + 1] = oracle.density_bundle(theta)
         used = i + 2
-        if (theta @ theta) > DIVERGENCE_GUARD * DIVERGENCE_GUARD:
+        if not (theta @ theta <= DIVERGENCE_GUARD**2):  # also trips on NaN/inf
             guard = True
             break
 

@@ -107,7 +107,10 @@ class NoiseOracle:
             idx, log_wts = self._support(cond)
             logp = log_wts + log_n[idx]
             m = logp.max()
-            out.append(float(np.exp(m) * np.exp(logp - m).sum()))
+            if m == -np.inf:  # every term is exp(-inf), e.g. at an infinite point
+                out.append(0.0)
+            else:
+                out.append(float(np.exp(m) * np.exp(logp - m).sum()))
         return tuple(out)
 
     def available_conditions(self) -> tuple[Condition, ...]:

@@ -10,6 +10,7 @@ largest remainder, so the counts always sum to the total exactly.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,23 +76,33 @@ def backprop_view(mesh: LatentMesh, view: ViewSpec, residual) -> np.ndarray:
     return grad
 
 
-def region_weights(per_view_gradients: list[np.ndarray], mesh: LatentMesh,
+def region_weights(per_view_gradients: Iterable[np.ndarray], mesh: LatentMesh,
                    regions=None) -> dict[int, float]:
-    """Average per-view per-vertex gradient norms over each region's vertices."""
-    if not per_view_gradients:
+    """Average per-view per-vertex gradient norms over each region's vertices.
+
+    Streams over any iterable of (N, latent_dim) gradients: each is reduced to
+    its per-vertex norms and added to every region's running total in view
+    order, so a generator input is never held in memory all at once.
+    """
+    regions = [int(r) for r in (mesh.region_ids() if regions is None else regions)]
+    members = {r: mesh.region_vertices(r) for r in regions}
+    totals = dict.fromkeys(members, 0.0)
+    num_views = 0
+    for grad in per_view_gradients:
+        norm = np.linalg.norm(grad, axis=1)
+        for region, verts in members.items():
+            totals[region] += float(norm[verts].sum())
+        num_views += 1
+    if num_views == 0:
         raise ValueError("need at least one view gradient")
-    num_views = len(per_view_gradients)
     out: dict[int, float] = {}
-    for region in (mesh.region_ids() if regions is None else regions):
-        verts = mesh.region_vertices(region)
+    for region in regions:
+        verts = members[region]
         if verts.size == 0:
             warnings.warn(f"region {region} is empty; weight set to 0")
-            out[int(region)] = 0.0
+            out[region] = 0.0
             continue
-        total = 0.0
-        for grad in per_view_gradients:
-            total += float(np.linalg.norm(grad[verts], axis=1).sum())
-        out[int(region)] = total / (num_views * verts.size)
+        out[region] = totals[region] / (num_views * verts.size)
     return out
 
 
@@ -199,7 +210,9 @@ def edit_step(mesh: LatentMesh, views: list[ViewSpec], oracle: NoiseOracle,
     """Accumulate per-view residual gradients, smooth the candidate delta, apply it.
 
     Per-view work is pure; accumulation happens in view order into a dense
-    matrix so results do not depend on evaluation scheduling.
+    matrix so results do not depend on evaluation scheduling. The report's
+    region weights are streamed from the same per-view gradients, which it
+    also keeps. The new mesh shares this one's validated topology.
     """
     if not views:
         raise ValueError("edit step needs at least one view")

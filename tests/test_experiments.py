@@ -55,6 +55,12 @@ def test_guard_tripped_is_diverged():
     assert report.classification is Classification.DIVERGED
 
 
+def test_nan_distance_rejected():
+    traj = make_traj([[0.5, 1.0], [np.nan, np.nan]])
+    with pytest.raises(ValueError, match="distance"):
+        convergence_check(traj, MODES, tol=0.05)
+
+
 def test_moving_far_iterate_is_wandering():
     rng = np.random.default_rng(0)
     thetas = rng.uniform(-1, 3, size=(80, 2))

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from sdse_lab.mesh import (LatentMesh, build_laplacian, grid_mesh,
+from sdse_lab.experiments import region_subgraph_laplacians
+from sdse_lab.mesh import (LatentMesh, _laplacian, build_laplacian, grid_mesh,
                            icosahedron_edges, icosphere_mesh, load_mesh,
                            mesh_from_dict, mesh_to_dict, smoothness_gradient,
                            smoothness_loss)
@@ -55,6 +57,93 @@ def test_disconnected_graph_rejected():
     with pytest.raises(ValueError, match="connected"):
         LatentMesh(edges=((0, 1),), codes=np.zeros((3, 1)),
                    regions=np.zeros(3, dtype=int))
+
+
+def per_edge_laplacian(n, edges):
+    """Per-edge assembly the vectorised Laplacians must reproduce exactly."""
+    rows, cols, vals = [], [], []
+    deg = np.zeros(n)
+    for i, j in edges:
+        rows += [i, j]
+        cols += [j, i]
+        vals += [-1.0, -1.0]
+        deg[i] += 1.0
+        deg[j] += 1.0
+    rows += list(range(n))
+    cols += list(range(n))
+    vals += list(deg)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype, attr
+        np.testing.assert_array_equal(a, b, err_msg=attr)
+
+
+def random_region_mesh(seed, n, repeat_edge=False):
+    rng = np.random.default_rng(seed)
+    edges = _random_connected_graph(rng, n)
+    if repeat_edge:
+        edges = edges + [edges[len(edges) // 2]]
+    return LatentMesh(edges=tuple(edges), codes=np.zeros((n, 2)),
+                      regions=rng.integers(0, 4, size=n))
+
+
+LAPLACIAN_MESHES = {
+    "random": lambda: random_region_mesh(7, 40),
+    "repeated_edge": lambda: random_region_mesh(8, 25, repeat_edge=True),
+    "grid": lambda: grid_mesh(rows=6, cols=7),
+    "icosphere": icosphere_mesh,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAPLACIAN_MESHES))
+def test_laplacian_matches_per_edge_assembly(name):
+    mesh = LAPLACIAN_MESHES[name]()
+    want = per_edge_laplacian(mesh.num_vertices, mesh.edges)
+    assert_same_csr(_laplacian(mesh.num_vertices, mesh.edges), want)
+    assert_same_csr(build_laplacian(mesh), want)
+
+
+@pytest.mark.parametrize("name", sorted(LAPLACIAN_MESHES))
+def test_region_subgraph_laplacians_match_per_edge_assembly(name):
+    mesh = LAPLACIAN_MESHES[name]()
+    got = region_subgraph_laplacians(mesh)
+    assert list(got) == [int(r) for r in mesh.region_ids()]
+    for region, lap in got.items():
+        verts = mesh.region_vertices(region)
+        index = {int(v): k for k, v in enumerate(verts)}
+        edges = [(index[i], index[j]) for i, j in mesh.edges
+                 if mesh.regions[i] == region and mesh.regions[j] == region]
+        assert_same_csr(lap, per_edge_laplacian(len(verts), edges))
+
+
+# ---------------------------------------------------------------------------
+# with_codes
+# ---------------------------------------------------------------------------
+
+def test_with_codes_shares_topology_and_copies_codes():
+    mesh, rng = random_mesh(9, 12)
+    codes = rng.standard_normal((12, 2))
+    new = mesh.with_codes(codes)
+    assert new.edges is mesh.edges
+    assert new.regions is mesh.regions
+    np.testing.assert_array_equal(new.codes, codes)
+    assert not new.codes.flags.writeable
+    assert not np.shares_memory(new.codes, codes)
+    codes[0, 0] = 99.0
+    assert new.codes[0, 0] != 99.0
+    assert new.with_codes(np.zeros((12, 2), dtype=int)).codes.dtype == float
+
+
+@pytest.mark.parametrize("shape", [(11, 2), (13, 2), (24,), (12, 3)])
+def test_with_codes_rejects_a_changed_shape(shape):
+    mesh, _ = random_mesh(9, 12)
+    with pytest.raises(ValueError, match=r"\(12, 2\)"):
+        mesh.with_codes(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,24 @@ def test_divergence_guard_trips(setup):
     assert np.linalg.norm(traj.final_theta) > 1e3
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_non_finite_lr_rejected(setup, lr):
+    mix, sched = setup
+    with pytest.raises(ValueError, match="lr"):
+        optimize_point([0.5, 1.0], EstimatorKind.SDSE, uniform(1, 800, 20),
+                       mix, sched, lr=lr, steps=20, seed=0)
+
+
+def test_guard_trips_on_non_finite_iterate(setup):
+    mix, sched = setup
+    traj = optimize_point([0.5, 1.0], EstimatorKind.SDS, uniform(1, 800, 20),
+                          mix, sched, lr=1e-2, steps=20, seed=0,
+                          weight_fn=lambda t: float("nan"))
+    assert traj.guard_tripped
+    assert traj.num_rows == 2
+    assert np.isnan(traj.final_theta).all()
+
+
 def test_recorded_densities_match_direct_calls(setup):
     mix, sched = setup
     traj = optimize_point([0.5, 1.0], EstimatorKind.M4_ONLY, uniform(100, 500, 30),

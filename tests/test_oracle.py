@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -123,6 +125,13 @@ def test_density_bundle_matches_direct_densities():
         assert p == pytest.approx(mixture_density(sub_mixture(mix, UNCONDITIONED), z), rel=1e-12)
         assert p_img == pytest.approx(mixture_density(sub_mixture(mix, IMAGE_COND), z), rel=1e-12)
         assert p_full == pytest.approx(mixture_density(sub_mixture(mix, FULL_COND), z), rel=1e-12)
+
+
+def test_density_bundle_at_infinite_point_is_zero_without_warnings():
+    oracle = NoiseOracle(toy_mixture(), linear_beta_schedule())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oracle.density_bundle(np.array([np.inf, -np.inf])) == (0.0, 0.0, 0.0)
 
 
 def test_noising_off_uses_raw_scores():

@@ -132,6 +132,37 @@ def test_empty_region_warns_and_zeroes(mesh):
 def test_region_weights_require_views(mesh):
     with pytest.raises(ValueError):
         region_weights([], mesh)
+    with pytest.raises(ValueError):
+        region_weights(iter([]), mesh)
+
+
+def looped_region_weights(grads, mesh, regions):
+    """Per-(region, view) loop the streamed weights must reproduce bit for bit."""
+    out = {}
+    for region in regions:
+        verts = mesh.region_vertices(region)
+        if verts.size == 0:
+            out[int(region)] = 0.0
+            continue
+        total = 0.0
+        for grad in grads:
+            total += float(np.linalg.norm(grad[verts], axis=1).sum())
+        out[int(region)] = total / (len(grads) * verts.size)
+    return out
+
+
+@pytest.mark.parametrize("rows, cols, dim", [(5, 4, 2), (30, 30, 3)])
+def test_region_weights_match_per_region_loop_bitwise(rows, cols, dim):
+    mesh = grid_mesh(rows=rows, cols=cols, num_regions=5, init_code=np.zeros(dim))
+    rng = np.random.default_rng(11)
+    grads = [rng.standard_normal((mesh.num_vertices, dim)) * rng.uniform(0.1, 10.0)
+             for _ in range(7)]
+    expected = looped_region_weights(grads, mesh, mesh.region_ids())
+    assert region_weights(grads, mesh) == expected
+    assert region_weights((g for g in grads), mesh) == expected
+    with pytest.warns(UserWarning, match="empty"):
+        assert region_weights(iter(grads), mesh, regions=[0, 99]) == \
+            looped_region_weights(grads, mesh, [0, 99])
 
 
 # ---------------------------------------------------------------------------
