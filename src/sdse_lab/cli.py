@@ -56,7 +56,10 @@ def _override_seeds(cfg: dict, seed: int | None) -> None:
     """--seed, then SDSE_SEED, replace the config's seed list."""
     env = os.environ.get("SDSE_SEED")
     if env is not None:
-        seed = int(env)
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError("SDSE_SEED", f"expected an integer, got {env!r}") from None
     if seed is not None:
         cfg["seeds"] = [seed]
         cfg.pop("seed", None)
@@ -185,6 +188,7 @@ def cmd_mesh_edit(args: argparse.Namespace) -> int:
     mixture = load_mixture(resolve_data_path(cfg.mixture_path))
     sched = linear_beta_schedule()
     digest = cfg.digest
+    edited = [r for r, c in PROFILES[cfg.profile].items() if c == FULL_COND]
     summary_runs = []
     dispersion_by_w1 = {}
     for w1 in cfg.w1_values:
@@ -192,8 +196,6 @@ def cmd_mesh_edit(args: argparse.Namespace) -> int:
                                 replace(cfg.edit, w1=w1), config_digest=digest)
         tag = f"w1_{w1:g}" if len(cfg.w1_values) > 1 else "steps"
         _write_step_report(reports, out_dir / f"mesh_{cfg.profile}_{tag}.csv", digest)
-        profile_map = PROFILES[cfg.profile]
-        edited = [r for r, c in profile_map.items() if c == FULL_COND]
         disp = [float(np.mean([rep.dispersion[r] for r in edited])) for rep in reports]
         dispersion_by_w1[w1] = disp
         for rep in reports:
@@ -203,16 +205,16 @@ def cmd_mesh_edit(args: argparse.Namespace) -> int:
                                  "view_counts": rep.allocation.counts,
                                  "weights": rep.allocation.weights,
                                  "dispersion": rep.dispersion})
-        alloc_path = out_dir / "allocation.csv"
-        with open(alloc_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# digest={digest}\n")
-            regions = sorted(reports[0].allocation.counts)
-            fh.write("profile,metric," + ",".join(f"region_{r}" for r in regions) + "\n")
-            alloc = reports[0].allocation
-            weights_row = ",".join(repr(float(alloc.weights[r])) for r in regions)
-            counts_row = ",".join(str(alloc.counts[r]) for r in regions)
-            fh.write(f"{cfg.profile},weight,{weights_row}\n")
-            fh.write(f"{cfg.profile},view_count,{counts_row}\n")
+    # The measuring pass that sets the allocation does not depend on w1.
+    alloc = reports[0].allocation
+    regions = sorted(alloc.counts)
+    with open(out_dir / "allocation.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# digest={digest}\n")
+        fh.write("profile,metric," + ",".join(f"region_{r}" for r in regions) + "\n")
+        weights_row = ",".join(repr(float(alloc.weights[r])) for r in regions)
+        counts_row = ",".join(str(alloc.counts[r]) for r in regions)
+        fh.write(f"{cfg.profile},weight,{weights_row}\n")
+        fh.write(f"{cfg.profile},view_count,{counts_row}\n")
     summary = {"command": "mesh-edit", "version": __version__, "digest": digest,
                "config": cfg.raw, "runs": summary_runs}
     if len(cfg.w1_values) > 1:

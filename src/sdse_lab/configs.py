@@ -34,23 +34,30 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _get_number(cfg: dict, key: str, path: str, default=None, integer=False,
-                minimum=None, maximum=None):
+def _number(val, path: str, integer=False, minimum=None, maximum=None):
+    _expect(isinstance(val, (int, float)) and not isinstance(val, bool), path,
+            "expected a number")
+    _expect(isinstance(val, int) or math.isfinite(val), path, "expected a finite number")
+    if integer:
+        _expect(float(val).is_integer(), path, "expected an integer")
+        val = int(val)
+    if minimum is not None:
+        _expect(val >= minimum, path, f"must be >= {minimum}")
+    if maximum is not None:
+        _expect(val <= maximum, path, f"must be <= {maximum}")
+    return val
+
+
+def _get_number(cfg: dict, key: str, path: str, default=None, **bounds):
     if key not in cfg:
         _expect(default is not None, f"{path}{key}", "missing required field")
         return default
-    val = cfg[key]
-    _expect(isinstance(val, (int, float)) and not isinstance(val, bool),
-            f"{path}{key}", "expected a number")
-    _expect(isinstance(val, int) or math.isfinite(val), f"{path}{key}",
-            "expected a finite number")
-    if integer:
-        _expect(float(val).is_integer(), f"{path}{key}", "expected an integer")
-        val = int(val)
-    if minimum is not None:
-        _expect(val >= minimum, f"{path}{key}", f"must be >= {minimum}")
-    if maximum is not None:
-        _expect(val <= maximum, f"{path}{key}", f"must be <= {maximum}")
+    return _number(cfg[key], f"{path}{key}", **bounds)
+
+
+def _get_bool(cfg: dict, key: str, default: bool) -> bool:
+    val = cfg.get(key, default)
+    _expect(isinstance(val, bool), key, "expected true or false")
     return val
 
 
@@ -79,8 +86,9 @@ def _parse_seeds(cfg: dict) -> tuple[int, ...]:
         raw_seeds = cfg["seeds"]
         _expect(isinstance(raw_seeds, list) and raw_seeds, "seeds",
                 "expected a non-empty list")
-        return tuple(int(s) for s in raw_seeds)
-    return (int(_get_number(cfg, "seed", "", default=0, integer=True)),)
+        return tuple(_number(s, f"seeds[{i}]", integer=True, minimum=0)
+                     for i, s in enumerate(raw_seeds))
+    return (_get_number(cfg, "seed", "", default=0, integer=True, minimum=0),)
 
 
 ESTIMATOR_NAMES = {k.value: k for k in EstimatorKind}
@@ -171,8 +179,8 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
     theta0 = cfg.get("theta0", [0.5, 1.0])
     _expect(isinstance(theta0, list) and len(theta0) == 2, "theta0",
             "expected a 2-element list")
-    theta0 = (float(theta0[0]), float(theta0[1]))
-    noising = bool(cfg.get("noising", True))
+    theta0 = tuple(float(_number(v, f"theta0[{i}]")) for i, v in enumerate(theta0))
+    noising = _get_bool(cfg, "noising", True)
 
     raw = {
         "mixture_path": path, "estimators": [e.value for e in estimators],
@@ -217,14 +225,13 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
             "expected 'head_dominant' or 'body_dominant'")
     default = MeshEditConfig()
 
-    w1 = cfg.get("w1", default.w1)
+    w1 = cfg.get("w1")
     if isinstance(w1, list):
         _expect(bool(w1), "w1", "expected a number or non-empty list")
-        w1_values = tuple(float(v) for v in w1)
+        w1_values = tuple(float(_number(v, f"w1[{i}]", minimum=0.0))
+                          for i, v in enumerate(w1))
     else:
-        w1_values = (float(w1),)
-    for i, v in enumerate(w1_values):
-        _expect(v >= 0, f"w1[{i}]", "must be >= 0")
+        w1_values = (float(_get_number(cfg, "w1", "", default=default.w1, minimum=0.0)),)
 
     t_min = _get_number(cfg, "t_min", "", default=default.t_min, integer=True, minimum=1)
     t_max = _get_number(cfg, "t_max", "", default=default.t_max, integer=True, minimum=1,
@@ -237,7 +244,7 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
         first_batch=_get_number(cfg, "first_batch", "", default=default.first_batch,
                                 integer=True, minimum=1),
         lr=_get_number(cfg, "lr", "", default=default.lr, minimum=0.0),
-        w1=w1_values[0], allocator=bool(cfg.get("allocator", default.allocator)),
+        w1=w1_values[0], allocator=_get_bool(cfg, "allocator", default.allocator),
         t_min=t_min, t_max=t_max,
         support=_get_number(cfg, "support", "", default=default.support, integer=True,
                             minimum=1),

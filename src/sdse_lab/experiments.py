@@ -20,12 +20,11 @@ from .mixtures import (ALL_CONDITIONS, Condition, ConditionedMixture, FULL_COND,
                        IMAGE_COND, TEXT_COND, UNCONDITIONED, FrozenMixture,
                        sub_mixture)
 from .optimize import Trajectory, optimize_point
-from .oracle import NoiseOracle, forward_diffuse
+from .oracle import NoiseOracle
 from .samplers import SamplerKind, TimestepSampler
 from .schedule import NoiseSchedule
-from .views import (RegionAllocation, SmoothedStepSolver, allocate_views,
-                    backprop_view, edit_step, make_view, region_weights,
-                    render_view, target_residual)
+from .views import (RegionAllocation, SmoothedStepSolver, allocate_views, edit_step,
+                    make_view, region_weights, view_gradient)
 
 DEFAULT_TOLERANCE = 0.05
 DEFAULT_GRAD_TOL = 1e-3
@@ -304,24 +303,18 @@ def mode_distance_of_regions(mesh: LatentMesh, regions: list[int], modes: np.nda
     return float(d.min(axis=1).mean())
 
 
-def _measuring_gradients(mesh: LatentMesh, counts: dict[int, int], oracle: NoiseOracle,
-                         profile: dict[int, Condition], rng: np.random.Generator,
-                         config: MeshEditConfig):
-    """Per-view gradients of the measuring pass, yielded one at a time in view order.
+def _draw_views(mesh: LatentMesh, counts: dict[int, int], rng: np.random.Generator,
+                config: MeshEditConfig):
+    """Draw (view, t) pairs, regions in the allocation's (sorted) order.
 
-    Regions come in the allocation's (sorted) order; each view draws its blend,
-    then t, then the noise sample. Streaming them lets region_weights reduce
-    each gradient before the next is built.
+    Each view draws its blend, then its t; view_gradient draws its noise. The
+    measuring pass consumes this lazily, so per view the stream reads view, t,
+    noise. An edit step draws its whole batch first and then each view's noise.
     """
     for region, count in counts.items():
         for _ in range(count):
             view = make_view(mesh, region, rng, config.support)
-            t = int(rng.integers(config.t_min, config.t_max + 1))
-            epsilon = rng.standard_normal(mesh.latent_dim)
-            z_t = forward_diffuse(render_view(mesh, view), t, epsilon, oracle.schedule)
-            res = target_residual(oracle, z_t, t, epsilon, profile[region],
-                                  config.weights, config.thresholds, config.estimator)
-            yield backprop_view(mesh, view, res)
+            yield view, int(rng.integers(config.t_min, config.t_max + 1))
 
 
 def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
@@ -344,6 +337,7 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     oracle = NoiseOracle(mix, sched, noising=True)
     modes = mix.mode_points(FULL_COND)
     edited = [r for r in region_ids if profile[r] == FULL_COND]
+    uniform = {r: 1.0 for r in region_ids}
     solver = SmoothedStepSolver(mesh, config.w1, config.lr)
     sub_laps = region_subgraph_laplacians(mesh)
     reports = []
@@ -352,30 +346,22 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
         current = mesh
 
         # Measuring pass: uniformly spread views, streamed into the region weights.
-        base_counts = allocate_views({r: 1.0 for r in region_ids}, config.first_batch)
+        base_counts = allocate_views(uniform, config.first_batch)
         weights_map = region_weights(
-            _measuring_gradients(current, base_counts.counts, oracle, profile, rng, config),
+            (view_gradient(current, view, t, rng, oracle, profile[view.region],
+                           config.weights, config.thresholds, config.estimator)
+             for view, t in _draw_views(current, base_counts.counts, rng, config)),
             current)
-        if config.allocator:
-            allocation = allocate_views(weights_map, config.views_per_step)
-        else:
-            allocation = allocate_views({r: 1.0 for r in region_ids}, config.views_per_step)
+        allocation = allocate_views(weights_map if config.allocator else uniform,
+                                    config.views_per_step)
 
-        smooth_losses = []
         grad_rows = []
         hit = None
         for step in range(1, config.steps + 1):
-            views, ts = [], []
-            for region in region_ids:
-                for _ in range(allocation.counts[region]):
-                    views.append(make_view(current, region, rng, config.support))
-                    ts.append(int(rng.integers(config.t_min, config.t_max + 1)))
-            if not views:
-                raise ValueError("allocation produced an empty view batch")
-            current, report = edit_step(current, views, oracle, profile, ts, rng,
-                                        solver, config.weights,
-                                        config.thresholds, config.estimator)
-            smooth_losses.append(report.smooth_loss)
+            batch = list(_draw_views(current, allocation.counts, rng, config))
+            current, report = edit_step(current, [view for view, _ in batch], oracle,
+                                        profile, [t for _, t in batch], rng, solver,
+                                        config.weights, config.thresholds, config.estimator)
             grad_rows.append({"step": step, "grad_norms": report.grad_norms,
                               "view_counts": report.view_counts,
                               "smooth_loss": report.smooth_loss})
@@ -385,7 +371,8 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
         reports.append(EditReport(seed=seed, allocation=allocation,
                                   steps_to_threshold=hit,
                                   dispersion=region_dispersion(current, sub_laps),
-                                  smooth_losses=np.asarray(smooth_losses),
+                                  smooth_losses=np.asarray([row["smooth_loss"]
+                                                            for row in grad_rows]),
                                   grad_norm_rows=grad_rows, final_mesh=current,
                                   config_digest=config_digest))
     return reports

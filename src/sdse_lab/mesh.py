@@ -110,9 +110,7 @@ def _laplacian(n: int, edges) -> sp.csr_matrix:
 
 
 def build_laplacian(mesh: LatentMesh) -> sp.csr_matrix:
-    """Combinatorial Laplacian L = D - A of the mesh graph (sparse, symmetric)."""
-    if not _connected(mesh.num_vertices, mesh.edges):
-        raise ValueError("mesh graph must be connected")
+    """Combinatorial Laplacian L = D - A of the mesh graph, connected since it was built."""
     return _laplacian(mesh.num_vertices, mesh.edges)
 
 

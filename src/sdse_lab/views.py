@@ -153,7 +153,6 @@ class StepReport:
     grad_norms: dict[int, float]     # per-region mean per-view gradient norms
     view_counts: dict[int, int]
     smooth_loss: float
-    per_view_gradients: list[np.ndarray]
 
 
 def target_residual(oracle: NoiseOracle, z_t, t: int, epsilon, target: Condition,
@@ -185,20 +184,33 @@ class SmoothedStepSolver:
 
     def __init__(self, mesh: LatentMesh, w1: float, lr: float):
         self.lap = build_laplacian(mesh)
-        self.w1 = float(w1)
         self.lr = float(lr)
         n = mesh.num_vertices
         if w1 == 0.0:
             self._solve = None
         else:
             mat = sp.identity(n, format="csc") + (lr * w1 * 2.0 / n) * (self.lap.T @ self.lap)
-            self._solve = sp.linalg.factorized(mat.tocsc())
+            self._solve = sp.linalg.splu(mat.tocsc()).solve
 
     def step_delta(self, grad: np.ndarray) -> np.ndarray:
         raw = -self.lr * grad
         if self._solve is None:
             return raw
-        return np.column_stack([self._solve(raw[:, d]) for d in range(raw.shape[1])])
+        return self._solve(raw)
+
+
+def view_gradient(mesh: LatentMesh, view: ViewSpec, t: int, rng: np.random.Generator,
+                  oracle: NoiseOracle, target: Condition, weights: GuidanceWeights,
+                  thresholds: StageThresholds, estimator: EstimatorKind) -> np.ndarray:
+    """Code gradient of one view at timestep t, steered toward its target condition.
+
+    Draws one noise sample from rng and nothing else (rendering draws nothing).
+    """
+    epsilon = rng.standard_normal(mesh.latent_dim)
+    z_t = forward_diffuse(render_view(mesh, view), t, epsilon, oracle.schedule)
+    res = target_residual(oracle, z_t, int(t), epsilon, target, weights, thresholds,
+                          estimator)
+    return backprop_view(mesh, view, res)
 
 
 def edit_step(mesh: LatentMesh, views: list[ViewSpec], oracle: NoiseOracle,
@@ -211,23 +223,17 @@ def edit_step(mesh: LatentMesh, views: list[ViewSpec], oracle: NoiseOracle,
 
     Per-view work is pure; accumulation happens in view order into a dense
     matrix so results do not depend on evaluation scheduling. The report's
-    region weights are streamed from the same per-view gradients, which it
-    also keeps. The new mesh shares this one's validated topology.
+    region weights are streamed from the same per-view gradients. The new mesh
+    shares this one's validated topology.
     """
     if not views:
         raise ValueError("edit step needs at least one view")
     if len(timesteps) != len(views):
         raise ValueError("need one timestep per view")
-    per_view = []
+    per_view = [view_gradient(mesh, view, t, rng, oracle, profile[view.region], weights,
+                              thresholds, estimator) for view, t in zip(views, timesteps)]
     total = np.zeros_like(mesh.codes)
-    for view, t in zip(views, timesteps):
-        z = render_view(mesh, view)
-        epsilon = rng.standard_normal(mesh.latent_dim)
-        z_t = forward_diffuse(z, t, epsilon, oracle.schedule)
-        res = target_residual(oracle, z_t, int(t), epsilon, profile[view.region],
-                              weights, thresholds, estimator)
-        grad = backprop_view(mesh, view, res)
-        per_view.append(grad)
+    for grad in per_view:
         total += grad
     delta = solver.step_delta(total)
     new_mesh = mesh.with_codes(mesh.codes + delta)
@@ -236,6 +242,5 @@ def edit_step(mesh: LatentMesh, views: list[ViewSpec], oracle: NoiseOracle,
         counts[int(view.region)] += 1
     report = StepReport(grad_norms=region_weights(per_view, mesh),
                         view_counts=counts,
-                        smooth_loss=smoothness_loss(solver.lap, delta),
-                        per_view_gradients=per_view)
+                        smooth_loss=smoothness_loss(solver.lap, delta))
     return new_mesh, report

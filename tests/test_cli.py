@@ -194,6 +194,36 @@ def test_non_object_config_is_config_error(tmp_path, capsys, argv):
     assert "config must be a JSON object" in capsys.readouterr().err
 
 
+INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
+
+
+@pytest.mark.parametrize("command,override,env,field", [
+    pytest.param("toy", {"noising": "false"}, None, "noising", id="toy-noising-string"),
+    pytest.param("toy", {"seeds": [1.5]}, None, "seeds[0]", id="toy-seed-fraction"),
+    pytest.param("toy", {"seeds": [0, "a"]}, None, "seeds[1]", id="toy-seed-string"),
+    pytest.param("toy", {"seeds": [-1]}, None, "seeds[0]", id="toy-seed-negative"),
+    pytest.param("toy", {"theta0": ["x", 1]}, None, "theta0[0]", id="toy-theta0-string"),
+    pytest.param("toy", {"theta0": [INF, 1]}, None, "theta0[0]", id="toy-theta0-infinite"),
+    pytest.param("toy", {}, "abc", "SDSE_SEED", id="toy-env-seed-string"),
+    pytest.param("mesh-edit", {"w1": INF}, None, "w1", id="mesh-w1-infinite"),
+    pytest.param("mesh-edit", {"w1": "abc"}, None, "w1", id="mesh-w1-string"),
+    pytest.param("mesh-edit", {"w1": True}, None, "w1", id="mesh-w1-bool"),
+    pytest.param("mesh-edit", {"w1": [0.0, INF]}, None, "w1[1]", id="mesh-w1-list-infinite"),
+    pytest.param("mesh-edit", {"allocator": "no"}, None, "allocator", id="mesh-allocator-string"),
+    pytest.param("mesh-edit", {}, "abc", "SDSE_SEED", id="mesh-env-seed-string"),
+])
+def test_bad_field_is_config_error_naming_it(tmp_path, capsys, monkeypatch, command,
+                                            override, env, field):
+    base = TOY_CONFIG if command == "toy" else MESH_CONFIG
+    cfg = write_config(tmp_path, {**base, **override})
+    if env is not None:
+        monkeypatch.setenv("SDSE_SEED", env)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # mesh-edit
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ from sdse_lab.experiments import (Classification, MeshEditConfig, Phase,
                                   phase_band, region_dispersion, residual_ema_norm,
                                   run_full_schedule, run_mesh_edit, run_toy_phase)
 from sdse_lab.guidance import EstimatorKind, StageThresholds
-from sdse_lab.mesh import grid_mesh
-from sdse_lab.mixtures import FULL_COND, mixture_density, sub_mixture, toy_mixture
+from sdse_lab.mesh import grid_mesh, smoothness_loss
+from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, mixture_density, sub_mixture,
+                               toy_mixture)
 from sdse_lab.optimize import Trajectory, optimize_point
+from sdse_lab.oracle import NoiseOracle, forward_diffuse
 from sdse_lab.samplers import SamplerKind, TimestepSampler
 from sdse_lab.schedule import linear_beta_schedule
+from sdse_lab.views import (SmoothedStepSolver, allocate_views, backprop_view, make_view,
+                            region_weights, target_residual)
 
 MIX = toy_mixture()
 SCHED = linear_beta_schedule()
@@ -245,6 +249,64 @@ def test_mesh_edit_no_allocator_records_uniform():
                          allocator=False)
     reports = run_mesh_edit(mesh, "head_dominant", MIX, SCHED, seeds=[0], config=cfg)
     assert all(c == 2 for c in reports[0].allocation.counts.values())
+
+
+def _reference_mesh_edit(mesh, profile, seed, config):
+    """run_mesh_edit's per-seed loop spelled out from the public primitives.
+
+    Random draws in order: measuring pass view, t, noise per view; then each
+    step draws all its views and t's before each view's noise.
+    """
+    oracle = NoiseOracle(MIX, SCHED, noising=True)
+    rng = np.random.default_rng(seed)
+    solver = SmoothedStepSolver(mesh, config.w1, config.lr)
+
+    def draw(current, counts):
+        for region, count in counts.items():
+            for _ in range(count):
+                view = make_view(current, region, rng, config.support)
+                yield view, int(rng.integers(config.t_min, config.t_max + 1))
+
+    def gradient(current, view, t):
+        eps = rng.standard_normal(current.latent_dim)
+        z_t = forward_diffuse(view.blend @ current.codes[view.vertices], t, eps, SCHED)
+        res = target_residual(oracle, z_t, t, eps, profile[view.region], config.weights,
+                              config.thresholds, config.estimator)
+        return backprop_view(current, view, res)
+
+    uniform = {int(r): 1.0 for r in mesh.region_ids()}
+    measured = []
+    for view, t in draw(mesh, allocate_views(uniform, config.first_batch).counts):
+        measured.append(gradient(mesh, view, t))  # before the next view is drawn
+    weights = region_weights(measured, mesh)
+    allocation = allocate_views(weights if config.allocator else uniform,
+                                config.views_per_step)
+    current, losses = mesh, []
+    for _ in range(config.steps):
+        batch = list(draw(current, allocation.counts))
+        grads = [gradient(current, view, t) for view, t in batch]
+        total = np.zeros_like(current.codes)
+        for grad in grads:
+            total += grad
+        delta = solver.step_delta(total)
+        current = current.with_codes(current.codes + delta)
+        losses.append(smoothness_loss(solver.lap, delta))
+    return allocation, current, losses
+
+
+@pytest.mark.parametrize("allocator", [True, False])
+def test_mesh_edit_matches_primitive_loop_bitwise(allocator):
+    mesh = grid_mesh(rows=6, cols=6, num_regions=3)
+    profile = {0: FULL_COND, 1: IMAGE_COND, 2: FULL_COND}
+    cfg = MeshEditConfig(steps=4, views_per_step=5, first_batch=12, support=3, w1=300.0,
+                         allocator=allocator)
+    reports = run_mesh_edit(mesh, profile, MIX, SCHED, seeds=[3, 4], config=cfg)
+    for report in reports:
+        allocation, final, losses = _reference_mesh_edit(mesh, profile, report.seed, cfg)
+        assert report.allocation.weights == allocation.weights
+        assert report.allocation.counts == allocation.counts
+        np.testing.assert_array_equal(report.final_mesh.codes, final.codes)
+        assert report.smooth_losses.tolist() == losses
 
 
 def test_mesh_edit_requires_complete_profile():

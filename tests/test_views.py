@@ -238,6 +238,24 @@ def test_solver_solves_the_fixed_point(mesh):
     np.testing.assert_allclose(delta, rhs, atol=1e-10)
 
 
+@pytest.mark.parametrize("rows,cols", [(10, 10), (100, 100)])
+def test_step_delta_matches_per_column_lu_solve_bitwise(rows, cols):
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import splu
+
+    big = grid_mesh(rows=rows, cols=cols)
+    lr, w1, n = 0.02, 300.0, big.num_vertices
+    solver = SmoothedStepSolver(big, w1=w1, lr=lr)
+    lu = splu((identity(n, format="csc")
+               + (lr * w1 * 2.0 / n) * (solver.lap.T @ solver.lap)).tocsc())
+    rng = np.random.default_rng(rows)
+    for _ in range(3):
+        grad = rng.standard_normal((n, 2))
+        raw = -lr * grad
+        want = np.column_stack([lu.solve(raw[:, d]) for d in range(2)])
+        np.testing.assert_array_equal(solver.step_delta(grad), want)
+
+
 def test_huge_smoothing_projects_onto_constants(mesh):
     solver = SmoothedStepSolver(mesh, w1=1e9, lr=0.05)
     g = np.random.default_rng(6).standard_normal((mesh.num_vertices, 2))
