@@ -102,11 +102,7 @@ def _resolve_toy_config(args: argparse.Namespace) -> ToyRunConfig:
 
 
 def cmd_toy(args: argparse.Namespace) -> int:
-    try:
-        cfg = _resolve_toy_config(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    cfg = _resolve_toy_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mixture = load_mixture(resolve_data_path(cfg.mixture_path))
@@ -122,8 +118,7 @@ def cmd_toy(args: argparse.Namespace) -> int:
             traj = optimize_point(cfg.theta0, estimator, sampler, mixture, sched,
                                   lr=cfg.lr, steps=cfg.steps, seed=seed,
                                   weights=cfg.weights, thresholds=cfg.thresholds,
-                                  noising=cfg.noising, config_digest=digest,
-                                  oracle=oracle)
+                                  config_digest=digest, oracle=oracle)
             name = f"{estimator.value}_seed{seed}.csv"
             traj.write_csv(out_dir / name)
             report = convergence_check(traj, modes, tol=args.tol,
@@ -173,11 +168,7 @@ def _write_step_report(reports, path: Path, digest: str) -> None:
 
 
 def cmd_mesh_edit(args: argparse.Namespace) -> int:
-    try:
-        cfg = _resolve_mesh_config(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    cfg = _resolve_mesh_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh_path = resolve_data_path(cfg.mesh_path)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from importlib.resources import files
 from pathlib import Path
@@ -37,7 +37,8 @@ def _expect(cond: bool, path: str, message: str) -> None:
 def _number(val, path: str, integer=False, minimum=None, maximum=None):
     _expect(isinstance(val, (int, float)) and not isinstance(val, bool), path,
             "expected a number")
-    _expect(isinstance(val, int) or math.isfinite(val), path, "expected a finite number")
+    # also rejects NaN and integers beyond the float range
+    _expect(abs(val) <= sys.float_info.max, path, "expected a finite number")
     if integer:
         _expect(float(val).is_integer(), path, "expected an integer")
         val = int(val)
@@ -154,7 +155,7 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
         raw_est = [cfg["estimator"]]
     estimators = []
     for i, name in enumerate(raw_est):
-        _expect(name in ESTIMATOR_NAMES, f"estimators[{i}]",
+        _expect(isinstance(name, str) and name in ESTIMATOR_NAMES, f"estimators[{i}]",
                 f"unknown estimator {name!r}; choices: {sorted(ESTIMATOR_NAMES)}")
         estimators.append(ESTIMATOR_NAMES[name])
 
@@ -163,7 +164,7 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
     sampler = cfg.get("sampler", {})
     _expect(isinstance(sampler, dict), "sampler", "expected an object")
     kind_name = sampler.get("kind", "non_increasing")
-    _expect(kind_name in SAMPLER_NAMES, "sampler.kind",
+    _expect(isinstance(kind_name, str) and kind_name in SAMPLER_NAMES, "sampler.kind",
             f"unknown kind {kind_name!r}; choices: {sorted(SAMPLER_NAMES)}")
     t_min = _get_number(sampler, "t_min", "sampler.", default=1, integer=True, minimum=1)
     t_max = _get_number(sampler, "t_max", "sampler.", default=800, integer=True, minimum=1,

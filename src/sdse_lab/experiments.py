@@ -16,9 +16,7 @@ import scipy.sparse as sp
 
 from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
 from .mesh import LatentMesh, _laplacian
-from .mixtures import (ALL_CONDITIONS, Condition, ConditionedMixture, FULL_COND,
-                       IMAGE_COND, TEXT_COND, UNCONDITIONED, FrozenMixture,
-                       sub_mixture)
+from .mixtures import Condition, ConditionedMixture, FULL_COND, IMAGE_COND
 from .optimize import Trajectory, optimize_point
 from .oracle import NoiseOracle
 from .samplers import SamplerKind, TimestepSampler
@@ -138,11 +136,10 @@ class PhaseRun:
 def run_toy_phase(spec: PhaseSpec, mix: ConditionedMixture, sched: NoiseSchedule,
                   seeds: list[int], lr: float = 1e-2, steps: int = 400,
                   weights: GuidanceWeights = GuidanceWeights(),
-                  thresholds: StageThresholds = StageThresholds(),
-                  noising: bool = True, config_digest: str = "") -> list[PhaseRun]:
+                  thresholds: StageThresholds = StageThresholds()) -> list[PhaseRun]:
     """One trajectory per (estimator, seed) under the phase's timestep policy."""
     spec.validate_band(thresholds, sched.num_steps)
-    oracle = NoiseOracle(mix, sched, noising=noising)
+    oracle = NoiseOracle(mix, sched)
     sampler = TimestepSampler(kind=SamplerKind.UNIFORM, t_min=spec.t_lo,
                               t_max=spec.t_hi, total_steps=steps)
     out = []
@@ -150,8 +147,7 @@ def run_toy_phase(spec: PhaseSpec, mix: ConditionedMixture, sched: NoiseSchedule
         for seed in sorted(seeds):
             traj = optimize_point(spec.theta0, estimator, sampler, mix, sched,
                                   lr=lr, steps=steps, seed=seed, weights=weights,
-                                  thresholds=thresholds, noising=noising,
-                                  config_digest=config_digest, oracle=oracle)
+                                  thresholds=thresholds, oracle=oracle)
             out.append(PhaseRun(estimator=estimator, seed=seed, trajectory=traj))
     return out
 
@@ -164,62 +160,19 @@ def run_full_schedule(estimator: EstimatorKind, sampler: TimestepSampler,
                       tol: float = DEFAULT_TOLERANCE,
                       grad_tol: float = DEFAULT_GRAD_TOL,
                       window: int = DEFAULT_EMA_WINDOW,
-                      noising: bool = True, theta0=(0.5, 1.0),
-                      config_digest: str = "") -> list[tuple[Trajectory, ConvergenceReport]]:
+                      theta0=(0.5, 1.0)) -> list[tuple[Trajectory, ConvergenceReport]]:
     """Full scheduled runs plus convergence classification against the joint modes."""
     if sampler.t_max > thresholds.middle_max:
         raise ValueError("sampler range must lie within [1, middle_max]")
-    oracle = NoiseOracle(mix, sched, noising=noising)
+    oracle = NoiseOracle(mix, sched)
     modes = mix.mode_points(FULL_COND)
     out = []
     for seed in sorted(seeds):
         traj = optimize_point(theta0, estimator, sampler, mix, sched,
                               lr=lr, steps=steps, seed=seed, weights=weights,
-                              thresholds=thresholds, noising=noising,
-                              config_digest=config_digest, oracle=oracle)
+                              thresholds=thresholds, oracle=oracle)
         out.append((traj, convergence_check(traj, modes, tol, grad_tol, window)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Density diagnostics
-# ---------------------------------------------------------------------------
-
-_COND_NAMES = {UNCONDITIONED: "p", IMAGE_COND: "p_img", TEXT_COND: "p_txt",
-               FULL_COND: "p_full"}
-
-
-@dataclass(frozen=True)
-class DiagnosticsTable:
-    header: tuple[str, ...]
-    rows: np.ndarray
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join([str(int(row[0]))] + [repr(float(v)) for v in row[1:]]))
-        return "\n".join(lines) + "\n"
-
-
-def density_diagnostics(traj: Trajectory, mix: ConditionedMixture,
-                        conds: tuple[Condition, ...] = ALL_CONDITIONS) -> DiagnosticsTable:
-    """Per-step conditional densities and the two guidance log ratios.
-
-    The ratio columns track log p(.|image)/p(.) and log p(.|both)/p(.|image),
-    the quantities the baseline-shift and divergence terms push on.
-    """
-    if traj.num_rows == 0:
-        raise ValueError("trajectory is empty")
-    log_dens = {cond: FrozenMixture(sub_mixture(mix, cond)).log_density(traj.thetas)
-                for cond in ALL_CONDITIONS}
-    header = ["step"] + [_COND_NAMES[c] for c in conds] + ["log_ratio_img", "log_ratio_full"]
-    rows = np.zeros((traj.num_rows, len(header)))
-    rows[:, 0] = traj.steps
-    for j, cond in enumerate(conds):
-        rows[:, 1 + j] = np.exp(log_dens[cond])
-    rows[:, -2] = log_dens[IMAGE_COND] - log_dens[UNCONDITIONED]
-    rows[:, -1] = log_dens[FULL_COND] - log_dens[IMAGE_COND]
-    return DiagnosticsTable(header=tuple(header), rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +197,6 @@ class MeshEditConfig:
     t_max: int = 800
     support: int = 8
     threshold_distance: float = 0.5
-    estimator: EstimatorKind = EstimatorKind.SDSE
     weights: GuidanceWeights = GuidanceWeights()
     thresholds: StageThresholds = StageThresholds()
 
@@ -334,7 +286,7 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     missing = [r for r in region_ids if r not in profile]
     if missing:
         raise ValueError(f"profile missing target conditions for regions {missing}")
-    oracle = NoiseOracle(mix, sched, noising=True)
+    oracle = NoiseOracle(mix, sched)
     modes = mix.mode_points(FULL_COND)
     edited = [r for r in region_ids if profile[r] == FULL_COND]
     uniform = {r: 1.0 for r in region_ids}
@@ -349,7 +301,7 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
         base_counts = allocate_views(uniform, config.first_batch)
         weights_map = region_weights(
             (view_gradient(current, view, t, rng, oracle, profile[view.region],
-                           config.weights, config.thresholds, config.estimator)
+                           config.weights, config.thresholds)
              for view, t in _draw_views(current, base_counts.counts, rng, config)),
             current)
         allocation = allocate_views(weights_map if config.allocator else uniform,
@@ -361,7 +313,7 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
             batch = list(_draw_views(current, allocation.counts, rng, config))
             current, report = edit_step(current, [view for view, _ in batch], oracle,
                                         profile, [t for _, t in batch], rng, solver,
-                                        config.weights, config.thresholds, config.estimator)
+                                        config.weights, config.thresholds)
             grad_rows.append({"step": step, "grad_norms": report.grad_norms,
                               "view_counts": report.view_counts,
                               "smooth_loss": report.smooth_loss})

@@ -61,7 +61,6 @@ class TermBundle:
     m3: np.ndarray
     m4: np.ndarray
     cfg_residual: np.ndarray
-    epsilon: np.ndarray
 
 
 class EstimatorKind(enum.Enum):
@@ -114,21 +113,16 @@ def decompose_terms(eps_uncond, eps_img, eps_full, epsilon,
     m4 = eps_full - epsilon
     m2 = _integration_term(eps_img, eps_full, epsilon, w.omega_t)
     cfg_residual = cfg_combine(eps_uncond, eps_img, eps_full, w) - epsilon
-    return TermBundle(m1=m1, m2=m2, m3=m3, m4=m4, cfg_residual=cfg_residual,
-                      epsilon=epsilon)
+    return TermBundle(m1=m1, m2=m2, m3=m3, m4=m4, cfg_residual=cfg_residual)
 
 
-def sds_residual(oracle: NoiseOracle, z_t, t: int, epsilon, w: GuidanceWeights,
-                 weight_fn=None) -> np.ndarray:
-    """Plain guided residual w(t) * (guided prediction - epsilon)."""
+def sds_residual(oracle: NoiseOracle, z_t, t: int, epsilon, w: GuidanceWeights) -> np.ndarray:
+    """Plain guided residual: guided prediction - epsilon."""
     epsilon = np.asarray(epsilon, dtype=float)
     eps_u = oracle.predict(z_t, t, UNCONDITIONED)
     eps_i = oracle.predict(z_t, t, IMAGE_COND)
     eps_f = oracle.predict(z_t, t, FULL_COND)
-    res = cfg_combine(eps_u, eps_i, eps_f, w) - epsilon
-    if weight_fn is not None:
-        res = weight_fn(t) * res
-    return res
+    return cfg_combine(eps_u, eps_i, eps_f, w) - epsilon
 
 
 def ssd_residual(oracle: NoiseOracle, z_t, t: int, epsilon, omega: float,
@@ -171,11 +165,10 @@ def sdse_prime_residual(oracle: NoiseOracle, z_t, t: int, epsilon, w: GuidanceWe
 
 
 def term_residual(kind: EstimatorKind, oracle: NoiseOracle, z_t, t: int, epsilon,
-                  w: GuidanceWeights, th: StageThresholds = StageThresholds(),
-                  weight_fn=None) -> np.ndarray:
+                  w: GuidanceWeights, th: StageThresholds = StageThresholds()) -> np.ndarray:
     """Dispatch to a full estimator or a single decomposition term."""
     if kind is EstimatorKind.SDS:
-        return sds_residual(oracle, z_t, t, epsilon, w, weight_fn)
+        return sds_residual(oracle, z_t, t, epsilon, w)
     if kind is EstimatorKind.SSD:
         return ssd_residual(oracle, z_t, t, epsilon, w.omega_t, th)
     if kind is EstimatorKind.SDSE:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .mixtures import float_array, json_field
+
 
 @dataclass(frozen=True)
 class LatentMesh:
@@ -139,27 +141,26 @@ def smoothness_gradient(lap: sp.spmatrix, delta: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def mesh_from_dict(spec: dict) -> LatentMesh:
-    try:
-        n = int(spec["vertices"])
-        edges = [(int(i), int(j)) for i, j in spec["edges"]]
-        regions = np.asarray(spec["regions"], dtype=int)
-    except KeyError as err:
-        raise ValueError(f"mesh file missing field {err}") from err
+    if not isinstance(spec, dict):
+        raise ValueError("mesh file must hold a JSON object")
+    n = json_field(spec, "vertices", int)
+    edges = json_field(spec, "edges", lambda v: [(int(i), int(j)) for i, j in v])
+    regions = json_field(spec, "regions", lambda v: np.asarray(v, dtype=int))
     if regions.shape != (n,):
         raise ValueError("regions length must equal the vertex count")
     if "codes" in spec:
-        codes = np.asarray(spec["codes"], dtype=float)
+        codes = json_field(spec, "codes", float_array)
     elif "init" in spec:
         init = spec["init"]
-        mode = init.get("mode")
+        mode = json_field(init, "mode", str, "init.")
         params = init.get("params", {})
         if mode == "constant":
-            value = np.asarray(params["value"], dtype=float)
-            codes = np.tile(value, (n, 1))
+            codes = np.tile(json_field(params, "value", float_array, "init.params."), (n, 1))
         elif mode == "gaussian":
-            rng = np.random.default_rng(int(params.get("seed", 0)))
-            mean = np.asarray(params.get("mean", [0.0, 0.0]), dtype=float)
-            std = float(params.get("std", 1.0))
+            seed = json_field(params, "seed", int, "init.params.", default=0)
+            mean = json_field(params, "mean", float_array, "init.params.", default=np.zeros(2))
+            std = json_field(params, "std", float, "init.params.", default=1.0)
+            rng = np.random.default_rng(seed)
             codes = mean + std * rng.standard_normal((n, mean.size))
         else:
             raise ValueError(f"unknown init mode: {mode!r}")

@@ -188,8 +188,8 @@ def noised_mixture(mix: ConditionedMixture, sched: NoiseSchedule, t: int) -> Con
 
 # ---------------------------------------------------------------------------
 # The Gaussian log-density kernel shared by the pure functions, the cached
-# oracle, the diagnostics and the plots. Parameters are frozen into plain
-# arrays once per mixture.
+# oracle and the plots. Parameters are frozen into plain arrays once per
+# mixture.
 # ---------------------------------------------------------------------------
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -294,27 +294,39 @@ def mixture_score(mix: ConditionedMixture, z) -> np.ndarray:
 # Mixture definition files
 # ---------------------------------------------------------------------------
 
-_LABEL_BY_NAME = {lab.value: lab for lab in ConditionLabel}
+def json_field(spec: dict, key: str, convert, path: str = "", default=None):
+    """spec[key] through convert, or default if given and key is absent. A spec
+    that is not an object, a missing key or a value convert rejects raises a
+    ValueError naming path + key (path names spec and ends in ".")."""
+    name = path + key
+    if not isinstance(spec, dict):
+        raise ValueError(f"field {path[:-1]!r}: expected an object")
+    if key not in spec:
+        if default is None:
+            raise ValueError(f"missing field {name!r}")
+        return default
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"field {name!r}: {err}") from None
+
+
+def float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
 def mixture_from_dict(spec: dict) -> ConditionedMixture:
-    comps = spec.get("components")
+    comps = spec.get("components") if isinstance(spec, dict) else None
     if not isinstance(comps, list) or not comps:
         raise ValueError("mixture file needs a non-empty 'components' list")
     out = []
     for i, entry in enumerate(comps):
-        try:
-            weight = float(entry["weight"])
-            mean = np.asarray(entry["mean"], dtype=float)
-            cov = entry["covariance"]
-            label = _LABEL_BY_NAME[str(entry["label"])]
-        except KeyError as err:
-            raise ValueError(f"components[{i}]: missing or bad field {err}") from err
-        if np.isscalar(cov):
-            comp = isotropic_component(weight, mean, float(cov))
-        else:
-            comp = GaussianComponent(weight, mean, np.asarray(cov, dtype=float))
-        out.append((comp, label))
+        path = f"components[{i}]."
+        # a scalar covariance is isotropic: GaussianComponent expands it
+        comp = GaussianComponent(json_field(entry, "weight", float, path),
+                                 json_field(entry, "mean", float_array, path),
+                                 json_field(entry, "covariance", float_array, path))
+        out.append((comp, json_field(entry, "label", ConditionLabel, path)))
     return ConditionedMixture(tuple(out))
 
 

@@ -108,7 +108,6 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
                    steps: int, seed: int,
                    weights: GuidanceWeights = GuidanceWeights(),
                    thresholds: StageThresholds = StageThresholds(),
-                   noising: bool = True, weight_fn=None,
                    config_digest: str = "",
                    oracle: NoiseOracle | None = None) -> Trajectory:
     """Run the descent and log every state.
@@ -125,7 +124,7 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
     if not 0 <= lr < np.inf:
         raise ValueError(f"lr must be a finite number >= 0, got {lr}")
     if oracle is None:
-        oracle = NoiseOracle(mix, sched, noising=noising)
+        oracle = NoiseOracle(mix, sched)
     dim = theta.size
 
     rng = np.random.default_rng(seed)
@@ -149,8 +148,7 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
         t = int(ts[i])
         epsilon = epsilons[i]
         z_t = sqrt_ab[t - 1] * theta + sigma[t - 1] * epsilon
-        res = term_residual(kind, oracle, z_t, t, epsilon, weights, thresholds,
-                            weight_fn)
+        res = term_residual(kind, oracle, z_t, t, epsilon, weights, thresholds)
         theta = theta - lr * res
         thetas[i + 1] = theta
         residuals[i + 1] = res

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .mixtures import (
-    ALL_CONDITIONS,
     Condition,
     ConditionedMixture,
     FULL_COND,
@@ -66,10 +65,6 @@ class NoiseOracle:
         self._eval_key: tuple[int, bytes] | None = None
         self._eval_val: tuple[np.ndarray, np.ndarray] | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.mixture.dim
-
     def _support(self, cond: Condition) -> tuple[np.ndarray, np.ndarray]:
         hit = self._supports.get(cond)
         if hit is None:
@@ -111,14 +106,4 @@ class NoiseOracle:
                 out.append(0.0)
             else:
                 out.append(float(np.exp(m) * np.exp(logp - m).sum()))
-        return tuple(out)
-
-    def available_conditions(self) -> tuple[Condition, ...]:
-        out = []
-        for cond in ALL_CONDITIONS:
-            try:
-                self._support(cond)
-            except ValueError:
-                continue
-            out.append(cond)
         return tuple(out)

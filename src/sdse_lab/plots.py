@@ -13,6 +13,7 @@ import numpy as np
 from .mixtures import ConditionLabel, ConditionedMixture, FrozenMixture
 
 _W, _H, _PAD = 560, 560, 42
+_LEVELS = 8  # contour levels, evenly spaced below the grid maximum
 
 _TRAJ_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                 "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
@@ -94,16 +95,13 @@ def _star(cx: float, cy: float, r: float, color: str) -> str:
 
 
 def plot_trajectories_svg(mix: ConditionedMixture, trajectories: list[np.ndarray],
-                          labels: list[str] | None = None,
-                          bounds: tuple[float, float, float, float] | None = None,
-                          title: str = "", digest: str = "",
-                          levels: int = 8, resolution: int = 110) -> str:
+                          labels: list[str] | None = None, title: str = "",
+                          digest: str = "", resolution: int = 110) -> str:
     """SVG text: unconditional density contours, labeled modes, trajectory overlays."""
-    if bounds is None:
-        means = mix.means()
-        lo = means.min(axis=0) - 1.2
-        hi = means.max(axis=0) + 1.2
-        bounds = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+    means = mix.means()  # the frame reaches 1.2 beyond every component mean
+    lo = means.min(axis=0) - 1.2
+    hi = means.max(axis=0) + 1.2
+    bounds = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
     cv = _Canvas(bounds)
     xs, ys, grid = density_grid(mix, bounds, resolution)
     gmax = grid.max()
@@ -121,9 +119,9 @@ def plot_trajectories_svg(mix: ConditionedMixture, trajectories: list[np.ndarray
         parts.append(f'<text x="{_W // 2}" y="24" text-anchor="middle" '
                      f'font-family="monospace" font-size="13">{title}</text>')
 
-    for k in range(1, levels + 1):
-        level = gmax * k / (levels + 1)
-        shade = 230 - int(120 * k / levels)
+    for k in range(1, _LEVELS + 1):
+        level = gmax * k / (_LEVELS + 1)
+        shade = 230 - int(120 * k / _LEVELS)
         color = f"#{shade:02x}{shade:02x}f0"
         for (xa, ya), (xb, yb) in marching_squares(xs, ys, grid, level):
             parts.append(f'<line x1="{_fmt(cv.px(xa))}" y1="{_fmt(cv.py(ya))}" '

@@ -16,7 +16,7 @@ from .mesh import LatentMesh, build_laplacian, smoothness_gradient, smoothness_l
 from .mixtures import (ConditionLabel, ConditionedMixture, FULL_COND,
                        GaussianComponent, IMAGE_COND, UNCONDITIONED,
                        load_mixture, mixture_density, mixture_log_density,
-                       mixture_score, sub_mixture)
+                       mixture_score, sub_mixture, toy_mixture)
 from .oracle import NoiseOracle
 from .samplers import SamplerKind, TimestepSampler, timestep_sequence
 from .schedule import linear_beta_schedule
@@ -77,23 +77,20 @@ def finite_difference_score(mix: ConditionedMixture, z: np.ndarray,
     return out
 
 
-def check_score_finite_difference(trials: int = 100, seed: int = 2024) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def score_fd_worst_error(rng: np.random.Generator, trials: int) -> float:
+    """Worst relative error of analytic scores against central differences."""
     worst = 0.0
     for _ in range(trials):
         mix = random_conditioned_mixture(rng)
         z = rng.uniform(-2.5, 2.5, size=mix.dim)
         analytic = mixture_score(mix, z)
         fd = finite_difference_score(mix, z)
-        rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-9)
-        worst = max(worst, rel)
-    return CheckResult("score_finite_difference", worst < FD_REL_TOL,
-                       {"trials": trials, "worst_rel_error": worst,
-                        "tolerance": FD_REL_TOL})
+        worst = max(worst, np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-9))
+    return float(worst)
 
 
-def check_decomposition_identities(trials: int = 1000, seed: int = 7) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def decomposition_worst_error(rng: np.random.Generator, trials: int) -> float:
+    """Worst absolute error of both decomposition identities on random draws."""
     worst = 0.0
     for _ in range(trials):
         eps_u, eps_i, eps_f, eps = rng.standard_normal((4, 2))
@@ -103,6 +100,17 @@ def check_decomposition_identities(trials: int = 1000, seed: int = 7) -> CheckRe
         err1 = np.abs((w.omega_i - 1) * b.m1 + b.m2 - b.cfg_residual).max()
         err2 = np.abs((w.omega_t - 1) * b.m3 + b.m4 - b.m2).max()
         worst = max(worst, err1, err2)
+    return float(worst)
+
+
+def check_score_finite_difference(trials: int = 100, seed: int = 2024) -> CheckResult:
+    worst = score_fd_worst_error(np.random.default_rng(seed), trials)
+    return CheckResult("score_finite_difference", worst < FD_REL_TOL,
+                       {"trials": trials, "worst_rel_error": worst, "tolerance": FD_REL_TOL})
+
+
+def check_decomposition_identities(trials: int = 1000, seed: int = 7) -> CheckResult:
+    worst = decomposition_worst_error(np.random.default_rng(seed), trials)
     return CheckResult("decomposition_identities", worst < 1e-12,
                        {"trials": trials, "worst_abs_error": worst, "tolerance": 1e-12})
 
@@ -118,8 +126,6 @@ def check_cfg_collapses(seed: int = 11) -> CheckResult:
 
 
 def check_sdse_equals_m2(mixture_path: str | None = None, seed: int = 3) -> CheckResult:
-    from .mixtures import toy_mixture
-
     mix = load_mixture(mixture_path) if mixture_path else toy_mixture()
     sched = linear_beta_schedule()
     oracle = NoiseOracle(mix, sched)
@@ -152,28 +158,26 @@ def _random_connected_graph(rng: np.random.Generator, n: int) -> list[tuple[int,
     return sorted(edges)
 
 
+def laplacian_fd_rel_error(rng: np.random.Generator, n: int) -> float:
+    """Smoothness gradient against central differences on a random n-vertex graph."""
+    lap = build_laplacian(LatentMesh(edges=tuple(_random_connected_graph(rng, n)),
+                                     codes=np.zeros((n, 2)), regions=np.zeros(n, dtype=int)))
+    delta = rng.standard_normal((n, 2))
+    grad = smoothness_gradient(lap, delta)
+    step = 1e-6
+    fd = np.zeros_like(delta)
+    for i in range(n):
+        for d in range(2):
+            hi, lo = delta.copy(), delta.copy()
+            hi[i, d] += step
+            lo[i, d] -= step
+            fd[i, d] = (smoothness_loss(lap, hi) - smoothness_loss(lap, lo)) / (2 * step)
+    return float(np.abs(grad - fd).max() / max(np.abs(grad).max(), 1e-9))
+
+
 def check_laplacian_gradient(trials: int = 10, seed: int = 5) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(5, 51))
-        edges = _random_connected_graph(rng, n)
-        mesh = LatentMesh(edges=tuple(edges), codes=np.zeros((n, 2)),
-                          regions=np.zeros(n, dtype=int))
-        lap = build_laplacian(mesh)
-        delta = rng.standard_normal((n, 2))
-        grad = smoothness_gradient(lap, delta)
-        step = 1e-6
-        fd = np.zeros_like(delta)
-        for i in range(n):
-            for d in range(2):
-                hi = delta.copy()
-                lo = delta.copy()
-                hi[i, d] += step
-                lo[i, d] -= step
-                fd[i, d] = (smoothness_loss(lap, hi) - smoothness_loss(lap, lo)) / (2 * step)
-        rel = np.abs(grad - fd).max() / max(np.abs(grad).max(), 1e-9)
-        worst = max(worst, rel)
+    worst = max(laplacian_fd_rel_error(rng, int(rng.integers(5, 51))) for _ in range(trials))
     return CheckResult("laplacian_gradient_fd", worst < 1e-5,
                        {"trials": trials, "worst_rel_error": worst, "tolerance": 1e-5})
 
@@ -201,8 +205,6 @@ def check_sampler_monotone(seed: int = 17) -> CheckResult:
 
 
 def check_mixture_file(mixture_path: str | None = None) -> CheckResult:
-    from .mixtures import toy_mixture
-
     try:
         mix = load_mixture(mixture_path) if mixture_path else toy_mixture()
         for cond in (UNCONDITIONED, IMAGE_COND, FULL_COND):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .guidance import EstimatorKind, GuidanceWeights, StageThresholds, sdse_residual, sdse_prime_residual
+from .guidance import GuidanceWeights, StageThresholds, sdse_residual
 from .mesh import LatentMesh, build_laplacian, smoothness_loss
 from .mixtures import Condition, FULL_COND, IMAGE_COND
 from .oracle import NoiseOracle, forward_diffuse
@@ -156,8 +156,7 @@ class StepReport:
 
 
 def target_residual(oracle: NoiseOracle, z_t, t: int, epsilon, target: Condition,
-                    weights: GuidanceWeights, thresholds: StageThresholds,
-                    estimator: EstimatorKind = EstimatorKind.SDSE) -> np.ndarray:
+                    weights: GuidanceWeights, thresholds: StageThresholds) -> np.ndarray:
     """Residual steering a view toward its region's target condition.
 
     Fully conditioned targets use the staged editing estimator; image-anchored
@@ -165,8 +164,6 @@ def target_residual(oracle: NoiseOracle, z_t, t: int, epsilon, target: Condition
     to the source.
     """
     if target == FULL_COND:
-        if estimator is EstimatorKind.SDSE_PRIME:
-            return sdse_prime_residual(oracle, z_t, t, epsilon, weights, thresholds)
         return sdse_residual(oracle, z_t, t, epsilon, weights, thresholds)
     if target == IMAGE_COND:
         return oracle.predict(z_t, t, IMAGE_COND) - np.asarray(epsilon, dtype=float)
@@ -201,15 +198,14 @@ class SmoothedStepSolver:
 
 def view_gradient(mesh: LatentMesh, view: ViewSpec, t: int, rng: np.random.Generator,
                   oracle: NoiseOracle, target: Condition, weights: GuidanceWeights,
-                  thresholds: StageThresholds, estimator: EstimatorKind) -> np.ndarray:
+                  thresholds: StageThresholds) -> np.ndarray:
     """Code gradient of one view at timestep t, steered toward its target condition.
 
     Draws one noise sample from rng and nothing else (rendering draws nothing).
     """
     epsilon = rng.standard_normal(mesh.latent_dim)
     z_t = forward_diffuse(render_view(mesh, view), t, epsilon, oracle.schedule)
-    res = target_residual(oracle, z_t, int(t), epsilon, target, weights, thresholds,
-                          estimator)
+    res = target_residual(oracle, z_t, int(t), epsilon, target, weights, thresholds)
     return backprop_view(mesh, view, res)
 
 
@@ -217,8 +213,7 @@ def edit_step(mesh: LatentMesh, views: list[ViewSpec], oracle: NoiseOracle,
               profile: dict[int, Condition], timesteps: list[int],
               rng: np.random.Generator, solver: SmoothedStepSolver,
               weights: GuidanceWeights = GuidanceWeights(),
-              thresholds: StageThresholds = StageThresholds(),
-              estimator: EstimatorKind = EstimatorKind.SDSE) -> tuple[LatentMesh, StepReport]:
+              thresholds: StageThresholds = StageThresholds()) -> tuple[LatentMesh, StepReport]:
     """Accumulate per-view residual gradients, smooth the candidate delta, apply it.
 
     Per-view work is pure; accumulation happens in view order into a dense
@@ -231,7 +226,7 @@ def edit_step(mesh: LatentMesh, views: list[ViewSpec], oracle: NoiseOracle,
     if len(timesteps) != len(views):
         raise ValueError("need one timestep per view")
     per_view = [view_gradient(mesh, view, t, rng, oracle, profile[view.region], weights,
-                              thresholds, estimator) for view, t in zip(views, timesteps)]
+                              thresholds) for view, t in zip(views, timesteps)]
     total = np.zeros_like(mesh.codes)
     for grad in per_view:
         total += grad

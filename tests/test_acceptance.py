@@ -16,16 +16,15 @@ from sdse_lab.experiments import (Classification, MeshEditConfig, PROFILES,
                                   convergence_check, run_mesh_edit)
 from sdse_lab.guidance import (EstimatorKind, GuidanceWeights, StageThresholds,
                                cfg_combine, decompose_terms, sdse_residual)
-from sdse_lab.mesh import LatentMesh, build_laplacian, grid_mesh, load_mesh, \
-    smoothness_gradient, smoothness_loss
-from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED,
-                               mixture_score, noised_mixture, toy_mixture)
+from sdse_lab.mesh import LatentMesh, build_laplacian, load_mesh, smoothness_loss
+from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED, noised_mixture,
+                               toy_mixture)
 from sdse_lab.optimize import optimize_point
 from sdse_lab.oracle import NoiseOracle
 from sdse_lab.samplers import SamplerKind, TimestepSampler
 from sdse_lab.schedule import NoiseSchedule, linear_beta_schedule
-from sdse_lab.verify import (_random_connected_graph, finite_difference_score,
-                             random_conditioned_mixture)
+from sdse_lab.verify import (_random_connected_graph, decomposition_worst_error,
+                             laplacian_fd_rel_error, score_fd_worst_error)
 
 CALIBRATION = json.loads(
     files("sdse_lab.data").joinpath("acceptance_calibration.json").read_text())
@@ -50,14 +49,7 @@ def test_a1_oracle_correctness():
 
     # analytic scores vs central differences of the log density
     rng = np.random.default_rng(2024)
-    worst_rel = 0.0
-    for _ in range(100):
-        mix = random_conditioned_mixture(rng)
-        z = rng.uniform(-2.5, 2.5, size=mix.dim)
-        analytic = mixture_score(mix, z)
-        fd = finite_difference_score(mix, z)
-        rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-9)
-        worst_rel = max(worst_rel, rel)
+    worst_rel = score_fd_worst_error(rng, 100)
     assert worst_rel < 1e-5
 
     # noised density vs Monte-Carlo convolution, 1e6 samples, 50x50 grid
@@ -95,15 +87,7 @@ def test_a1_oracle_correctness():
 
 def test_a2_decomposition_identities():
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(1000):
-        eps_u, eps_i, eps_f, eps = rng.standard_normal((4, 2))
-        w = GuidanceWeights(omega_t=float(10 * rng.random()),
-                            omega_i=float(4 * rng.random()))
-        b = decompose_terms(eps_u, eps_i, eps_f, eps, w)
-        worst = max(worst,
-                    float(np.abs((w.omega_i - 1) * b.m1 + b.m2 - b.cfg_residual).max()),
-                    float(np.abs((w.omega_t - 1) * b.m3 + b.m4 - b.m2).max()))
+    worst = decomposition_worst_error(rng, 1000)
     assert worst < 1e-12
 
     oracle = NoiseOracle(MIX, SCHED)
@@ -254,24 +238,7 @@ def test_a5_laplacian_suite():
     assert smoothness_loss(build_laplacian(path), path.codes) == pytest.approx(2.0)
 
     # gradient vs finite differences on random 50-vertex graphs
-    worst = 0.0
-    for trial in range(3):
-        g = 50
-        mesh = LatentMesh(edges=tuple(_random_connected_graph(rng, g)),
-                          codes=np.zeros((g, 2)), regions=np.zeros(g, dtype=int))
-        lap_g = build_laplacian(mesh)
-        delta = rng.standard_normal((g, 2))
-        grad = smoothness_gradient(lap_g, delta)
-        step = 1e-6
-        fd = np.zeros_like(delta)
-        for i in range(g):
-            for d in range(2):
-                hi, lo = delta.copy(), delta.copy()
-                hi[i, d] += step
-                lo[i, d] -= step
-                fd[i, d] = (smoothness_loss(lap_g, hi)
-                            - smoothness_loss(lap_g, lo)) / (2 * step)
-        worst = max(worst, float(np.abs(grad - fd).max() / np.abs(grad).max()))
+    worst = max(laplacian_fd_rel_error(rng, 50) for _ in range(3))
     assert worst < 1e-5
 
     # homogeneity, exact for a power-of-two scale

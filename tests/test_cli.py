@@ -69,6 +69,16 @@ def test_verify_fails_on_unsupported_mixture(tmp_path, capsys):
     assert "condition has no support" in capsys.readouterr().out
 
 
+def test_wrong_typed_mixture_component_is_named(tmp_path, capsys):
+    bad = write_config(tmp_path, {"components": [5]}, name="bad.json")
+    assert main(["verify", "--mixture", bad]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] mixture_file" in out and "'components[0]': expected an object" in out
+    cfg = write_config(tmp_path, {**TOY_CONFIG, "mixture_path": bad})
+    assert main(["toy", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: field 'components[0]': ")
+
+
 def test_verify_fails_on_parse_error(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -205,12 +215,18 @@ INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
     pytest.param("toy", {"theta0": ["x", 1]}, None, "theta0[0]", id="toy-theta0-string"),
     pytest.param("toy", {"theta0": [INF, 1]}, None, "theta0[0]", id="toy-theta0-infinite"),
     pytest.param("toy", {}, "abc", "SDSE_SEED", id="toy-env-seed-string"),
+    pytest.param("toy", {"estimators": [["m4"]]}, None, "estimators[0]",
+                 id="toy-estimator-list"),
+    pytest.param("toy", {"sampler": {"kind": ["uniform"]}}, None, "sampler.kind",
+                 id="toy-sampler-kind-list"),
+    pytest.param("toy", {"steps": 10**400}, None, "steps", id="toy-steps-beyond-float"),
     pytest.param("mesh-edit", {"w1": INF}, None, "w1", id="mesh-w1-infinite"),
     pytest.param("mesh-edit", {"w1": "abc"}, None, "w1", id="mesh-w1-string"),
     pytest.param("mesh-edit", {"w1": True}, None, "w1", id="mesh-w1-bool"),
     pytest.param("mesh-edit", {"w1": [0.0, INF]}, None, "w1[1]", id="mesh-w1-list-infinite"),
     pytest.param("mesh-edit", {"allocator": "no"}, None, "allocator", id="mesh-allocator-string"),
     pytest.param("mesh-edit", {}, "abc", "SDSE_SEED", id="mesh-env-seed-string"),
+    pytest.param("mesh-edit", {"w1": 10**400}, None, "w1", id="mesh-w1-beyond-float"),
 ])
 def test_bad_field_is_config_error_naming_it(tmp_path, capsys, monkeypatch, command,
                                             override, env, field):
@@ -268,6 +284,14 @@ def test_mesh_edit_sampler_beyond_schedule_is_config_error(tmp_path, capsys):
     assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "t_max: must be <= 1000" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_mesh_edit_wrong_typed_mesh_field_is_named(tmp_path, capsys):
+    mesh = write_config(tmp_path, {"vertices": 2, "edges": 5, "regions": [0, 0],
+                                   "codes": [[0.0], [0.0]]}, name="mesh.json")
+    cfg = write_config(tmp_path, {**MESH_CONFIG, "mesh_path": mesh})
+    assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: field 'edges': ")
 
 
 def test_mesh_edit_missing_fixture(tmp_path, capsys):

@@ -3,13 +3,12 @@ import pytest
 
 from sdse_lab.experiments import (Classification, MeshEditConfig, Phase,
                                   PhaseSpec, PROFILES, convergence_check,
-                                  density_diagnostics, mode_distance_of_regions,
+                                  mode_distance_of_regions,
                                   phase_band, region_dispersion, residual_ema_norm,
                                   run_full_schedule, run_mesh_edit, run_toy_phase)
 from sdse_lab.guidance import EstimatorKind, StageThresholds
 from sdse_lab.mesh import grid_mesh, smoothness_loss
-from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, mixture_density, sub_mixture,
-                               toy_mixture)
+from sdse_lab.mixtures import FULL_COND, IMAGE_COND, toy_mixture
 from sdse_lab.optimize import Trajectory, optimize_point
 from sdse_lab.oracle import NoiseOracle, forward_diffuse
 from sdse_lab.samplers import SamplerKind, TimestepSampler
@@ -147,32 +146,8 @@ def test_full_schedule_allows_wide_band_when_thresholds_allow():
 
 
 # ---------------------------------------------------------------------------
-# density diagnostics
+# recorded densities
 # ---------------------------------------------------------------------------
-
-def test_diagnostics_constant_trajectory_constant_table():
-    traj = make_traj(np.tile([0.5, 1.0], (5, 1)))
-    table = density_diagnostics(traj, MIX)
-    assert np.all(table.rows[:, 1:] == table.rows[0, 1:])
-
-
-def test_diagnostics_match_direct_density_calls():
-    sampler = TimestepSampler(SamplerKind.UNIFORM, 1, 500, 20)
-    traj = optimize_point([0.5, 1.0], EstimatorKind.M4_ONLY, sampler, MIX, SCHED,
-                          lr=1e-2, steps=20, seed=1)
-    table = density_diagnostics(traj, MIX)
-    i = 7
-    theta = traj.thetas[i]
-    from sdse_lab.mixtures import IMAGE_COND, TEXT_COND, UNCONDITIONED
-    assert table.rows[i, 1] == pytest.approx(
-        mixture_density(sub_mixture(MIX, UNCONDITIONED), theta), rel=1e-12)
-    assert table.rows[i, 2] == pytest.approx(
-        mixture_density(sub_mixture(MIX, IMAGE_COND), theta), rel=1e-12)
-    assert table.rows[i, 3] == pytest.approx(
-        mixture_density(sub_mixture(MIX, TEXT_COND), theta), rel=1e-12)
-    assert table.rows[i, 4] == pytest.approx(
-        mixture_density(sub_mixture(MIX, FULL_COND), theta), rel=1e-12)
-
 
 def test_diagnostics_small_t_shift_directions():
     """The baseline-shift estimator climbs the image/unconditional ratio while
@@ -180,18 +155,10 @@ def test_diagnostics_small_t_shift_directions():
     sampler = TimestepSampler(SamplerKind.UNIFORM, 1, 150, 300)
     traj = optimize_point([0.5, 1.0], EstimatorKind.M1_ONLY, sampler, MIX, SCHED,
                           lr=1e-2, steps=300, seed=0)
-    table = density_diagnostics(traj, MIX)
+    p, p_img = traj.densities[:, 0], traj.densities[:, 1]
     half = 150
-    assert table.rows[half, -2] > table.rows[0, -2]
-    assert np.log(table.rows[half, 1]) < np.log(table.rows[0, 1])
-
-
-def test_diagnostics_csv_shape():
-    traj = make_traj(np.tile([0.5, 1.0], (3, 1)))
-    table = density_diagnostics(traj, MIX)
-    lines = table.to_csv().splitlines()
-    assert lines[0] == "step,p,p_img,p_txt,p_full,log_ratio_img,log_ratio_full"
-    assert len(lines) == 4
+    assert np.log(p_img[half] / p[half]) > np.log(p_img[0] / p[0])
+    assert p[half] < p[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +238,7 @@ def _reference_mesh_edit(mesh, profile, seed, config):
         eps = rng.standard_normal(current.latent_dim)
         z_t = forward_diffuse(view.blend @ current.codes[view.vertices], t, eps, SCHED)
         res = target_residual(oracle, z_t, t, eps, profile[view.region], config.weights,
-                              config.thresholds, config.estimator)
+                              config.thresholds)
         return backprop_view(current, view, res)
 
     uniform = {int(r): 1.0 for r in mesh.region_ids()}

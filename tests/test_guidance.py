@@ -140,13 +140,6 @@ def test_sds_matches_decomposition(oracle):
         np.testing.assert_allclose(got, (w.omega_i - 1) * b.m1 + b.m2, atol=1e-12)
 
 
-def test_sds_weight_fn_hook(oracle):
-    z, t, eps = np.array([0.5, 1.0]), 500, np.zeros(2)
-    base = sds_residual(oracle, z, t, eps, W_DEFAULT)
-    scaled = sds_residual(oracle, z, t, eps, W_DEFAULT, weight_fn=lambda t: 0.25)
-    np.testing.assert_allclose(scaled, 0.25 * base, rtol=1e-15)
-
-
 def test_ssd_small_timestep_drops_disengaging_term(oracle):
     th = StageThresholds()
     z, eps = np.array([1.0, 1.0]), np.array([0.3, -0.2])

@@ -279,6 +279,26 @@ def test_mesh_file_validation():
                         "codes": [[0.0], [0.0]]})
 
 
+@pytest.mark.parametrize("override,field", [
+    ({"vertices": [3]}, "vertices"),
+    ({"edges": 5}, "edges"),
+    ({"edges": [[0, 1, 2]]}, "edges"),
+    ({"regions": {}}, "regions"),
+    ({"codes": {}}, "codes"),
+    ({"codes": None, "init": 5}, "init"),
+    ({"codes": None, "init": {"mode": "constant", "params": []}}, "init.params"),
+    ({"codes": None, "init": {"mode": "gaussian", "params": {"std": [1]}}},
+     "init.params.std"),
+])
+def test_mesh_file_wrong_typed_field_is_named(override, field):
+    spec = {"vertices": 3, "edges": [[0, 1], [1, 2]], "regions": [0, 0, 1],
+            "codes": [[0.0], [0.0], [0.0]], **override}
+    if spec["codes"] is None:
+        del spec["codes"]
+    with pytest.raises(ValueError, match=f"^field '{field}': "):
+        mesh_from_dict(spec)
+
+
 def test_shipped_fixtures_load():
     from sdse_lab.configs import resolve_data_path
 

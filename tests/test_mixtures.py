@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -273,6 +274,21 @@ def test_mixture_round_trip(tmp_path):
     assert back.labels() == mix.labels()
     np.testing.assert_allclose(back.means(), mix.means(), rtol=1e-15)
     np.testing.assert_allclose(back.covariances(), mix.covariances(), rtol=1e-15)
+
+
+GOOD_ENTRY = {"weight": 1.0, "mean": [0, 0], "covariance": 0.1, "label": "both"}
+
+
+@pytest.mark.parametrize("entry,field", [
+    (5, "components[0]"),
+    ({**GOOD_ENTRY, "weight": [1.0]}, "components[0].weight"),
+    ({**GOOD_ENTRY, "mean": {}}, "components[0].mean"),
+    ({**GOOD_ENTRY, "covariance": {}}, "components[0].covariance"),
+    ({**GOOD_ENTRY, "label": ["both"]}, "components[0].label"),
+])
+def test_mixture_file_wrong_typed_field_is_named(entry, field):
+    with pytest.raises(ValueError, match=re.escape(f"field '{field}': ")):
+        mixture_from_dict({"components": [entry]})
 
 
 def test_mixture_from_dict_rejects_bad_entries():

@@ -5,6 +5,7 @@ from sdse_lab.guidance import EstimatorKind
 from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED,
                                mixture_density, sub_mixture, toy_mixture)
 from sdse_lab.optimize import Trajectory, optimize_point, trajectory_from_csv
+from sdse_lab.oracle import NoiseOracle
 from sdse_lab.samplers import SamplerKind, TimestepSampler
 from sdse_lab.schedule import linear_beta_schedule
 
@@ -66,11 +67,16 @@ def test_non_finite_lr_rejected(setup, lr):
                        mix, sched, lr=lr, steps=20, seed=0)
 
 
+class _NaNOracle(NoiseOracle):
+    def predict(self, z_t, t, cond):
+        return np.full(np.shape(z_t), np.nan)
+
+
 def test_guard_trips_on_non_finite_iterate(setup):
     mix, sched = setup
     traj = optimize_point([0.5, 1.0], EstimatorKind.SDS, uniform(1, 800, 20),
                           mix, sched, lr=1e-2, steps=20, seed=0,
-                          weight_fn=lambda t: float("nan"))
+                          oracle=_NaNOracle(mix, sched))
     assert traj.guard_tripped
     assert traj.num_rows == 2
     assert np.isnan(traj.final_theta).all()
@@ -99,7 +105,6 @@ def test_fresh_noise_shared_between_diffusion_and_residual(setup):
     sampler = uniform(200, 200, steps)
     traj = optimize_point([0.5, 1.0], EstimatorKind.M4_ONLY, sampler, mix, sched,
                           lr=1e-2, steps=steps, seed=9)
-    from sdse_lab.oracle import NoiseOracle
     from sdse_lab.samplers import timestep_sequence
     oracle = NoiseOracle(mix, sched)
     rng = np.random.default_rng(9)
