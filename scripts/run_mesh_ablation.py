@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Mesh-edit ablations: gradient-aware allocation on/off and smoothing on/off.
 
-Paired runs on matched seeds; prints step-to-threshold ratios and
-edited-region dispersion, and writes step reports plus a summary JSON.
+Two `sdse mesh-edit` runs on matched seeds, each in its own directory next to
+the config.json it ran from. <out>/allocator_on/ runs w1 = W and w1 = 0 (arms
+allocator_on and no_smoothing); <out>/allocator_off/ runs w1 = W with uniform
+view allocation. Prints step-to-threshold ratios and edited-region dispersion
+and writes ablation_summary.json.
 
 Usage:
     python scripts/run_mesh_ablation.py --out out_ablation --seeds 4
@@ -14,11 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from sdse_lab.configs import resolve_data_path
-from sdse_lab.experiments import (MeshEditConfig, PROFILES, run_mesh_edit)
-from sdse_lab.mesh import load_mesh
-from sdse_lab.mixtures import FULL_COND, toy_mixture
-from sdse_lab.schedule import linear_beta_schedule
+from sdse_lab import cli
+from sdse_lab.configs import default_mesh_config
+from sdse_lab.experiments import PROFILES
+from sdse_lab.mixtures import FULL_COND
 
 
 def main() -> int:
@@ -32,36 +34,41 @@ def main() -> int:
     parser.add_argument("--w1", type=float, default=300.0)
     args = parser.parse_args()
 
-    mesh = load_mesh(resolve_data_path(args.mesh))
-    mix = toy_mixture()
-    sched = linear_beta_schedule()
-    seeds = list(range(args.seeds))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg = {**default_mesh_config(), "mesh_path": args.mesh, "profile": args.profile,
+           "steps": args.steps, "seeds": list(range(args.seeds))}
+    w1 = str(args.w1)
+    runs = {}
+    for name, flags in {"allocator_on": ["--w1", w1, "--w1", "0"],
+                        "allocator_off": ["--no-allocator", "--w1", w1]}.items():
+        run_dir = out / name
+        run_dir.mkdir(parents=True, exist_ok=True)
+        cfg_path = run_dir / "config.json"
+        cfg_path.write_text(json.dumps(cfg, indent=2) + "\n", encoding="utf-8")
+        rc = cli.main(["mesh-edit", "--config", str(cfg_path), "--out", str(run_dir),
+                       *flags])
+        if rc != 0:
+            return rc
+        summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+        runs[name] = summary["runs"]     # w1 in flag order, then seed order
 
-    arms = {
-        "allocator_on": MeshEditConfig(steps=args.steps, w1=args.w1, allocator=True),
-        "allocator_off": MeshEditConfig(steps=args.steps, w1=args.w1, allocator=False),
-        "no_smoothing": MeshEditConfig(steps=args.steps, w1=0.0, allocator=True),
-    }
+    n = args.seeds
+    arms = {"allocator_on": runs["allocator_on"][:n],
+            "allocator_off": runs["allocator_off"],
+            "no_smoothing": runs["allocator_on"][n:]}
     edited = [r for r, c in PROFILES[args.profile].items() if c == FULL_COND]
     results = {}
-    for name, cfg in arms.items():
-        reports = run_mesh_edit(mesh, args.profile, mix, sched, seeds, cfg)
-        steps_hit = [r.steps_to_threshold or args.steps for r in reports]
-        disp = [float(np.mean([r.dispersion[e] for e in edited])) for r in reports]
+    for name, arm in arms.items():
+        steps_hit = [r["steps_to_threshold"] or args.steps for r in arm]
+        disp = [float(np.mean([r["dispersion"][str(e)] for e in edited])) for r in arm]
+        counts = dict(sorted((int(k), v) for k, v in arm[0]["view_counts"].items()))
         results[name] = {
             "steps_to_threshold": steps_hit,
             "edited_dispersion": disp,
-            "allocation": reports[0].allocation.counts,
+            "allocation": counts,
         }
-        with open(out / f"{name}_steps.csv", "w", encoding="utf-8") as fh:
-            fh.write("step,region,grad_norm,views_allocated,smooth_loss\n")
-            for row in reports[0].step_csv_rows():
-                fh.write(",".join(str(v) for v in row) + "\n")
         print(f"{name}: steps-to-threshold {steps_hit}, "
-              f"edited dispersion {np.mean(disp):.4f}, "
-              f"allocation {reports[0].allocation.counts}")
+              f"edited dispersion {np.mean(disp):.4f}, allocation {counts}")
 
     ratio = np.mean(results["allocator_on"]["steps_to_threshold"]) / \
         np.mean(results["allocator_off"]["steps_to_threshold"])

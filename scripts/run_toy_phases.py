@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Reproduce the three toy learning phases and plot each estimator's trajectories.
+"""Reproduce the three toy learning phases, one `sdse toy` run per phase.
 
-Runs the per-phase estimator sets on matched seeds, writes one trajectory CSV
-per run plus a phase summary, and emits density-contour overlays per
-(phase, estimator).
+Each phase runs its estimator set on matched seeds in <out>/<phase>/, next to
+the config.json it ran from: one trajectory CSV per (estimator, seed), the
+run's summary.json and, unless --no-svg, a density-contour overlay per
+estimator. phase_summary.json collects, per phase and estimator, the mean
+final mode distance and the mean p_img over each run's last ten steps.
 
 Usage:
     python scripts/run_toy_phases.py --out out_phases --seeds 20
@@ -15,29 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-from sdse_lab.experiments import (Phase, PhaseSpec, convergence_check,
-                                  run_toy_phase)
-from sdse_lab.guidance import EstimatorKind
-from sdse_lab.mixtures import FULL_COND, toy_mixture
-from sdse_lab.plots import plot_trajectories_svg, write_svg
-from sdse_lab.schedule import linear_beta_schedule
+from sdse_lab import cli
+from sdse_lab.configs import default_toy_config
+from sdse_lab.optimize import trajectory_from_csv
 
+# Per phase: config overrides and `sdse toy` flags. Large and small t span their
+# band under the config's thresholds; middle holds t fixed at 500.
 PHASES = {
-    "early_large": PhaseSpec(
-        Phase.EARLY_LARGE,
-        (EstimatorKind.M1_ONLY, EstimatorKind.M3_ONLY, EstimatorKind.M4_ONLY,
-         EstimatorKind.SDS),
-        t_lo=801, t_hi=1000),
-    "middle": PhaseSpec(
-        Phase.MIDDLE,
-        (EstimatorKind.M1_ONLY, EstimatorKind.M3_ONLY, EstimatorKind.M4_ONLY,
-         EstimatorKind.SDSE),
-        t_lo=500, t_hi=500),
-    "small": PhaseSpec(
-        Phase.SMALL,
-        (EstimatorKind.M1_ONLY, EstimatorKind.M3_ONLY, EstimatorKind.M4_ONLY,
-         EstimatorKind.SDSE, EstimatorKind.SDSE_PRIME),
-        t_lo=1, t_hi=150),
+    "early_large": ({"estimators": ["m1", "m3", "m4", "sds"]}, ["--phase", "large"]),
+    "middle": ({"estimators": ["m1", "m3", "m4", "sdse"],
+                "sampler": {"kind": "uniform", "t_min": 500, "t_max": 500}}, []),
+    "small": ({"estimators": ["m1", "m3", "m4", "sdse", "sdse_prime"]},
+              ["--phase", "small"]),
 }
 
 
@@ -50,35 +41,29 @@ def main() -> int:
     parser.add_argument("--no-svg", action="store_true")
     args = parser.parse_args()
 
-    mix = toy_mixture()
-    sched = linear_beta_schedule()
-    modes = mix.mode_points(FULL_COND)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seeds = list(range(args.seeds))
-
     summary = {}
-    for name, spec in PHASES.items():
-        runs = run_toy_phase(spec, mix, sched, seeds, lr=args.lr, steps=args.steps)
-        by_estimator = {}
-        for run in runs:
-            run.trajectory.write_csv(
-                out / f"{name}_{run.estimator.value}_seed{run.seed}.csv")
-            by_estimator.setdefault(run.estimator, []).append(run)
+    for name, (overrides, flags) in PHASES.items():
+        run_dir = out / name
+        run_dir.mkdir(parents=True, exist_ok=True)
+        cfg = {**default_toy_config(), **overrides, "lr": args.lr, "steps": args.steps,
+               "seeds": list(range(args.seeds))}
+        cfg_path = run_dir / "config.json"
+        cfg_path.write_text(json.dumps(cfg, indent=2) + "\n", encoding="utf-8")
+        argv = ["toy", "--config", str(cfg_path), "--out", str(run_dir), *flags]
+        rc = cli.main(argv + ["--no-svg"] if args.no_svg else argv)
+        if rc != 0:
+            return rc
+        runs = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))["runs"]
         rows = []
-        for estimator, bucket in by_estimator.items():
-            dists = [convergence_check(r.trajectory, modes, tol=0.05).distance
-                     for r in bucket]
-            p_img = [float(r.trajectory.densities[-10:, 1].mean()) for r in bucket]
-            rows.append({"estimator": estimator.value,
-                         "mean_final_mode_distance": float(np.mean(dists)),
+        for estimator in cfg["estimators"]:
+            mine = [r for r in runs if r["estimator"] == estimator]
+            p_img = [float(trajectory_from_csv(run_dir / r["csv"]).densities[-10:, 1].mean())
+                     for r in mine]
+            rows.append({"estimator": estimator,
+                         "mean_final_mode_distance": float(np.mean([r["distance"]
+                                                                    for r in mine])),
                          "mean_final_p_img": float(np.mean(p_img))})
-            if not args.no_svg:
-                svg = plot_trajectories_svg(
-                    mix, [r.trajectory.thetas for r in bucket],
-                    labels=[f"seed {r.seed}" for r in bucket[:10]],
-                    title=f"{name} / {estimator.value}")
-                write_svg(svg, out / f"{name}_{estimator.value}.svg")
         summary[name] = rows
         print(f"{name}: " + "; ".join(
             f"{r['estimator']} dist={r['mean_final_mode_distance']:.3f}"

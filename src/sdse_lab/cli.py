@@ -44,9 +44,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-_PHASES = {"small": Phase.SMALL, "middle": Phase.MIDDLE, "large": Phase.EARLY_LARGE}
-
-
 def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                default=_json_default) + "\n", encoding="utf-8")
@@ -86,7 +83,7 @@ def _resolve_toy_config(args: argparse.Namespace) -> ToyRunConfig:
         cfg["estimators"] = list(args.estimator)
         cfg.pop("estimator", None)
     if args.phase:
-        lo, hi = phase_band(_PHASES[args.phase], parse_thresholds(cfg), SCHEDULE_STEPS)
+        lo, hi = phase_band(Phase(args.phase), parse_thresholds(cfg), SCHEDULE_STEPS)
         cfg.setdefault("sampler", {})
         cfg["sampler"]["kind"] = "uniform"
         cfg["sampler"]["t_min"] = lo
@@ -158,13 +155,17 @@ def _resolve_mesh_config(args: argparse.Namespace) -> MeshRunConfig:
 
 
 def _write_step_report(reports, path: Path, digest: str) -> None:
+    """One row per (seed, step, region): the region's gradient norm and views."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# digest={digest}\n")
         fh.write("step,region,grad_norm,views_allocated,smooth_loss\n")
         for report in reports:
-            for step, region, grad, views, smooth in report.step_csv_rows():
-                fh.write(f"{step},{region},{repr(float(grad))},{views},"
-                         f"{repr(float(smooth))}\n")
+            for entry in report.grad_norm_rows:
+                smooth = repr(float(entry["smooth_loss"]))
+                for region in sorted(entry["grad_norms"]):
+                    grad = repr(float(entry["grad_norms"][region]))
+                    views = entry["view_counts"].get(region, 0)
+                    fh.write(f"{entry['step']},{region},{grad},{views},{smooth}\n")
 
 
 def cmd_mesh_edit(args: argparse.Namespace) -> int:
@@ -184,7 +185,7 @@ def cmd_mesh_edit(args: argparse.Namespace) -> int:
     dispersion_by_w1 = {}
     for w1 in cfg.w1_values:
         reports = run_mesh_edit(mesh, cfg.profile, mixture, sched, list(cfg.seeds),
-                                replace(cfg.edit, w1=w1), config_digest=digest)
+                                replace(cfg.edit, w1=w1))
         tag = f"w1_{w1:g}" if len(cfg.w1_values) > 1 else "steps"
         _write_step_report(reports, out_dir / f"mesh_{cfg.profile}_{tag}.csv", digest)
         disp = [float(np.mean([rep.dispersion[r] for r in edited])) for rep in reports]
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("--out", default="out_toy", help="output directory")
     p_toy.add_argument("--estimator", action="append", default=None,
                        help="override estimator list (repeatable)")
-    p_toy.add_argument("--phase", choices=("small", "middle", "large"), default=None,
+    p_toy.add_argument("--phase", choices=[p.value for p in Phase], default=None,
                        help="restrict the sampler to one timestep band")
     p_toy.add_argument("--steps", type=int, default=None)
     p_toy.add_argument("--lr", type=float, default=None)

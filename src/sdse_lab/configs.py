@@ -94,6 +94,8 @@ def _parse_seeds(cfg: dict) -> tuple[int, ...]:
 
 ESTIMATOR_NAMES = {k.value: k for k in EstimatorKind}
 SAMPLER_NAMES = {k.value: k for k in SamplerKind}
+# Estimators that exclude large timesteps (t > thresholds.L).
+STAGED = (EstimatorKind.SDSE, EstimatorKind.SDSE_PRIME)
 # Both commands run on the standard linear-beta schedule; samplers must stay inside it.
 SCHEDULE_STEPS = linear_beta_schedule().num_steps
 
@@ -172,6 +174,9 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
     _expect(t_min <= t_max, "sampler.t_max", "must be >= sampler.t_min")
     jitter = _get_number(sampler, "jitter", "sampler.", default=0.0, minimum=0.0)
     thresholds = parse_thresholds(cfg)
+    staged = [e.value for e in estimators if e in STAGED]
+    _expect(not staged or t_max <= thresholds.middle_max, "sampler.t_max",
+            f"must be <= thresholds.L ({thresholds.middle_max}) for {', '.join(staged)}")
 
     lr = _get_number(cfg, "lr", "", default=1e-2, minimum=0.0)
     steps = _get_number(cfg, "steps", "", default=2000, integer=True, minimum=1)
@@ -238,6 +243,9 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
     t_max = _get_number(cfg, "t_max", "", default=default.t_max, integer=True, minimum=1,
                         maximum=SCHEDULE_STEPS)
     _expect(t_min <= t_max, "t_max", "must be >= t_min")
+    thresholds = parse_thresholds(cfg)
+    _expect(t_max <= thresholds.middle_max, "t_max",
+            f"must be <= thresholds.L ({thresholds.middle_max}) for the SDSE mesh edit")
     edit = MeshEditConfig(
         steps=_get_number(cfg, "steps", "", default=default.steps, integer=True, minimum=1),
         views_per_step=_get_number(cfg, "views_per_step", "", default=default.views_per_step,
@@ -251,7 +259,7 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
                             minimum=1),
         threshold_distance=_get_number(cfg, "threshold_distance", "",
                                        default=default.threshold_distance, minimum=0.0),
-        weights=_parse_weights(cfg), thresholds=parse_thresholds(cfg))
+        weights=_parse_weights(cfg), thresholds=thresholds)
     seeds = _parse_seeds(cfg)
 
     raw = {

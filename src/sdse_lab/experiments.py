@@ -1,4 +1,4 @@
-"""Scripted toy-phase reproductions, full-schedule runs, and mesh-edit ablations.
+"""Timestep phases, convergence classification, full-schedule runs and mesh-edit runs.
 
 Phases mirror the timestep staging: the large band sits above the middle
 threshold, the middle band between the two thresholds, and the small band at
@@ -19,7 +19,7 @@ from .mesh import LatentMesh, _laplacian
 from .mixtures import Condition, ConditionedMixture, FULL_COND, IMAGE_COND
 from .optimize import Trajectory, optimize_point
 from .oracle import NoiseOracle
-from .samplers import SamplerKind, TimestepSampler
+from .samplers import TimestepSampler
 from .schedule import NoiseSchedule
 from .views import (RegionAllocation, SmoothedStepSolver, allocate_views, edit_step,
                     make_view, region_weights, view_gradient)
@@ -30,7 +30,7 @@ DEFAULT_EMA_WINDOW = 50
 
 
 class Phase(enum.Enum):
-    EARLY_LARGE = "early_large"
+    EARLY_LARGE = "large"
     MIDDLE = "middle"
     SMALL = "small"
 
@@ -49,29 +49,6 @@ def phase_band(phase: Phase, thresholds: StageThresholds, num_steps: int) -> tup
     if phase is Phase.MIDDLE:
         return (thresholds.small_max + 1, thresholds.middle_max)
     return (1, thresholds.small_max)
-
-
-@dataclass(frozen=True)
-class PhaseSpec:
-    """One phase study: estimators to run and the timestep policy (fixed or range)."""
-
-    phase: Phase
-    estimators: tuple[EstimatorKind, ...]
-    t_lo: int
-    t_hi: int
-    theta0: tuple[float, ...] = (0.5, 1.0)
-
-    def __post_init__(self):
-        if not self.estimators:
-            raise ValueError("phase spec needs at least one estimator")
-        if not 1 <= self.t_lo <= self.t_hi:
-            raise ValueError("need 1 <= t_lo <= t_hi")
-
-    def validate_band(self, thresholds: StageThresholds, num_steps: int) -> None:
-        lo, hi = phase_band(self.phase, thresholds, num_steps)
-        if not (lo <= self.t_lo and self.t_hi <= hi):
-            raise ValueError(
-                f"{self.phase.value} policy [{self.t_lo},{self.t_hi}] outside band [{lo},{hi}]")
 
 
 @dataclass(frozen=True)
@@ -124,32 +101,6 @@ def convergence_check(traj: Trajectory, modes: np.ndarray, tol: float,
     return ConvergenceReport(final_theta=final, nearest_mode=modes[nearest],
                              distance=distance, classification=cls,
                              residual_ema_norm=ema)
-
-
-@dataclass(frozen=True)
-class PhaseRun:
-    estimator: EstimatorKind
-    seed: int
-    trajectory: Trajectory
-
-
-def run_toy_phase(spec: PhaseSpec, mix: ConditionedMixture, sched: NoiseSchedule,
-                  seeds: list[int], lr: float = 1e-2, steps: int = 400,
-                  weights: GuidanceWeights = GuidanceWeights(),
-                  thresholds: StageThresholds = StageThresholds()) -> list[PhaseRun]:
-    """One trajectory per (estimator, seed) under the phase's timestep policy."""
-    spec.validate_band(thresholds, sched.num_steps)
-    oracle = NoiseOracle(mix, sched)
-    sampler = TimestepSampler(kind=SamplerKind.UNIFORM, t_min=spec.t_lo,
-                              t_max=spec.t_hi, total_steps=steps)
-    out = []
-    for estimator in spec.estimators:
-        for seed in sorted(seeds):
-            traj = optimize_point(spec.theta0, estimator, sampler, mix, sched,
-                                  lr=lr, steps=steps, seed=seed, weights=weights,
-                                  thresholds=thresholds, oracle=oracle)
-            out.append(PhaseRun(estimator=estimator, seed=seed, trajectory=traj))
-    return out
 
 
 def run_full_schedule(estimator: EstimatorKind, sampler: TimestepSampler,
@@ -210,15 +161,6 @@ class EditReport:
     smooth_losses: np.ndarray
     grad_norm_rows: list[dict]
     final_mesh: LatentMesh
-    config_digest: str = ""
-
-    def step_csv_rows(self) -> list[tuple]:
-        rows = []
-        for entry in self.grad_norm_rows:
-            for region in sorted(entry["grad_norms"]):
-                rows.append((entry["step"], region, entry["grad_norms"][region],
-                             entry["view_counts"].get(region, 0), entry["smooth_loss"]))
-        return rows
 
 
 def region_subgraph_laplacians(mesh: LatentMesh) -> dict[int, sp.csr_matrix]:
@@ -271,8 +213,7 @@ def _draw_views(mesh: LatentMesh, counts: dict[int, int], rng: np.random.Generat
 
 def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
                   mix: ConditionedMixture, sched: NoiseSchedule, seeds: list[int],
-                  config: MeshEditConfig = MeshEditConfig(),
-                  config_digest: str = "") -> list[EditReport]:
+                  config: MeshEditConfig = MeshEditConfig()) -> list[EditReport]:
     """Edit the mesh codes per seed, reporting allocation, progress, and dispersion.
 
     The gradient-aware allocation is computed from the first iteration's
@@ -325,6 +266,5 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
                                   dispersion=region_dispersion(current, sub_laps),
                                   smooth_losses=np.asarray([row["smooth_loss"]
                                                             for row in grad_rows]),
-                                  grad_norm_rows=grad_rows, final_mesh=current,
-                                  config_digest=config_digest))
+                                  grad_norm_rows=grad_rows, final_mesh=current))
     return reports

@@ -140,12 +140,27 @@ def smoothness_gradient(lap: sp.spmatrix, delta: np.ndarray) -> np.ndarray:
 # Mesh files and shipped fixtures
 # ---------------------------------------------------------------------------
 
+def _integer(value) -> int:
+    """A JSON integer, or a float with an integral value; int() would truncate 2.7."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _integers(value) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError("expected a list")
+    return [_integer(v) for v in value]
+
+
 def mesh_from_dict(spec: dict) -> LatentMesh:
     if not isinstance(spec, dict):
         raise ValueError("mesh file must hold a JSON object")
-    n = json_field(spec, "vertices", int)
-    edges = json_field(spec, "edges", lambda v: [(int(i), int(j)) for i, j in v])
-    regions = json_field(spec, "regions", lambda v: np.asarray(v, dtype=int))
+    n = json_field(spec, "vertices", _integer)
+    edges = json_field(spec, "edges", lambda v: [(_integer(i), _integer(j)) for i, j in v])
+    regions = np.asarray(json_field(spec, "regions", _integers), dtype=int)
     if regions.shape != (n,):
         raise ValueError("regions length must equal the vertex count")
     if "codes" in spec:
@@ -157,7 +172,7 @@ def mesh_from_dict(spec: dict) -> LatentMesh:
         if mode == "constant":
             codes = np.tile(json_field(params, "value", float_array, "init.params."), (n, 1))
         elif mode == "gaussian":
-            seed = json_field(params, "seed", int, "init.params.", default=0)
+            seed = json_field(params, "seed", _integer, "init.params.", default=0)
             mean = json_field(params, "mean", float_array, "init.params.", default=np.zeros(2))
             std = json_field(params, "std", float, "init.params.", default=1.0)
             rng = np.random.default_rng(seed)

@@ -322,10 +322,14 @@ def mixture_from_dict(spec: dict) -> ConditionedMixture:
     out = []
     for i, entry in enumerate(comps):
         path = f"components[{i}]."
-        # a scalar covariance is isotropic: GaussianComponent expands it
-        comp = GaussianComponent(json_field(entry, "weight", float, path),
-                                 json_field(entry, "mean", float_array, path),
-                                 json_field(entry, "covariance", float_array, path))
+        fields = [json_field(entry, "weight", float, path),
+                  json_field(entry, "mean", float_array, path),
+                  json_field(entry, "covariance", float_array, path)]
+        try:
+            # a scalar covariance is isotropic: GaussianComponent expands it
+            comp = GaussianComponent(*fields)
+        except ValueError as err:
+            raise ValueError(f"components[{i}]: {err}") from None
         out.append((comp, json_field(entry, "label", ConditionLabel, path)))
     return ConditionedMixture(tuple(out))
 

@@ -197,6 +197,14 @@ def test_toy_infinite_lr_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_toy_large_phase_with_staged_estimators_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["toy", "--phase", "large", "--steps", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: sampler.t_max: must be <= thresholds.L (800) for sdse, sdse_prime")
+    assert not (out / "summary.json").exists() and not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("argv", [["toy", "--phase", "small"], ["mesh-edit", "--steps", "3"]])
 def test_non_object_config_is_config_error(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, [1, 2])
@@ -220,6 +228,8 @@ INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
     pytest.param("toy", {"sampler": {"kind": ["uniform"]}}, None, "sampler.kind",
                  id="toy-sampler-kind-list"),
     pytest.param("toy", {"steps": 10**400}, None, "steps", id="toy-steps-beyond-float"),
+    pytest.param("toy", {"sampler": {"kind": "uniform", "t_min": 1, "t_max": 1000}}, None,
+                 "sampler.t_max", id="toy-staged-beyond-threshold"),
     pytest.param("mesh-edit", {"w1": INF}, None, "w1", id="mesh-w1-infinite"),
     pytest.param("mesh-edit", {"w1": "abc"}, None, "w1", id="mesh-w1-string"),
     pytest.param("mesh-edit", {"w1": True}, None, "w1", id="mesh-w1-bool"),
@@ -227,6 +237,7 @@ INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
     pytest.param("mesh-edit", {"allocator": "no"}, None, "allocator", id="mesh-allocator-string"),
     pytest.param("mesh-edit", {}, "abc", "SDSE_SEED", id="mesh-env-seed-string"),
     pytest.param("mesh-edit", {"w1": 10**400}, None, "w1", id="mesh-w1-beyond-float"),
+    pytest.param("mesh-edit", {"t_max": 1000}, None, "t_max", id="mesh-t-beyond-threshold"),
 ])
 def test_bad_field_is_config_error_naming_it(tmp_path, capsys, monkeypatch, command,
                                             override, env, field):

@@ -289,6 +289,14 @@ def test_mesh_file_validation():
     ({"codes": None, "init": {"mode": "constant", "params": []}}, "init.params"),
     ({"codes": None, "init": {"mode": "gaussian", "params": {"std": [1]}}},
      "init.params.std"),
+    ({"vertices": 2.7}, "vertices"),
+    ({"vertices": True}, "vertices"),
+    ({"edges": [[0, 1], [1, 2.5]]}, "edges"),
+    ({"regions": [0, 0, 1.5]}, "regions"),
+    ({"codes": None, "init": {"mode": "gaussian", "params": {"seed": 2.7}}},
+     "init.params.seed"),
+    ({"codes": None, "init": {"mode": "gaussian", "params": {"seed": float("inf")}}},
+     "init.params.seed"),
 ])
 def test_mesh_file_wrong_typed_field_is_named(override, field):
     spec = {"vertices": 3, "edges": [[0, 1], [1, 2]], "regions": [0, 0, 1],

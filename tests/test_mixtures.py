@@ -291,6 +291,12 @@ def test_mixture_file_wrong_typed_field_is_named(entry, field):
         mixture_from_dict({"components": [entry]})
 
 
+@pytest.mark.parametrize("override", [{"covariance": -1}, {"weight": -1}])
+def test_invalid_mixture_component_is_named(override):
+    with pytest.raises(ValueError, match=re.escape("components[1]: ")):
+        mixture_from_dict({"components": [GOOD_ENTRY, {**GOOD_ENTRY, **override}]})
+
+
 def test_mixture_from_dict_rejects_bad_entries():
     with pytest.raises(ValueError):
         mixture_from_dict({"components": []})
