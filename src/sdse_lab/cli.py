@@ -23,6 +23,7 @@ from .configs import (SCHEDULE_STEPS, ConfigError, MeshRunConfig, ToyRunConfig,
                       parse_mesh_config, parse_thresholds, parse_toy_config,
                       resolve_data_path)
 from .experiments import PROFILES, Phase, convergence_check, phase_band, run_mesh_edit
+from .fields import number
 from .mesh import load_mesh
 from .mixtures import FULL_COND, load_mixture
 from .optimize import optimize_point, trajectory_from_csv
@@ -51,14 +52,16 @@ def _write_json(payload: dict, path: Path) -> None:
 
 def _override_seeds(cfg: dict, seed: int | None) -> None:
     """--seed, then SDSE_SEED, replace the config's seed list."""
+    source = "--seed"
     env = os.environ.get("SDSE_SEED")
     if env is not None:
+        source = "SDSE_SEED"
         try:
             seed = int(env)
         except ValueError:
-            raise ConfigError("SDSE_SEED", f"expected an integer, got {env!r}") from None
+            raise ConfigError(source, f"expected an integer, got {env!r}") from None
     if seed is not None:
-        cfg["seeds"] = [seed]
+        cfg["seeds"] = [number(seed, source, integer=True, minimum=0)]
         cfg.pop("seed", None)
 
 
@@ -100,11 +103,11 @@ def _resolve_toy_config(args: argparse.Namespace) -> ToyRunConfig:
 
 def cmd_toy(args: argparse.Namespace) -> int:
     cfg = _resolve_toy_config(args)
+    mixture = load_mixture(resolve_data_path(cfg.mixture_path))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mixture = load_mixture(resolve_data_path(cfg.mixture_path))
     sched = linear_beta_schedule()
-    oracle = NoiseOracle(mixture, sched, noising=cfg.noising)
+    oracle = NoiseOracle(mixture, sched)
     digest = cfg.digest
     modes = mixture.mode_points(FULL_COND)
     sampler = cfg.sampler()
@@ -170,14 +173,14 @@ def _write_step_report(reports, path: Path, digest: str) -> None:
 
 def cmd_mesh_edit(args: argparse.Namespace) -> int:
     cfg = _resolve_mesh_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     mesh_path = resolve_data_path(cfg.mesh_path)
     if not Path(mesh_path).exists():
         print(f"mesh fixture not found: {mesh_path}", file=sys.stderr)
         return 2
     mesh = load_mesh(mesh_path)
     mixture = load_mixture(resolve_data_path(cfg.mixture_path))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     sched = linear_beta_schedule()
     digest = cfg.digest
     edited = [r for r, c in PROFILES[cfg.profile].items() if c == FULL_COND]

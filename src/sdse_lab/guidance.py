@@ -18,6 +18,7 @@ refuses large timesteps outright.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ class GuidanceWeights:
     omega_i: float = 1.5
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega_t) and np.isfinite(self.omega_i)):
+        if not (math.isfinite(self.omega_t) and math.isfinite(self.omega_i)):
             raise ValueError("guidance scales must be finite")
         if self.omega_t < 0 or self.omega_i < 0:
             raise ValueError("guidance scales must be >= 0")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mixtures import float_array, json_field
+from .fields import ConfigError, array, choice, expect, get, number
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class LatentMesh:
         n = codes.shape[0]
         if regions.shape != (n,):
             raise ValueError("every vertex needs a region id")
+        if not np.all(np.isfinite(codes)):
+            raise ValueError("codes must be finite")
         edges = tuple((int(i), int(j)) for i, j in self.edges)
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
@@ -140,48 +142,33 @@ def smoothness_gradient(lap: sp.spmatrix, delta: np.ndarray) -> np.ndarray:
 # Mesh files and shipped fixtures
 # ---------------------------------------------------------------------------
 
-def _integer(value) -> int:
-    """A JSON integer, or a float with an integral value; int() would truncate 2.7."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
-def _integers(value) -> list[int]:
-    if not isinstance(value, list):
-        raise ValueError("expected a list")
-    return [_integer(v) for v in value]
-
-
 def mesh_from_dict(spec: dict) -> LatentMesh:
-    if not isinstance(spec, dict):
-        raise ValueError("mesh file must hold a JSON object")
-    n = json_field(spec, "vertices", _integer)
-    edges = json_field(spec, "edges", lambda v: [(_integer(i), _integer(j)) for i, j in v])
-    regions = np.asarray(json_field(spec, "regions", _integers), dtype=int)
-    if regions.shape != (n,):
-        raise ValueError("regions length must equal the vertex count")
+    n = get(spec, "vertices", number, integer=True, minimum=1)
+    ends = get(spec, "edges", array, integer=True, minimum=0, maximum=n - 1)
+    expect(ends.shape == (0,) or ends.shape[1:] == (2,), "edges",
+           "expected a list of [i, j] pairs")
+    regions = get(spec, "regions", array, integer=True)
+    expect(regions.shape == (n,), "regions", f"expected a list of {n} region ids")
     if "codes" in spec:
-        codes = json_field(spec, "codes", float_array)
+        codes = get(spec, "codes", array)
     elif "init" in spec:
         init = spec["init"]
-        mode = json_field(init, "mode", str, "init.")
+        mode = get(init, "init.mode", choice, ("constant", "gaussian"))
         params = init.get("params", {})
         if mode == "constant":
-            codes = np.tile(json_field(params, "value", float_array, "init.params."), (n, 1))
-        elif mode == "gaussian":
-            seed = json_field(params, "seed", _integer, "init.params.", default=0)
-            mean = json_field(params, "mean", float_array, "init.params.", default=np.zeros(2))
-            std = json_field(params, "std", float, "init.params.", default=1.0)
-            rng = np.random.default_rng(seed)
-            codes = mean + std * rng.standard_normal((n, mean.size))
+            codes = np.tile(get(params, "init.params.value", array), (n, 1))
         else:
-            raise ValueError(f"unknown init mode: {mode!r}")
+            seed = get(params, "init.params.seed", number, default=0, integer=True, minimum=0)
+            mean = get(params, "init.params.mean", array, default=np.zeros(2))
+            std = float(get(params, "init.params.std", number, default=1.0))
+            rng = np.random.default_rng(seed)
+            # codes that overflow are rejected by LatentMesh
+            with np.errstate(over="ignore", invalid="ignore"):
+                codes = mean + std * rng.standard_normal((n, mean.size))
     else:
-        raise ValueError("mesh file needs 'codes' or 'init'")
-    return LatentMesh(edges=tuple(edges), codes=codes, regions=regions)
+        raise ConfigError("codes", "missing required field (or give 'init')")
+    edges = tuple((i, j) for i, j in ends.reshape(-1, 2).tolist())
+    return LatentMesh(edges=edges, codes=codes, regions=regions)
 
 
 def load_mesh(path) -> LatentMesh:

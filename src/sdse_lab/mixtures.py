@@ -13,9 +13,12 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from importlib.resources import files
+
 import numpy as np
 from scipy.special import logsumexp
 
+from .fields import ConfigError, array, choice, get, items, number
 from .schedule import NoiseSchedule
 
 
@@ -82,7 +85,9 @@ class GaussianComponent:
             raise ValueError("component mean must be finite")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape must match mean dimension")
-        if not np.allclose(cov, cov.T, atol=1e-12):
+        with np.errstate(over="ignore"):  # entries near the float limit
+            symmetric = np.allclose(cov, cov.T, atol=1e-12)
+        if not symmetric:
             raise ValueError("covariance must be symmetric")
         try:
             np.linalg.cholesky(cov)
@@ -294,44 +299,21 @@ def mixture_score(mix: ConditionedMixture, z) -> np.ndarray:
 # Mixture definition files
 # ---------------------------------------------------------------------------
 
-def json_field(spec: dict, key: str, convert, path: str = "", default=None):
-    """spec[key] through convert, or default if given and key is absent. A spec
-    that is not an object, a missing key or a value convert rejects raises a
-    ValueError naming path + key (path names spec and ends in ".")."""
-    name = path + key
-    if not isinstance(spec, dict):
-        raise ValueError(f"field {path[:-1]!r}: expected an object")
-    if key not in spec:
-        if default is None:
-            raise ValueError(f"missing field {name!r}")
-        return default
+def _component(entry: dict, path: str) -> tuple[GaussianComponent, ConditionLabel]:
+    weight = get(entry, f"{path}.weight", number)
+    mean = get(entry, f"{path}.mean", array)
+    covariance = get(entry, f"{path}.covariance", array)
     try:
-        return convert(spec[key])
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"field {name!r}: {err}") from None
-
-
-def float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+        # a scalar covariance is isotropic: GaussianComponent expands it
+        comp = GaussianComponent(float(weight), mean, covariance)
+    except ValueError as err:
+        raise ConfigError(path, str(err)) from None
+    labels = [lab.value for lab in ConditionLabel]
+    return comp, ConditionLabel(get(entry, f"{path}.label", choice, labels))
 
 
 def mixture_from_dict(spec: dict) -> ConditionedMixture:
-    comps = spec.get("components") if isinstance(spec, dict) else None
-    if not isinstance(comps, list) or not comps:
-        raise ValueError("mixture file needs a non-empty 'components' list")
-    out = []
-    for i, entry in enumerate(comps):
-        path = f"components[{i}]."
-        fields = [json_field(entry, "weight", float, path),
-                  json_field(entry, "mean", float_array, path),
-                  json_field(entry, "covariance", float_array, path)]
-        try:
-            # a scalar covariance is isotropic: GaussianComponent expands it
-            comp = GaussianComponent(*fields)
-        except ValueError as err:
-            raise ValueError(f"components[{i}]: {err}") from None
-        out.append((comp, json_field(entry, "label", ConditionLabel, path)))
-    return ConditionedMixture(tuple(out))
+    return ConditionedMixture(tuple(get(spec, "components", items, _component)))
 
 
 def mixture_to_dict(mix: ConditionedMixture) -> dict:
@@ -355,6 +337,4 @@ def load_mixture(path) -> ConditionedMixture:
 
 def toy_mixture() -> ConditionedMixture:
     """The five-mode planar benchmark mixture shipped with the package."""
-    from importlib.resources import files
-
-    return mixture_from_dict(json.loads(files("sdse_lab.data").joinpath("toy_gmm.json").read_text()))
+    return load_mixture(files("sdse_lab.data").joinpath("toy_gmm.json"))

@@ -49,17 +49,11 @@ def predict_noise(mix: ConditionedMixture, sched: NoiseSchedule, z_t, t: int,
 
 
 class NoiseOracle:
-    """Cached noise predictions and raw conditional densities for one mixture.
+    """Cached noise predictions and raw conditional densities for one mixture."""
 
-    With ``noising=False`` the forward pushforward is skipped and scores come
-    from the raw conditional mixtures (sigma_t still applies); this isolates
-    the role of the pushforward in sensitivity studies.
-    """
-
-    def __init__(self, mix: ConditionedMixture, sched: NoiseSchedule, noising: bool = True):
+    def __init__(self, mix: ConditionedMixture, sched: NoiseSchedule):
         self.mixture = mix
         self.schedule = sched
-        self.noising = bool(noising)
         self._tables: dict[int, FrozenMixture] = {0: FrozenMixture(mix)}
         self._supports: dict[Condition, tuple[np.ndarray, np.ndarray]] = {}
         self._eval_key: tuple[int, bytes] | None = None
@@ -86,13 +80,12 @@ class NoiseOracle:
         return self._eval_val
 
     def predict(self, z_t, t: int, cond: Condition) -> np.ndarray:
-        """eps_hat(z_t, t, cond); raw mixture score when noising is off."""
+        """eps_hat(z_t, t, cond)."""
         z_t = np.asarray(z_t, dtype=float)
         sigma = self.schedule.sigma(t)
-        table_t = t if self.noising else 0
-        evaluated = self._evaluate(z_t, table_t)
+        evaluated = self._evaluate(z_t, t)
         idx, log_wts = self._support(cond)
-        return -sigma * self._table(table_t).masked_score(evaluated, idx, log_wts)
+        return -sigma * self._table(t).masked_score(evaluated, idx, log_wts)
 
     def density_bundle(self, z: np.ndarray) -> tuple[float, float, float]:
         """Raw densities (p, p_img, p_full) at z from one component evaluation."""

@@ -73,10 +73,10 @@ def test_wrong_typed_mixture_component_is_named(tmp_path, capsys):
     bad = write_config(tmp_path, {"components": [5]}, name="bad.json")
     assert main(["verify", "--mixture", bad]) == 1
     out = capsys.readouterr().out
-    assert "[FAIL] mixture_file" in out and "'components[0]': expected an object" in out
+    assert "[FAIL] mixture_file" in out and "'components[0]: expected an object'" in out
     cfg = write_config(tmp_path, {**TOY_CONFIG, "mixture_path": bad})
-    assert main(["toy", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("error: field 'components[0]': ")
+    assert main(["toy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: components[0]: ")
 
 
 def test_verify_fails_on_parse_error(tmp_path, capsys):
@@ -217,12 +217,14 @@ INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
 
 @pytest.mark.parametrize("command,override,env,field", [
     pytest.param("toy", {"noising": "false"}, None, "noising", id="toy-noising-string"),
+    pytest.param("toy", {"noising": False}, None, "noising", id="toy-noising-false"),
     pytest.param("toy", {"seeds": [1.5]}, None, "seeds[0]", id="toy-seed-fraction"),
     pytest.param("toy", {"seeds": [0, "a"]}, None, "seeds[1]", id="toy-seed-string"),
     pytest.param("toy", {"seeds": [-1]}, None, "seeds[0]", id="toy-seed-negative"),
     pytest.param("toy", {"theta0": ["x", 1]}, None, "theta0[0]", id="toy-theta0-string"),
     pytest.param("toy", {"theta0": [INF, 1]}, None, "theta0[0]", id="toy-theta0-infinite"),
     pytest.param("toy", {}, "abc", "SDSE_SEED", id="toy-env-seed-string"),
+    pytest.param("toy", {}, "-1", "SDSE_SEED", id="toy-env-seed-negative"),
     pytest.param("toy", {"estimators": [["m4"]]}, None, "estimators[0]",
                  id="toy-estimator-list"),
     pytest.param("toy", {"sampler": {"kind": ["uniform"]}}, None, "sampler.kind",
@@ -236,6 +238,7 @@ INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
     pytest.param("mesh-edit", {"w1": [0.0, INF]}, None, "w1[1]", id="mesh-w1-list-infinite"),
     pytest.param("mesh-edit", {"allocator": "no"}, None, "allocator", id="mesh-allocator-string"),
     pytest.param("mesh-edit", {}, "abc", "SDSE_SEED", id="mesh-env-seed-string"),
+    pytest.param("mesh-edit", {}, "-1", "SDSE_SEED", id="mesh-env-seed-negative"),
     pytest.param("mesh-edit", {"w1": 10**400}, None, "w1", id="mesh-w1-beyond-float"),
     pytest.param("mesh-edit", {"t_max": 1000}, None, "t_max", id="mesh-t-beyond-threshold"),
 ])
@@ -248,6 +251,56 @@ def test_bad_field_is_config_error_naming_it(tmp_path, capsys, monkeypatch, comm
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["toy", "mesh-edit"])
+def test_negative_seed_flag_is_config_error_naming_it(tmp_path, capsys, command):
+    assert main([command, "--seed", "-2", "--steps", "3", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: --seed: must be >= 0")
+    assert not (tmp_path / "o").exists()
+
+
+GOOD_COMPONENT = {"weight": 1.0, "mean": [1.5, 1.4], "covariance": 0.05, "label": "both"}
+GOOD_MESH = {"vertices": 3, "edges": [[0, 1], [1, 2]], "regions": [0, 1, 2],
+             "codes": [[0.5, 1.0], [0.5, 1.0], [0.5, 1.0]]}
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("kind,override,field", [
+    pytest.param("mixture", {"weight": 10**400}, "components[0].weight", id="weight-beyond-float"),
+    pytest.param("mixture", {"mean": [10**400, 0]}, "components[0].mean[0]",
+                 id="mean-beyond-float"),
+    pytest.param("mixture", {"weight": "1.5"}, "components[0].weight", id="weight-string"),
+    pytest.param("mixture", {"weight": True}, "components[0].weight", id="weight-bool"),
+    pytest.param("mixture", {"mean": ["1", "2"]}, "components[0].mean[0]", id="mean-strings"),
+    pytest.param("mixture", {"label": "neither"}, "components[0].label", id="label-unknown"),
+    pytest.param("mixture", {"covariance": -1}, "components[0]", id="covariance-negative"),
+    pytest.param("mesh", {"regions": [0, 10**400, 2]}, "regions[1]",
+                 id="region-beyond-float"),
+    pytest.param("mesh", {"codes": [[0.5, 1.0], [NAN, 1.0], [0.5, 1.0]]}, "codes[1][0]",
+                 id="codes-nan"),
+    pytest.param("mesh", {"codes": None, "init": {"mode": "gaussian",
+                                                  "params": {"std": INF}}},
+                 "init.params.std", id="init-std-infinite"),
+    pytest.param("mesh", {"codes": None, "init": {"mode": "random"}}, "init.mode",
+                 id="init-mode-unknown"),
+])
+def test_bad_data_file_field_is_config_error_naming_it(tmp_path, capsys, kind, override,
+                                                      field):
+    if kind == "mixture":
+        data = {"components": [{**GOOD_COMPONENT, **override}]}
+        command, base = "toy", {**TOY_CONFIG, "estimators": ["m4"]}
+    else:
+        data = {key: value for key, value in {**GOOD_MESH, **override}.items()
+                if value is not None}
+        command, base = "mesh-edit", MESH_CONFIG
+    path = write_config(tmp_path, data, name="data.json")
+    cfg = write_config(tmp_path, {**base, f"{kind}_path": path})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -301,8 +354,8 @@ def test_mesh_edit_wrong_typed_mesh_field_is_named(tmp_path, capsys):
     mesh = write_config(tmp_path, {"vertices": 2, "edges": 5, "regions": [0, 0],
                                    "codes": [[0.0], [0.0]]}, name="mesh.json")
     cfg = write_config(tmp_path, {**MESH_CONFIG, "mesh_path": mesh})
-    assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("error: field 'edges': ")
+    assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: edges: ")
 
 
 def test_mesh_edit_missing_fixture(tmp_path, capsys):

@@ -201,7 +201,7 @@ def _reference_mesh_edit(mesh, profile, seed, config):
     Random draws in order: measuring pass view, t, noise per view; then each
     step draws all its views and t's before each view's noise.
     """
-    oracle = NoiseOracle(MIX, SCHED, noising=True)
+    oracle = NoiseOracle(MIX, SCHED)
     rng = np.random.default_rng(seed)
     solver = SmoothedStepSolver(mesh, config.w1, config.lr)
 

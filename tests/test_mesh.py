@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from sdse_lab.experiments import region_subgraph_laplacians
+from sdse_lab.fields import ConfigError
 from sdse_lab.mesh import (LatentMesh, _laplacian, build_laplacian, grid_mesh,
                            icosahedron_edges, icosphere_mesh, load_mesh,
                            mesh_from_dict, mesh_to_dict, smoothness_gradient,
@@ -303,7 +305,8 @@ def test_mesh_file_wrong_typed_field_is_named(override, field):
             "codes": [[0.0], [0.0], [0.0]], **override}
     if spec["codes"] is None:
         del spec["codes"]
-    with pytest.raises(ValueError, match=f"^field '{field}': "):
+    # the error names the field, or the list element inside it
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}(\[\d+\])*: "):
         mesh_from_dict(spec)
 
 

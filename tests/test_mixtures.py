@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sdse_lab.fields import ConfigError
 from sdse_lab.mixtures import (
     ALL_CONDITIONS,
     ConditionLabel,
@@ -287,7 +288,7 @@ GOOD_ENTRY = {"weight": 1.0, "mean": [0, 0], "covariance": 0.1, "label": "both"}
     ({**GOOD_ENTRY, "label": ["both"]}, "components[0].label"),
 ])
 def test_mixture_file_wrong_typed_field_is_named(entry, field):
-    with pytest.raises(ValueError, match=re.escape(f"field '{field}': ")):
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
         mixture_from_dict({"components": [entry]})
 
 

@@ -13,7 +13,6 @@ from sdse_lab.mixtures import (
     UNCONDITIONED,
     isotropic_component,
     mixture_density,
-    mixture_score,
     sub_mixture,
     toy_mixture,
 )
@@ -133,15 +132,3 @@ def test_density_bundle_at_infinite_point_is_zero_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert oracle.density_bundle(np.array([np.inf, -np.inf])) == (0.0, 0.0, 0.0)
-
-
-def test_noising_off_uses_raw_scores():
-    mix = toy_mixture()
-    sched = linear_beta_schedule()
-    oracle = NoiseOracle(mix, sched, noising=False)
-    z = np.array([0.8, 0.3])
-    t = 600
-    raw = sub_mixture(mix, FULL_COND)
-    expected = -sched.sigma(t) * mixture_score(raw, z)
-    np.testing.assert_allclose(oracle.predict(z, t, FULL_COND), expected, rtol=1e-12)
-
