@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from sdse_lab import cli
-from sdse_lab.configs import default_mesh_config
 from sdse_lab.experiments import PROFILES
+from sdse_lab.fields import load_json
 from sdse_lab.mixtures import FULL_COND
 
 
@@ -35,8 +35,8 @@ def main() -> int:
     args = parser.parse_args()
 
     out = Path(args.out)
-    cfg = {**default_mesh_config(), "mesh_path": args.mesh, "profile": args.profile,
-           "steps": args.steps, "seeds": list(range(args.seeds))}
+    cfg = {**load_json("pkg:mesh_default.json"), "mesh_path": args.mesh,
+           "profile": args.profile, "steps": args.steps, "seeds": list(range(args.seeds))}
     w1 = str(args.w1)
     runs = {}
     for name, flags in {"allocator_on": ["--w1", w1, "--w1", "0"],

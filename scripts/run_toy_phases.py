@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from sdse_lab import cli
-from sdse_lab.configs import default_toy_config
+from sdse_lab.fields import load_json
 from sdse_lab.optimize import trajectory_from_csv
 
 # Per phase: config overrides and `sdse toy` flags. Large and small t span their
@@ -46,8 +46,8 @@ def main() -> int:
     for name, (overrides, flags) in PHASES.items():
         run_dir = out / name
         run_dir.mkdir(parents=True, exist_ok=True)
-        cfg = {**default_toy_config(), **overrides, "lr": args.lr, "steps": args.steps,
-               "seeds": list(range(args.seeds))}
+        cfg = {**load_json("pkg:toy_default.json"), **overrides, "lr": args.lr,
+               "steps": args.steps, "seeds": list(range(args.seeds))}
         cfg_path = run_dir / "config.json"
         cfg_path.write_text(json.dumps(cfg, indent=2) + "\n", encoding="utf-8")
         argv = ["toy", "--config", str(cfg_path), "--out", str(run_dir), *flags]

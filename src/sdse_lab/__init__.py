@@ -12,9 +12,9 @@ from .guidance import (EstimatorKind, GuidanceWeights, StageThresholds, TermBund
                        sdse_residual, ssd_residual, term_residual)
 from .mixtures import (ALL_CONDITIONS, Condition, ConditionLabel, ConditionedMixture,
                        FULL_COND, GaussianComponent, IMAGE_COND, TEXT_COND,
-                       UNCONDITIONED, isotropic_component, load_mixture,
-                       mixture_density, mixture_log_density, mixture_score,
-                       noised_mixture, sub_mixture, toy_mixture)
+                       UNCONDITIONED, load_mixture, mixture_density,
+                       mixture_log_density, mixture_score, noised_mixture, sub_mixture,
+                       toy_mixture)
 from .mesh import (LatentMesh, build_laplacian, grid_mesh, icosphere_mesh, load_mesh,
                    smoothness_gradient, smoothness_loss)
 from .optimize import Trajectory, optimize_point, trajectory_from_csv

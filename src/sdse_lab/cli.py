@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .configs import (SCHEDULE_STEPS, ConfigError, MeshRunConfig, ToyRunConfig,
-                      default_mesh_config, default_toy_config, load_json,
-                      parse_mesh_config, parse_thresholds, parse_toy_config,
-                      resolve_data_path)
-from .experiments import PROFILES, Phase, convergence_check, phase_band, run_mesh_edit
-from .fields import number
+from .configs import (SCHEDULE_STEPS, MeshRunConfig, ToyRunConfig, parse_mesh_config,
+                      parse_thresholds, parse_toy_config)
+from .experiments import (PROFILES, Phase, convergence_check, phase_band, profile_targets,
+                          run_mesh_edit)
+from .fields import ConfigError, expect, load_json, number
 from .mesh import load_mesh
 from .mixtures import FULL_COND, load_mixture
 from .optimize import optimize_point, trajectory_from_csv
@@ -62,12 +61,10 @@ def _override_seeds(cfg: dict, seed: int | None) -> None:
             raise ConfigError(source, f"expected an integer, got {env!r}") from None
     if seed is not None:
         cfg["seeds"] = [number(seed, source, integer=True, minimum=0)]
-        cfg.pop("seed", None)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    mixture_path = resolve_data_path(args.mixture) if args.mixture else None
-    checks = run_all_checks(mixture_path)
+    checks = run_all_checks(args.mixture)
     report = report_dict(checks)
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -81,16 +78,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _resolve_toy_config(args: argparse.Namespace) -> ToyRunConfig:
-    cfg = load_json(args.config) if args.config else default_toy_config()
+    cfg = load_json(args.config or "pkg:toy_default.json")
     if args.estimator:
         cfg["estimators"] = list(args.estimator)
-        cfg.pop("estimator", None)
     if args.phase:
         lo, hi = phase_band(Phase(args.phase), parse_thresholds(cfg), SCHEDULE_STEPS)
-        cfg.setdefault("sampler", {})
-        cfg["sampler"]["kind"] = "uniform"
-        cfg["sampler"]["t_min"] = lo
-        cfg["sampler"]["t_max"] = hi
+        sampler = cfg.setdefault("sampler", {})
+        expect(isinstance(sampler, dict), "sampler", "expected an object")
+        sampler.update(kind="uniform", t_min=lo, t_max=hi)
     for key in ("lr", "omega_t", "omega_i"):
         val = getattr(args, key)
         if val is not None:
@@ -103,7 +98,7 @@ def _resolve_toy_config(args: argparse.Namespace) -> ToyRunConfig:
 
 def cmd_toy(args: argparse.Namespace) -> int:
     cfg = _resolve_toy_config(args)
-    mixture = load_mixture(resolve_data_path(cfg.mixture_path))
+    mixture = load_mixture(cfg.mixture_path)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sched = linear_beta_schedule()
@@ -121,8 +116,7 @@ def cmd_toy(args: argparse.Namespace) -> int:
                                   config_digest=digest, oracle=oracle)
             name = f"{estimator.value}_seed{seed}.csv"
             traj.write_csv(out_dir / name)
-            report = convergence_check(traj, modes, tol=args.tol,
-                                       grad_tol=args.grad_tol)
+            report = convergence_check(traj, modes)
             runs.append({"estimator": estimator.value, "seed": seed, "csv": name,
                          "final_theta": traj.final_theta.tolist(),
                          "distance": report.distance,
@@ -144,7 +138,7 @@ def cmd_toy(args: argparse.Namespace) -> int:
 
 
 def _resolve_mesh_config(args: argparse.Namespace) -> MeshRunConfig:
-    cfg = load_json(args.config) if args.config else default_mesh_config()
+    cfg = load_json(args.config or "pkg:mesh_default.json")
     if args.profile:
         cfg["profile"] = args.profile
     if args.w1:
@@ -173,17 +167,14 @@ def _write_step_report(reports, path: Path, digest: str) -> None:
 
 def cmd_mesh_edit(args: argparse.Namespace) -> int:
     cfg = _resolve_mesh_config(args)
-    mesh_path = resolve_data_path(cfg.mesh_path)
-    if not Path(mesh_path).exists():
-        print(f"mesh fixture not found: {mesh_path}", file=sys.stderr)
-        return 2
-    mesh = load_mesh(mesh_path)
-    mixture = load_mixture(resolve_data_path(cfg.mixture_path))
+    mesh = load_mesh(cfg.mesh_path)
+    mixture = load_mixture(cfg.mixture_path)
+    targets = profile_targets(mesh, cfg.profile)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sched = linear_beta_schedule()
     digest = cfg.digest
-    edited = [r for r, c in PROFILES[cfg.profile].items() if c == FULL_COND]
+    edited = [r for r, c in targets.items() if c == FULL_COND]
     summary_runs = []
     dispersion_by_w1 = {}
     for w1 in cfg.w1_values:
@@ -224,7 +215,7 @@ def cmd_mesh_edit(args: argparse.Namespace) -> int:
 
 
 def cmd_emit_plot(args: argparse.Namespace) -> int:
-    mixture = load_mixture(resolve_data_path(args.mixture))
+    mixture = load_mixture(args.mixture)
     trajs = [trajectory_from_csv(p) for p in args.trajectory]
     digest = trajs[0].config_digest if trajs else ""
     svg = plot_trajectories_svg(mixture, [t.thetas for t in trajs],
@@ -261,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("--omega-t", dest="omega_t", type=float, default=None)
     p_toy.add_argument("--omega-i", dest="omega_i", type=float, default=None)
     p_toy.add_argument("--seed", type=int, default=None)
-    p_toy.add_argument("--tol", type=float, default=0.05)
-    p_toy.add_argument("--grad-tol", dest="grad_tol", type=float, default=1e-3)
     svg = p_toy.add_mutually_exclusive_group()
     svg.add_argument("--svg", dest="svg", action="store_true", default=True)
     svg.add_argument("--no-svg", dest="svg", action="store_false")

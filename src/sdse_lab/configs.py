@@ -11,11 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from importlib.resources import files
-from pathlib import Path
 
 from .experiments import PROFILES, MeshEditConfig
-from .fields import ConfigError, boolean, choice, expect, get, items, number, text
+from .fields import boolean, choice, expect, get, items, known_fields, number, text
+from .fields import resolve_data_path  # noqa: F401  (imported from here by callers)
 from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
 from .samplers import SamplerKind, TimestepSampler
 from .schedule import linear_beta_schedule
@@ -41,9 +40,7 @@ def _parse_weights(cfg: dict) -> GuidanceWeights:
 
 
 def _parse_seeds(cfg: dict) -> tuple[int, ...]:
-    if "seeds" in cfg:
-        return tuple(items(cfg["seeds"], "seeds", number, integer=True, minimum=0))
-    return (get(cfg, "seed", number, default=0, integer=True, minimum=0),)
+    return tuple(get(cfg, "seeds", items, number, default=[0], integer=True, minimum=0))
 
 
 ESTIMATOR_NAMES = {k.value: k for k in EstimatorKind}
@@ -58,14 +55,6 @@ def config_digest(cfg: dict) -> str:
     """sha256 over the canonical JSON encoding of the resolved config."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def default_toy_config() -> dict:
-    return json.loads(files("sdse_lab.data").joinpath("toy_default.json").read_text())
-
-
-def default_mesh_config() -> dict:
-    return json.loads(files("sdse_lab.data").joinpath("mesh_default.json").read_text())
 
 
 @dataclass(frozen=True)
@@ -97,13 +86,9 @@ class ToyRunConfig:
 
 
 def parse_toy_config(cfg: dict) -> ToyRunConfig:
-    expect(isinstance(cfg, dict), "", "config must be a JSON object")
     path = get(cfg, "mixture_path", text)
 
-    if "estimators" in cfg:
-        names = items(cfg["estimators"], "estimators", choice, ESTIMATOR_NAMES)
-    else:
-        names = [get(cfg, "estimator", choice, ESTIMATOR_NAMES)]
+    names = get(cfg, "estimators", items, choice, ESTIMATOR_NAMES)
     estimators = [ESTIMATOR_NAMES[name] for name in names]
 
     weights = _parse_weights(cfg)
@@ -138,6 +123,7 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
         "lr": lr, "steps": steps, "seeds": list(seeds), "theta0": list(theta0),
         "noising": True,
     }
+    known_fields(cfg, "", raw)
     return ToyRunConfig(mixture_path=path, estimators=tuple(estimators), weights=weights,
                         sampler_kind=SAMPLER_NAMES[kind_name], t_min=t_min,
                         t_max=t_max, jitter=jitter, thresholds=thresholds,
@@ -162,7 +148,6 @@ class MeshRunConfig:
 
 
 def parse_mesh_config(cfg: dict) -> MeshRunConfig:
-    expect(isinstance(cfg, dict), "", "config must be a JSON object")
     mesh_path = get(cfg, "mesh_path", text)
     mixture_path = get(cfg, "mixture_path", text)
     profile = get(cfg, "profile", choice, PROFILES, default="head_dominant")
@@ -207,22 +192,6 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
         "thresholds": {"M": edit.thresholds.small_max, "L": edit.thresholds.middle_max},
         "seeds": list(seeds),
     }
+    known_fields(cfg, "", raw)
     return MeshRunConfig(mesh_path=mesh_path, mixture_path=mixture_path, profile=profile,
                          w1_values=w1_values, edit=edit, seeds=seeds, raw=raw)
-
-
-def load_json(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError("", f"not valid JSON ({err})") from err
-    expect(isinstance(cfg, dict), "", "config must be a JSON object")
-    return cfg
-
-
-def resolve_data_path(path: str) -> str:
-    """Resolve 'pkg:NAME' references to shipped data files, else pass through."""
-    if path.startswith("pkg:"):
-        return str(files("sdse_lab.data").joinpath(path[4:]))
-    return path

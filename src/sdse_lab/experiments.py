@@ -73,7 +73,7 @@ def residual_ema_norm(traj: Trajectory, window: int = DEFAULT_EMA_WINDOW) -> flo
     return float(np.linalg.norm(ema))
 
 
-def convergence_check(traj: Trajectory, modes: np.ndarray, tol: float,
+def convergence_check(traj: Trajectory, modes: np.ndarray, tol: float = DEFAULT_TOLERANCE,
                       grad_tol: float = DEFAULT_GRAD_TOL,
                       window: int = DEFAULT_EMA_WINDOW) -> ConvergenceReport:
     """Classify a finished run against the labeled target modes.
@@ -211,6 +211,19 @@ def _draw_views(mesh: LatentMesh, counts: dict[int, int], rng: np.random.Generat
             yield view, int(rng.integers(config.t_min, config.t_max + 1))
 
 
+def profile_targets(mesh: LatentMesh,
+                    profile: dict[int, Condition] | str) -> dict[int, Condition]:
+    """Each mesh region's target under `profile` (a dict or a PROFILES name), in
+    region order; ValueError if the profile misses a region."""
+    if isinstance(profile, str):
+        profile = PROFILES[profile]
+    region_ids = [int(r) for r in mesh.region_ids()]
+    missing = [r for r in region_ids if r not in profile]
+    if missing:
+        raise ValueError(f"profile missing target conditions for regions {missing}")
+    return {r: profile[r] for r in region_ids}
+
+
 def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
                   mix: ConditionedMixture, sched: NoiseSchedule, seeds: list[int],
                   config: MeshEditConfig = MeshEditConfig()) -> list[EditReport]:
@@ -221,16 +234,11 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     the measuring batch does not move the codes, so allocator on/off pairs
     start identically.
     """
-    if isinstance(profile, str):
-        profile = PROFILES[profile]
-    region_ids = [int(r) for r in mesh.region_ids()]
-    missing = [r for r in region_ids if r not in profile]
-    if missing:
-        raise ValueError(f"profile missing target conditions for regions {missing}")
+    profile = profile_targets(mesh, profile)
     oracle = NoiseOracle(mix, sched)
     modes = mix.mode_points(FULL_COND)
-    edited = [r for r in region_ids if profile[r] == FULL_COND]
-    uniform = {r: 1.0 for r in region_ids}
+    edited = [r for r, c in profile.items() if c == FULL_COND]
+    uniform = dict.fromkeys(profile, 1.0)
     solver = SmoothedStepSolver(mesh, config.w1, config.lr)
     sub_laps = region_subgraph_laplacians(mesh)
     reports = []

@@ -1,13 +1,18 @@
 """Boundary rules for every JSON input: run configs, mixture files, mesh files.
 
-A reader takes a decoded JSON value and the path naming it (`sampler.t_max`,
-`components[1].mean`, `codes[3][0]`) and returns the value with the type JSON
-gave it, or raises a ConfigError reading "<path>: <message>".
+`load_json` is the one way in: it reads and decodes a file, or raises a
+ConfigError naming the file. A reader takes a decoded JSON value and the path
+naming it (`sampler.t_max`, `components[1].mean`, `codes[3][0]`) and returns
+the value with the type JSON gave it, or raises a ConfigError reading
+"<path>: <message>". `known_fields` rejects a key that no reader reads.
 """
 
 from __future__ import annotations
 
+import json
 import sys
+from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +28,40 @@ class ConfigError(ValueError):
 def expect(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(path, message)
+
+
+def resolve_data_path(path) -> str:
+    """Resolve 'pkg:NAME' references to shipped data files, else pass through."""
+    path = str(path)
+    if path.startswith("pkg:"):
+        return str(files("sdse_lab.data").joinpath(path[4:]))
+    return path
+
+
+def load_json(path) -> dict:
+    """The JSON object in the file `path` names ('pkg:NAME' for a shipped file)."""
+    path = str(path)
+    try:
+        doc = json.loads(Path(resolve_data_path(path)).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(path, "file not found") from None
+    except OSError as err:
+        raise ConfigError(path, f"cannot read the file ({err.strerror})") from None
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ConfigError(path, f"not valid JSON ({err})") from None
+    expect(isinstance(doc, dict), path, "config must be a JSON object")
+    return doc
+
+
+def known_fields(doc, path: str, known) -> None:
+    """Reject a key of the JSON object `doc` (at `path`) not in `known`: a collection
+    of keys, or a dict whose object values check `doc`'s objects under the same keys."""
+    expect(isinstance(doc, dict), path, "expected an object")
+    for key, value in doc.items():
+        where = f"{path}.{key}" if path else key
+        expect(key in known, where, "unknown field")
+        if isinstance(known, dict) and isinstance(known[key], dict):
+            known_fields(value, where, known[key])
 
 
 def get(obj, path: str, read, *args, default=None, **opts):

@@ -8,14 +8,13 @@ matrix of per-vertex deltas, so constant fields cost nothing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import ConfigError, array, choice, expect, get, number
+from .fields import ConfigError, array, choice, expect, get, known_fields, load_json, number
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,12 @@ def smoothness_gradient(lap: sp.spmatrix, delta: np.ndarray) -> np.ndarray:
 # Mesh files and shipped fixtures
 # ---------------------------------------------------------------------------
 
+# The keys of a mesh file's `init.params` for each `init.mode`.
+INIT_PARAMS = {"constant": ("value",), "gaussian": ("seed", "mean", "std")}
+
+
 def mesh_from_dict(spec: dict) -> LatentMesh:
+    known_fields(spec, "", ("vertices", "edges", "regions", "codes", "init"))
     n = get(spec, "vertices", number, integer=True, minimum=1)
     ends = get(spec, "edges", array, integer=True, minimum=0, maximum=n - 1)
     expect(ends.shape == (0,) or ends.shape[1:] == (2,), "edges",
@@ -153,8 +157,10 @@ def mesh_from_dict(spec: dict) -> LatentMesh:
         codes = get(spec, "codes", array)
     elif "init" in spec:
         init = spec["init"]
-        mode = get(init, "init.mode", choice, ("constant", "gaussian"))
+        known_fields(init, "init", ("mode", "params"))
+        mode = get(init, "init.mode", choice, INIT_PARAMS)
         params = init.get("params", {})
+        known_fields(params, "init.params", INIT_PARAMS[mode])
         if mode == "constant":
             codes = np.tile(get(params, "init.params.value", array), (n, 1))
         else:
@@ -172,8 +178,8 @@ def mesh_from_dict(spec: dict) -> LatentMesh:
 
 
 def load_mesh(path) -> LatentMesh:
-    with open(path, "r", encoding="utf-8") as fh:
-        return mesh_from_dict(json.load(fh))
+    """The mesh in the file `path` names ('pkg:NAME' for a shipped file)."""
+    return mesh_from_dict(load_json(path))
 
 
 def mesh_to_dict(mesh: LatentMesh) -> dict:

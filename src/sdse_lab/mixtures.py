@@ -11,14 +11,12 @@ in log space so far-tail queries stay well behaved.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from importlib.resources import files
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .fields import ConfigError, array, choice, get, items, number
+from .fields import ConfigError, array, choice, get, items, known_fields, load_json, number
 from .schedule import NoiseSchedule
 
 
@@ -104,11 +102,6 @@ class GaussianComponent:
     @property
     def dim(self) -> int:
         return int(self.mean.size)
-
-
-def isotropic_component(weight: float, mean, variance: float) -> GaussianComponent:
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    return GaussianComponent(weight, mean, variance * np.eye(mean.size))
 
 
 @dataclass(frozen=True)
@@ -300,6 +293,7 @@ def mixture_score(mix: ConditionedMixture, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _component(entry: dict, path: str) -> tuple[GaussianComponent, ConditionLabel]:
+    known_fields(entry, path, ("weight", "mean", "covariance", "label"))
     weight = get(entry, f"{path}.weight", number)
     mean = get(entry, f"{path}.mean", array)
     covariance = get(entry, f"{path}.covariance", array)
@@ -313,28 +307,15 @@ def _component(entry: dict, path: str) -> tuple[GaussianComponent, ConditionLabe
 
 
 def mixture_from_dict(spec: dict) -> ConditionedMixture:
+    known_fields(spec, "", ("components",))
     return ConditionedMixture(tuple(get(spec, "components", items, _component)))
 
 
-def mixture_to_dict(mix: ConditionedMixture) -> dict:
-    comps = []
-    for c, lab in mix.components:
-        cov = c.covariance
-        diag = cov[np.arange(c.dim), np.arange(c.dim)]
-        if np.all(cov == diag[0] * np.eye(c.dim)):
-            cov_out = float(diag[0])
-        else:
-            cov_out = cov.tolist()
-        comps.append({"weight": c.weight, "mean": c.mean.tolist(),
-                      "covariance": cov_out, "label": lab.value})
-    return {"components": comps}
-
-
 def load_mixture(path) -> ConditionedMixture:
-    with open(path, "r", encoding="utf-8") as fh:
-        return mixture_from_dict(json.load(fh))
+    """The mixture in the file `path` names ('pkg:NAME' for a shipped file)."""
+    return mixture_from_dict(load_json(path))
 
 
 def toy_mixture() -> ConditionedMixture:
     """The five-mode planar benchmark mixture shipped with the package."""
-    return load_mixture(files("sdse_lab.data").joinpath("toy_gmm.json"))
+    return load_mixture("pkg:toy_gmm.json")

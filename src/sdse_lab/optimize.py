@@ -125,6 +125,8 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
         raise ValueError(f"lr must be a finite number >= 0, got {lr}")
     if oracle is None:
         oracle = NoiseOracle(mix, sched)
+    elif oracle.mixture is not mix or oracle.schedule is not sched:
+        raise ValueError("oracle must be built on the same mixture and schedule")
     dim = theta.size
 
     rng = np.random.default_rng(seed)

@@ -16,7 +16,7 @@ from .mesh import LatentMesh, build_laplacian, smoothness_gradient, smoothness_l
 from .mixtures import (ConditionLabel, ConditionedMixture, FULL_COND,
                        GaussianComponent, IMAGE_COND, UNCONDITIONED,
                        load_mixture, mixture_density, mixture_log_density,
-                       mixture_score, sub_mixture, toy_mixture)
+                       mixture_score, sub_mixture)
 from .oracle import NoiseOracle
 from .samplers import SamplerKind, TimestepSampler, timestep_sequence
 from .schedule import linear_beta_schedule
@@ -125,8 +125,7 @@ def check_cfg_collapses(seed: int = 11) -> CheckResult:
     return CheckResult("cfg_collapses_exact", bool(ok), {"cases": 100})
 
 
-def check_sdse_equals_m2(mixture_path: str | None = None, seed: int = 3) -> CheckResult:
-    mix = load_mixture(mixture_path) if mixture_path else toy_mixture()
+def check_sdse_equals_m2(mix: ConditionedMixture, seed: int = 3) -> CheckResult:
     sched = linear_beta_schedule()
     oracle = NoiseOracle(mix, sched)
     rng = np.random.default_rng(seed)
@@ -204,36 +203,42 @@ def check_sampler_monotone(seed: int = 17) -> CheckResult:
     return CheckResult("sampler_non_increasing", bool(ok), {"sequences": 20})
 
 
-def check_mixture_file(mixture_path: str | None = None) -> CheckResult:
-    try:
-        mix = load_mixture(mixture_path) if mixture_path else toy_mixture()
-        for cond in (UNCONDITIONED, IMAGE_COND, FULL_COND):
-            sub = sub_mixture(mix, cond)
-            z = sub.means()[0]
-            if not np.isfinite(mixture_density(sub, z)):
-                raise ValueError("non-finite density at a component mean")
-    except (ValueError, KeyError, OSError) as err:
-        return CheckResult("mixture_file", False, {"error": str(err)})
+def check_mixture_file(mix: ConditionedMixture) -> CheckResult:
+    for cond in (UNCONDITIONED, IMAGE_COND, FULL_COND):
+        sub = sub_mixture(mix, cond)
+        z = sub.means()[0]
+        if not np.isfinite(mixture_density(sub, z)):
+            raise ValueError("non-finite density at a component mean")
     return CheckResult("mixture_file", True,
                        {"components": mix.size, "dimension": mix.dim})
 
 
+def _on_mixture(check, name: str, mix: ConditionedMixture | ValueError) -> CheckResult:
+    """check(mix), or a failed `name` check carrying the load error or the check's."""
+    try:
+        if isinstance(mix, ValueError):
+            raise mix
+        return check(mix)
+    except ValueError as err:
+        return CheckResult(name, False, {"error": str(err)})
+
+
 def run_all_checks(mixture_path: str | None = None) -> list[CheckResult]:
-    checks = [
-        check_mixture_file(mixture_path),
+    """Every check; the mixture ones run on `mixture_path` (default: the toy mixture)."""
+    try:
+        mix = load_mixture(mixture_path or "pkg:toy_gmm.json")
+    except ValueError as err:  # reported by the mixture checks
+        mix = err
+    return [
+        _on_mixture(check_mixture_file, "mixture_file", mix),
         check_score_finite_difference(),
         check_decomposition_identities(),
         check_cfg_collapses(),
+        _on_mixture(check_sdse_equals_m2, "sdse_equals_m2_exact", mix),
         check_laplacian_gradient(),
         check_allocation_table(),
         check_sampler_monotone(),
     ]
-    # the identity check needs a loadable mixture; report rather than crash
-    try:
-        checks.insert(4, check_sdse_equals_m2(mixture_path))
-    except (ValueError, KeyError, OSError) as err:
-        checks.insert(4, CheckResult("sdse_equals_m2_exact", False, {"error": str(err)}))
-    return checks
 
 
 def report_dict(checks: list[CheckResult]) -> dict:

@@ -205,6 +205,13 @@ def test_toy_large_phase_with_staged_estimators_is_config_error(tmp_path, capsys
     assert not (out / "summary.json").exists() and not list(out.glob("*.csv"))
 
 
+def test_toy_phase_on_a_non_object_sampler_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**TOY_CONFIG, "sampler": [1]})
+    assert main(["toy", "--config", cfg, "--phase", "small", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: sampler: expected an object")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [["toy", "--phase", "small"], ["mesh-edit", "--steps", "3"]])
 def test_non_object_config_is_config_error(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, [1, 2])
@@ -241,6 +248,15 @@ INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
     pytest.param("mesh-edit", {}, "-1", "SDSE_SEED", id="mesh-env-seed-negative"),
     pytest.param("mesh-edit", {"w1": 10**400}, None, "w1", id="mesh-w1-beyond-float"),
     pytest.param("mesh-edit", {"t_max": 1000}, None, "t_max", id="mesh-t-beyond-threshold"),
+    pytest.param("toy", {"stpes": 3}, None, "stpes", id="toy-unknown-key"),
+    pytest.param("toy", {"sampler": {"kind": "uniform", "tmax": 5}}, None, "sampler.tmax",
+                 id="toy-sampler-unknown-key"),
+    pytest.param("toy", {"thresholds": {"M": 150, "L": 800, "m": 100}}, None, "thresholds.m",
+                 id="toy-thresholds-unknown-key"),
+    pytest.param("toy", {"estimator": "m1"}, None, "estimator", id="toy-estimator-alias"),
+    pytest.param("toy", {"seed": 3}, None, "seed", id="toy-seed-alias"),
+    pytest.param("mesh-edit", {"step": 2}, None, "step", id="mesh-unknown-key"),
+    pytest.param("mesh-edit", {"seed": 3}, None, "seed", id="mesh-seed-alias"),
 ])
 def test_bad_field_is_config_error_naming_it(tmp_path, capsys, monkeypatch, command,
                                             override, env, field):
@@ -285,6 +301,13 @@ NAN = float("nan")
                  "init.params.std", id="init-std-infinite"),
     pytest.param("mesh", {"codes": None, "init": {"mode": "random"}}, "init.mode",
                  id="init-mode-unknown"),
+    pytest.param("mixture", {"covarance": 0.05}, "components[0].covarance",
+                 id="component-unknown-key"),
+    pytest.param("mesh", {"region": [0, 0, 0]}, "region", id="mesh-unknown-key"),
+    pytest.param("mesh", {"codes": None, "init": {"mode": "constant", "value": [0.5, 1.0]}},
+                 "init.value", id="init-unknown-key"),
+    pytest.param("mesh", {"codes": None, "init": {"mode": "gaussian", "params": {"sd": 0.5}}},
+                 "init.params.sd", id="init-params-unknown-key"),
 ])
 def test_bad_data_file_field_is_config_error_naming_it(tmp_path, capsys, kind, override,
                                                       field):
@@ -300,6 +323,26 @@ def test_bad_data_file_field_is_config_error_naming_it(tmp_path, capsys, kind, o
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "not-json", "not-object"])
+@pytest.mark.parametrize("kind", ["config", "mixture", "mesh"])
+def test_unreadable_input_file_is_config_error_naming_it(tmp_path, capsys, kind, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    if kind == "config":
+        command, cfg = "toy", str(path)
+    elif kind == "mixture":
+        command, cfg = "toy", write_config(tmp_path, {**TOY_CONFIG, "mixture_path": str(path)})
+    else:
+        command, cfg = "mesh-edit", write_config(tmp_path, {**MESH_CONFIG, "mesh_path": str(path)})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -356,6 +399,24 @@ def test_mesh_edit_wrong_typed_mesh_field_is_named(tmp_path, capsys):
     cfg = write_config(tmp_path, {**MESH_CONFIG, "mesh_path": mesh})
     assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: edges: ")
+
+
+def test_mesh_edit_profile_missing_a_region_fails_before_writing(tmp_path, capsys):
+    mesh = write_config(tmp_path, {**GOOD_MESH, "regions": [7, 7, 7]}, name="mesh.json")
+    cfg = write_config(tmp_path, {**MESH_CONFIG, "mesh_path": mesh})
+    assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "profile missing target conditions for regions [7]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_mesh_edit_on_a_subset_of_the_profile_regions(tmp_path):
+    # body_dominant edits regions 2-4; this mesh holds regions 0-2 only
+    mesh = write_config(tmp_path, GOOD_MESH, name="mesh.json")
+    cfg = write_config(tmp_path, {**MESH_CONFIG, "mesh_path": mesh, "profile": "body_dominant"})
+    out = tmp_path / "o"
+    assert main(["mesh-edit", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["runs"][0]["dispersion"].keys() == \
+        {"0", "1", "2"}
 
 
 def test_mesh_edit_missing_fixture(tmp_path, capsys):

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdse_lab.configs import (load_json, parse_mesh_config, parse_toy_config,
-                              resolve_data_path)
-from sdse_lab.fields import ConfigError, array, choice, get, items, number
+from sdse_lab.configs import parse_mesh_config, parse_toy_config, resolve_data_path
+from sdse_lab.fields import ConfigError, array, choice, get, items, load_json, number
 from sdse_lab.mesh import LatentMesh, load_mesh, mesh_from_dict
 from sdse_lab.mixtures import load_mixture, mixture_from_dict
 

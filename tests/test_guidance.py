@@ -19,9 +19,9 @@ from sdse_lab.mixtures import (
     ConditionLabel,
     ConditionedMixture,
     FULL_COND,
+    GaussianComponent,
     IMAGE_COND,
     UNCONDITIONED,
-    isotropic_component,
     toy_mixture,
 )
 from sdse_lab.oracle import NoiseOracle
@@ -241,7 +241,7 @@ def test_m4_only_zero_at_matching_epsilon(oracle):
 
 def test_m1_only_zero_for_identical_submixtures():
     comps = tuple(
-        (isotropic_component(w, m, 0.2), ConditionLabel.IMAGE_ONLY)
+        (GaussianComponent(w, m, 0.2), ConditionLabel.IMAGE_ONLY)
         for w, m in [(0.5, [0.0, 0.0]), (0.5, [2.0, 1.0])]
     )
     mix = ConditionedMixture(comps)
@@ -255,8 +255,8 @@ def test_m3_only_near_zero_at_shared_mode():
     # the image-only component is so remote that the image-conditional and
     # fully-conditional noised mixtures coincide near the shared mode
     comps = (
-        (isotropic_component(0.5, [0.0, 0.0], 0.05), ConditionLabel.BOTH),
-        (isotropic_component(0.5, [40.0, 0.0], 0.05), ConditionLabel.IMAGE_ONLY),
+        (GaussianComponent(0.5, [0.0, 0.0], 0.05), ConditionLabel.BOTH),
+        (GaussianComponent(0.5, [40.0, 0.0], 0.05), ConditionLabel.IMAGE_ONLY),
     )
     mix = ConditionedMixture(comps)
     sched = linear_beta_schedule()

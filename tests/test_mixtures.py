@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -15,13 +14,10 @@ from sdse_lab.mixtures import (
     IMAGE_COND,
     TEXT_COND,
     UNCONDITIONED,
-    isotropic_component,
-    load_mixture,
     mixture_density,
     mixture_from_dict,
     mixture_log_density,
     mixture_score,
-    mixture_to_dict,
     noised_mixture,
     sub_mixture,
     toy_mixture,
@@ -47,14 +43,14 @@ def test_component_rejects_non_spd_covariance():
 
 
 def test_mixture_rejects_mixed_dimensions():
-    a = isotropic_component(1.0, [0.0, 0.0], 1.0)
-    b = isotropic_component(1.0, [0.0, 0.0, 0.0], 1.0)
+    a = GaussianComponent(1.0, [0.0, 0.0], 1.0)
+    b = GaussianComponent(1.0, [0.0, 0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         ConditionedMixture(((a, ConditionLabel.BOTH), (b, ConditionLabel.BOTH)))
 
 
 def test_mixture_rejects_zero_total_weight():
-    a = isotropic_component(0.0, [0.0, 0.0], 1.0)
+    a = GaussianComponent(0.0, [0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         ConditionedMixture(((a, ConditionLabel.BOTH),))
 
@@ -91,7 +87,7 @@ def test_toy_unconditioned_is_the_full_mixture():
 
 
 def test_single_both_component_renormalizes_to_one():
-    comp = isotropic_component(0.3, [1.0, 2.0], 0.5)
+    comp = GaussianComponent(0.3, [1.0, 2.0], 0.5)
     mix = ConditionedMixture(((comp, ConditionLabel.BOTH),))
     sub = sub_mixture(mix, IMAGE_COND)
     assert sub.size == 1
@@ -99,7 +95,7 @@ def test_single_both_component_renormalizes_to_one():
 
 
 def test_unsupported_condition_errors():
-    comp = isotropic_component(1.0, [0.0, 0.0], 1.0)
+    comp = GaussianComponent(1.0, [0.0, 0.0], 1.0)
     mix = ConditionedMixture(((comp, ConditionLabel.TEXT_ONLY),))
     with pytest.raises(ValueError, match="condition has no support"):
         sub_mixture(mix, IMAGE_COND)
@@ -128,7 +124,7 @@ def test_toy_density_at_origin():
 
 
 def test_single_gaussian_normalization():
-    mix = ConditionedMixture(((isotropic_component(1.0, [0.0, 0.0], 1.0),
+    mix = ConditionedMixture(((GaussianComponent(1.0, [0.0, 0.0], 1.0),
                                ConditionLabel.BOTH),))
     assert mixture_density(mix, [0.0, 0.0]) == pytest.approx(1.0 / (2 * np.pi))
 
@@ -157,7 +153,7 @@ def test_log_density_survives_far_tail():
 # ---------------------------------------------------------------------------
 
 def test_score_zero_at_isolated_mode():
-    mix = ConditionedMixture(((isotropic_component(1.0, [1.0, -2.0], 0.3),
+    mix = ConditionedMixture(((GaussianComponent(1.0, [1.0, -2.0], 0.3),
                                ConditionLabel.BOTH),))
     np.testing.assert_allclose(mixture_score(mix, [1.0, -2.0]), [0.0, 0.0])
 
@@ -165,7 +161,7 @@ def test_score_zero_at_isolated_mode():
 def test_single_gaussian_score_formula():
     c = 0.4
     mu = np.array([1.0, 2.0])
-    mix = ConditionedMixture(((isotropic_component(1.0, mu, c), ConditionLabel.BOTH),))
+    mix = ConditionedMixture(((GaussianComponent(1.0, mu, c), ConditionLabel.BOTH),))
     z = np.array([0.3, -1.1])
     np.testing.assert_allclose(mixture_score(mix, z), (mu - z) / c, rtol=1e-12)
 
@@ -204,7 +200,7 @@ def test_noised_identity_at_unit_alpha_bar():
 
 
 def test_noised_component_substitution():
-    comp = isotropic_component(1.0, [2.0, -4.0], 0.2)
+    comp = GaussianComponent(1.0, [2.0, -4.0], 0.2)
     mix = ConditionedMixture(((comp, ConditionLabel.BOTH),))
     sched = NoiseSchedule(np.array([0.25, 0.1]))
     out = noised_mixture(mix, sched, 1)
@@ -265,16 +261,6 @@ def test_toy_file_encodes_the_benchmark_mixture():
     assert by_label[ConditionLabel.IMAGE_ONLY] == [(0.5, 1.0)]
     assert sorted(by_label[ConditionLabel.BOTH]) == [(1.5, 0.4), (1.5, 1.4)]
     np.testing.assert_allclose(sorted(mix.weights()), [0.1, 0.15, 0.15, 0.3, 0.3])
-
-
-def test_mixture_round_trip(tmp_path):
-    mix = random_conditioned_mixture(np.random.default_rng(3))
-    path = tmp_path / "mix.json"
-    path.write_text(json.dumps(mixture_to_dict(mix)))
-    back = load_mixture(path)
-    assert back.labels() == mix.labels()
-    np.testing.assert_allclose(back.means(), mix.means(), rtol=1e-15)
-    np.testing.assert_allclose(back.covariances(), mix.covariances(), rtol=1e-15)
 
 
 GOOD_ENTRY = {"weight": 1.0, "mean": [0, 0], "covariance": 0.1, "label": "both"}

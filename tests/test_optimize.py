@@ -72,6 +72,16 @@ class _NaNOracle(NoiseOracle):
         return np.full(np.shape(z_t), np.nan)
 
 
+@pytest.mark.parametrize("other", ["mixture", "schedule"])
+def test_oracle_on_other_inputs_is_rejected(setup, other):
+    mix, sched = setup
+    oracle = (NoiseOracle(toy_mixture(), sched) if other == "mixture" else
+              NoiseOracle(mix, linear_beta_schedule(1000, 1e-3, 5e-2)))
+    with pytest.raises(ValueError, match="oracle"):
+        optimize_point([0.5, 1.0], EstimatorKind.SDSE, uniform(1, 800, 20),
+                       mix, sched, lr=1e-2, steps=20, seed=0, oracle=oracle)
+
+
 def test_guard_trips_on_non_finite_iterate(setup):
     mix, sched = setup
     traj = optimize_point([0.5, 1.0], EstimatorKind.SDS, uniform(1, 800, 20),

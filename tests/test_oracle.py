@@ -9,9 +9,9 @@ from sdse_lab.mixtures import (
     ConditionLabel,
     ConditionedMixture,
     FULL_COND,
+    GaussianComponent,
     IMAGE_COND,
     UNCONDITIONED,
-    isotropic_component,
     mixture_density,
     sub_mixture,
     toy_mixture,
@@ -53,7 +53,7 @@ def test_forward_diffuse_out_of_range():
 
 
 def test_predict_zero_at_noised_mode():
-    comp = isotropic_component(1.0, [1.0, 1.0], 0.2)
+    comp = GaussianComponent(1.0, [1.0, 1.0], 0.2)
     mix = ConditionedMixture(((comp, ConditionLabel.BOTH),))
     sched = linear_beta_schedule()
     t = 300
@@ -88,10 +88,10 @@ def test_sigma_scaling_via_direct_construction():
     different noise scales give predictions in the exact sigma ratio."""
     mu = np.array([1.0, -0.5])
     ab1, ab2 = 0.8, 0.6
-    mix1 = ConditionedMixture(((isotropic_component(1.0, mu, 1.0), ConditionLabel.BOTH),))
+    mix1 = ConditionedMixture(((GaussianComponent(1.0, mu, 1.0), ConditionLabel.BOTH),))
     mu2 = mu * np.sqrt(ab1 / ab2)
     var2 = (ab1 * 1.0 + (1 - ab1) - (1 - ab2)) / ab2
-    mix2 = ConditionedMixture(((isotropic_component(1.0, mu2, var2), ConditionLabel.BOTH),))
+    mix2 = ConditionedMixture(((GaussianComponent(1.0, mu2, var2), ConditionLabel.BOTH),))
     s1 = NoiseSchedule(np.array([ab1]))
     s2 = NoiseSchedule(np.array([ab2]))
     z = np.array([0.4, 0.9])
