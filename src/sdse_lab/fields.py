@@ -49,6 +49,8 @@ def load_json(path) -> dict:
         raise ConfigError(path, f"cannot read the file ({err.strerror})") from None
     except ValueError as err:  # not JSON, or not UTF-8
         raise ConfigError(path, f"not valid JSON ({err})") from None
+    except RecursionError:
+        raise ConfigError(path, "not valid JSON (nested too deeply)") from None
     expect(isinstance(doc, dict), path, "config must be a JSON object")
     return doc
 
@@ -93,6 +95,9 @@ def number(value, path: str, integer: bool = False, minimum=None, maximum=None):
     return value
 
 
+_MAX_DIMS = 64  # numpy's limit on array dimensions
+
+
 def array(value, path: str, integer: bool = False, minimum=None, maximum=None) -> np.ndarray:
     """A number or nested lists of numbers, each read by `number`, as a float
     array (an int64 array if `integer`)."""
@@ -100,12 +105,14 @@ def array(value, path: str, integer: bool = False, minimum=None, maximum=None) -
         minimum = -2**63 if minimum is None else max(minimum, -2**63)
         maximum = 2**63 - 1 if maximum is None else min(maximum, 2**63 - 1)
 
-    def read(v, p):
+    def read(v, p, depth):
         if isinstance(v, list):
-            return [read(item, f"{p}[{i}]") for i, item in enumerate(v)]
+            if depth == _MAX_DIMS:
+                raise ConfigError(path, f"lists nested deeper than {_MAX_DIMS}")
+            return [read(item, f"{p}[{i}]", depth + 1) for i, item in enumerate(v)]
         return number(v, p, integer, minimum, maximum)
 
-    nested = read(value, path)
+    nested = read(value, path, 0)
     try:
         return np.array(nested, dtype=int if integer else float)
     except ValueError:  # ragged nesting

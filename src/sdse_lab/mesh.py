@@ -153,6 +153,7 @@ def mesh_from_dict(spec: dict) -> LatentMesh:
            "expected a list of [i, j] pairs")
     regions = get(spec, "regions", array, integer=True)
     expect(regions.shape == (n,), "regions", f"expected a list of {n} region ids")
+    expect(not ("codes" in spec and "init" in spec), "init", "give codes or init, not both")
     if "codes" in spec:
         codes = get(spec, "codes", array)
     elif "init" in spec:

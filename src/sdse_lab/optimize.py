@@ -77,30 +77,40 @@ class Trajectory:
 
 
 def trajectory_from_csv(path) -> Trajectory:
+    """Read what `Trajectory.to_csv` writes; a malformed line is a ValueError naming
+    `<path>:<line>`."""
     seed = 0
     digest = ""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            if not line or line.startswith("step,"):
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("digest="):
-                    digest = body[len("digest="):]
-                elif body.startswith("seed="):
-                    seed = int(body[len("seed="):])
-                continue
-            if line.startswith("step,"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("digest="):
+                        digest = body[len("digest="):]
+                    elif body.startswith("seed="):
+                        seed = int(body[len("seed="):])
+                    continue
+                values = line.split(",")
+                if len(values) != len(TRAJECTORY_COLUMNS):
+                    raise ValueError(f"expected {len(TRAJECTORY_COLUMNS)} columns, "
+                                     f"got {len(values)}")
+                rows.append([int(v) for v in values[:2]] + [float(v) for v in values[2:]])
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise ValueError(f"no trajectory rows in {path}")
-    return Trajectory(steps=data[:, 0].astype(int), timesteps=data[:, 1].astype(int),
-                      thetas=data[:, 2:4], residuals=data[:, 4:6],
-                      densities=data[:, 6:9], seed=seed, config_digest=digest)
+    try:
+        return Trajectory(steps=data[:, 0].astype(int), timesteps=data[:, 1].astype(int),
+                          thetas=data[:, 2:4], residuals=data[:, 4:6],
+                          densities=data[:, 6:9], seed=seed, config_digest=digest)
+    except ValueError as err:  # steps out of order
+        raise ValueError(f"{path}: {err}") from None
 
 
 def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,

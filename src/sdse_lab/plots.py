@@ -2,8 +2,9 @@
 
 The emitter writes plain SVG text with fixed formatting so identical inputs
 produce byte-identical files. Contour lines come from a marching-squares pass
-over a density grid; trajectories are polylines; labeled modes are drawn as
-markers.
+over a density grid: numpy classifies every cell at once, and only the cells
+a level crosses are interpolated and turned into segments. Trajectories are
+polylines; labeled modes are drawn as markers.
 """
 
 from __future__ import annotations
@@ -32,44 +33,49 @@ def density_grid(mix: ConditionedMixture, bounds: tuple[float, float, float, flo
     return xs, ys, np.exp(FrozenMixture(mix).log_density(points))
 
 
+# Marching-squares cells: corner k of cell (i, j) is 0 (xs[i], ys[j]), 1 (xs[i+1], ys[j]),
+# 2 (xs[i+1], ys[j+1]), 3 (xs[i], ys[j+1]); bit k of a cell's case is set when
+# corner k lies above the level. Edge e runs from corner _EDGE_CORNERS[e][0] to
+# corner _EDGE_CORNERS[e][1], and each case emits its segments as (edge, edge) pairs.
+_EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
+_CASE_SEGMENTS = {
+    1: ((3, 0),), 2: ((0, 1),), 3: ((3, 1),), 4: ((1, 2),),
+    6: ((0, 2),), 7: ((3, 2),), 8: ((2, 3),), 9: ((2, 0),),
+    11: ((2, 1),), 12: ((1, 3),), 13: ((1, 0),), 14: ((0, 3),),
+}
+# The saddles' segments, indexed by whether the cell's centre value is <= the level.
+_SADDLE_SEGMENTS = {5: {True: ((3, 0), (1, 2)), False: ((3, 2), (1, 0))},
+                    10: {True: ((0, 1), (2, 3)), False: ((0, 3), (2, 1))}}
+
+
 def marching_squares(xs: np.ndarray, ys: np.ndarray, grid: np.ndarray,
                      level: float) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Line segments of the iso-contour at `level` (linear edge interpolation)."""
+    """Line segments of the iso-contour at `level` (linear edge interpolation).
 
-    def interp(pa, pb, va, vb):
-        t = 0.5 if vb == va else (level - va) / (vb - va)
-        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+    Cells are visited i-major, j-minor; only those the level crosses are interpolated.
+    """
+    xs, ys, grid = np.asarray(xs), np.asarray(ys), np.asarray(grid)
+    corner_grids = (grid[:-1, :-1], grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:])
+    cases = sum((g > level).astype(np.uint8) << k for k, g in enumerate(corner_grids))
+    i, j = np.nonzero((cases != 0) & (cases != 15))
+    vals = [g[i, j] for g in corner_grids]
+    x0, x1, y0, y1 = xs[i], xs[i + 1], ys[j], ys[j + 1]
+    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+    edges = []
+    for a, b in _EDGE_CORNERS:
+        va, vb = vals[a], vals[b]
+        with np.errstate(divide="ignore", invalid="ignore"):  # where vb == va
+            t = np.where(vb == va, 0.5, (level - va) / (vb - va))
+        (xa, ya), (xb, yb) = corners[a], corners[b]
+        edges.append(np.stack([xa + t * (xb - xa), ya + t * (yb - ya)], axis=-1))
+    centre_low = (((vals[0] + vals[1]) + vals[2]) + vals[3]) / 4.0 <= level
 
     segments = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
-                       (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
-            vals = [grid[i, j], grid[i + 1, j], grid[i + 1, j + 1], grid[i, j + 1]]
-            case = sum(1 << k for k, v in enumerate(vals) if v > level)
-            if case in (0, 15):
-                continue
-            edges = {
-                0: interp(corners[0], corners[1], vals[0], vals[1]),
-                1: interp(corners[1], corners[2], vals[1], vals[2]),
-                2: interp(corners[3], corners[2], vals[3], vals[2]),
-                3: interp(corners[0], corners[3], vals[0], vals[3]),
-            }
-            lookup = {
-                1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-                6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
-                11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-            }
-            if case in (5, 10):
-                center = sum(vals) / 4.0
-                if case == 5:
-                    pairs = [(3, 0), (1, 2)] if center <= level else [(3, 2), (1, 0)]
-                else:
-                    pairs = [(0, 1), (2, 3)] if center <= level else [(0, 3), (2, 1)]
-            else:
-                pairs = lookup[case]
-            for a, b in pairs:
-                segments.append((edges[a], edges[b]))
+    for case, low, points in zip(cases[i, j].tolist(), centre_low.tolist(),
+                                 np.stack(edges, axis=1).tolist()):
+        pairs = (_SADDLE_SEGMENTS[case][low] if case in _SADDLE_SEGMENTS
+                 else _CASE_SEGMENTS[case])
+        segments.extend((tuple(points[a]), tuple(points[b])) for a, b in pairs)
     return segments
 
 

@@ -308,6 +308,8 @@ NAN = float("nan")
                  "init.value", id="init-unknown-key"),
     pytest.param("mesh", {"codes": None, "init": {"mode": "gaussian", "params": {"sd": 0.5}}},
                  "init.params.sd", id="init-params-unknown-key"),
+    pytest.param("mesh", {"init": {"mode": "gaussian", "params": {"std": 5}}}, "init",
+                 id="codes-and-init"),
 ])
 def test_bad_data_file_field_is_config_error_naming_it(tmp_path, capsys, kind, override,
                                                       field):
@@ -344,6 +346,16 @@ def test_unreadable_input_file_is_config_error_naming_it(tmp_path, capsys, kind,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_deeply_nested_mixture_is_config_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "mixture.json"
+    path.write_text('{"components": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    cfg = write_config(tmp_path, {**TOY_CONFIG, "mixture_path": str(path)})
+    assert main(["toy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {path}: not valid JSON (nested too deeply)\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -437,3 +449,17 @@ def test_emit_plot_from_trajectory(tmp_path):
     assert main(["emit-plot", "--trajectory", str(out / "m4_seed0.csv"),
                  "--out", str(svg_path)]) == 0
     assert svg_path.read_text().startswith('<?xml')
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1,5,0.5", "expected 9 columns, got 3"),
+    ("1,5,abc,1.0,0.0,0.0,0.1,0.2,0.3", "could not convert string to float: 'abc'"),
+], ids=["three-columns", "not-a-number"])
+def test_emit_plot_on_a_malformed_trajectory_names_the_line(tmp_path, capsys, row, message):
+    path = tmp_path / "run.csv"
+    path.write_text("step,t,theta_0,theta_1,res_0,res_1,p,p_img,p_full\n"
+                    "0,0,0.5,1.0,0.0,0.0,0.1,0.2,0.3\n" + row + "\n")
+    svg_path = tmp_path / "plot.svg"
+    assert main(["emit-plot", "--trajectory", str(path), "--out", str(svg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
+    assert not svg_path.exists()

@@ -59,6 +59,19 @@ def test_array_names_the_element():
     assert array([0, 2.0], "regions", integer=True).dtype == np.int64
 
 
+def test_array_bounds_its_nesting_depth():
+    def nested(depth):
+        value = 1.0
+        for _ in range(depth):
+            value = [value]
+        return value
+
+    assert array(nested(64), "mean").ndim == 64
+    for depth in (65, 900):  # 900 levels decode, but would exhaust a recursive reader
+        with pytest.raises(ConfigError, match=r"^mean: lists nested deeper than 64$"):
+            array(nested(depth), "mean")
+
+
 def test_get_items_and_choice_name_the_path():
     with pytest.raises(ConfigError, match=r"^init\.params: expected an object$"):
         get([], "init.params.std", number)

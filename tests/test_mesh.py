@@ -299,6 +299,7 @@ def test_mesh_file_validation():
      "init.params.seed"),
     ({"codes": None, "init": {"mode": "gaussian", "params": {"seed": float("inf")}}},
      "init.params.seed"),
+    ({"init": {"mode": "constant", "params": {"value": [1.0]}}}, "init"),  # with codes
 ])
 def test_mesh_file_wrong_typed_field_is_named(override, field):
     spec = {"vertices": 3, "edges": [[0, 1], [1, 2]], "regions": [0, 0, 1],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,35 @@ def test_trajectory_csv_round_trip(tmp_path, setup):
     np.testing.assert_array_equal(back.residuals, traj.residuals)
     np.testing.assert_array_equal(back.densities, traj.densities)
     np.testing.assert_array_equal(back.timesteps, traj.timesteps)
+
+
+def test_trajectory_csv_round_trips_non_finite_values(tmp_path):
+    traj = Trajectory(steps=np.arange(3), timesteps=np.array([0, 7, 3]),
+                      thetas=np.array([[0.5, 1.0], [np.inf, -0.0], [np.nan, 2.0]]),
+                      residuals=np.array([[0.0, 0.0], [-np.inf, 1e-300], [np.nan, 3.0]]),
+                      densities=np.array([[1.0, 2.0, 3.0], [np.nan, 0.0, np.inf],
+                                          [4.0, 5.0, 6.0]]), seed=3)
+    path = tmp_path / "run.csv"
+    traj.write_csv(path)
+    back = trajectory_from_csv(path)
+    assert back.to_csv() == traj.to_csv()
+    np.testing.assert_array_equal(back.thetas, traj.thetas)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1,5,0.5,1.0", "expected 9 columns, got 4"),
+    ("1,5,0.5,1.0,0.0,0.0,0.1,0.2,0.3,9", "expected 9 columns, got 10"),
+    ("1,5,abc,1.0,0.0,0.0,0.1,0.2,0.3", "could not convert string to float: 'abc'"),
+    ("1,5.5,0.5,1.0,0.0,0.0,0.1,0.2,0.3", "invalid literal for int"),
+    ("0,0,0.5,1.0,0.0,0.0,0.1,0.2,0.3", "steps must be strictly increasing"),
+], ids=["short", "long", "not-a-number", "fractional-t", "repeated-step"])
+def test_malformed_trajectory_csv_names_the_file_and_line(tmp_path, row, message):
+    path = tmp_path / "run.csv"
+    path.write_text("# seed=0\nstep,t,theta_0,theta_1,res_0,res_1,p,p_img,p_full\n"
+                    "0,0,0.5,1.0,0.0,0.0,0.1,0.2,0.3\n" + row + "\n")
+    where = f"{path}: " if "steps" in message else f"{path}:4: "
+    with pytest.raises(ValueError, match=re.escape(where + message)):
+        trajectory_from_csv(path)
 
 
 def test_trajectory_validates_lengths():
