@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -79,29 +80,32 @@ class Trajectory:
 def trajectory_from_csv(path) -> Trajectory:
     """Read what `Trajectory.to_csv` writes; a malformed line is a ValueError naming
     `<path>:<line>`."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text (byte {err.start})") from None
     seed = 0
     digest = ""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("step,"):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("step,"):
+            continue
+        try:
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("digest="):
+                    digest = body[len("digest="):]
+                elif body.startswith("seed="):
+                    seed = int(body[len("seed="):])
                 continue
-            try:
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("digest="):
-                        digest = body[len("digest="):]
-                    elif body.startswith("seed="):
-                        seed = int(body[len("seed="):])
-                    continue
-                values = line.split(",")
-                if len(values) != len(TRAJECTORY_COLUMNS):
-                    raise ValueError(f"expected {len(TRAJECTORY_COLUMNS)} columns, "
-                                     f"got {len(values)}")
-                rows.append([int(v) for v in values[:2]] + [float(v) for v in values[2:]])
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
+            values = line.split(",")
+            if len(values) != len(TRAJECTORY_COLUMNS):
+                raise ValueError(f"expected {len(TRAJECTORY_COLUMNS)} columns, "
+                                 f"got {len(values)}")
+            rows.append([int(v) for v in values[:2]] + [float(v) for v in values[2:]])
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise ValueError(f"no trajectory rows in {path}")

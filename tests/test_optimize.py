@@ -176,6 +176,13 @@ def test_malformed_trajectory_csv_names_the_file_and_line(tmp_path, row, message
         trajectory_from_csv(path)
 
 
+def test_non_utf8_trajectory_csv_names_the_file(tmp_path):
+    path = tmp_path / "run.csv"
+    path.write_bytes(b"step,t\n\xff\xfe,1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text (byte 7)")):
+        trajectory_from_csv(path)
+
+
 def test_trajectory_validates_lengths():
     with pytest.raises(ValueError):
         Trajectory(steps=np.arange(3), timesteps=np.zeros(2, dtype=int),
