@@ -164,14 +164,6 @@ def test_marching_squares_matches_reference_on_small_grids(seed):
         assert_contours_exact(xs, ys, grid, level)
 
 
-def test_marching_squares_flat_and_exact_level_edges():
-    xs = np.array([0.0, 0.5, 2.0])
-    ys = np.array([-1.0, 0.0, 0.25])
-    grid = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-    for level in (0.0, 0.5, 1.0):
-        assert_contours_exact(xs, ys, grid, level)
-
-
 def test_svg_is_identical_with_the_reference_contours(monkeypatch):
     mix = toy_mixture()
     traj = np.array([[0.5, 1.0], [1.0, 1.1], [1.5, 1.3]])
