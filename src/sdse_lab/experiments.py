@@ -232,7 +232,8 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     The gradient-aware allocation is computed from the first iteration's
     uniformly-spread measuring batch only and stays fixed for the whole run;
     the measuring batch does not move the codes, so allocator on/off pairs
-    start identically.
+    start identically. A step that takes a code past the divergence guard
+    raises ValueError naming the seed and the step.
     """
     profile = profile_targets(mesh, profile)
     oracle = NoiseOracle(mix, sched)
@@ -260,9 +261,12 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
         hit = None
         for step in range(1, config.steps + 1):
             batch = list(_draw_views(current, allocation.counts, rng, config))
-            current, report = edit_step(current, [view for view, _ in batch], oracle,
-                                        profile, [t for _, t in batch], rng, solver,
-                                        config.weights, config.thresholds)
+            try:
+                current, report = edit_step(current, [view for view, _ in batch], oracle,
+                                            profile, [t for _, t in batch], rng, solver,
+                                            config.weights, config.thresholds)
+            except ValueError as err:  # the divergence guard, named by seed and step
+                raise ValueError(f"seed {seed}, step {step}: {err}") from None
             grad_rows.append({"step": step, "grad_norms": report.grad_norms,
                               "view_counts": report.view_counts,
                               "smooth_loss": report.smooth_loss})

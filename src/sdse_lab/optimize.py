@@ -64,12 +64,12 @@ class Trajectory:
             buf.write(f"# digest={self.config_digest}\n")
         buf.write(f"# seed={self.seed}\n")
         buf.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        for i in range(self.num_rows):
-            row = [str(int(self.steps[i])), str(int(self.timesteps[i]))]
-            row += [repr(float(v)) for v in self.thetas[i]]
-            row += [repr(float(v)) for v in self.residuals[i]]
-            row += [repr(float(v)) for v in self.densities[i]]
-            buf.write(",".join(row) + "\n")
+        # tolist() yields Python ints and floats, whose str/repr are the CSV text
+        values = np.column_stack([self.thetas, self.residuals, self.densities])
+        for step, t, row in zip(self.steps.astype(int).tolist(),
+                                self.timesteps.astype(int).tolist(),
+                                values.astype(float).tolist()):
+            buf.write(f"{step},{t},{','.join(map(repr, row))}\n")
         return buf.getvalue()
 
     def write_csv(self, path) -> None:

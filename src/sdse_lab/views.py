@@ -2,9 +2,13 @@
 
 A view is a sparse convex blend over vertices of one region; rendering is the
 blend of their latent codes, so backpropagation through the render is just the
-blend weights times the residual. Region weights average per-view per-vertex
-gradient norms; view counts redistribute a fixed total across regions by
-largest remainder, so the counts always sum to the total exactly.
+blend weights times the residual. A view's code gradient is therefore zero
+outside its support and is kept as a (rows, values) pair: `values[k]` is the
+gradient at vertex `rows[k]`. No dense per-view (N, latent_dim) array is built;
+an edit step adds the pairs into one step total, and region weights sum the
+support rows' norms. Region weights average per-view per-vertex gradient
+norms; view counts redistribute a fixed total across regions by largest
+remainder, so the counts always sum to the total exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import scipy.sparse as sp
 from .guidance import GuidanceWeights, StageThresholds, sdse_residual
 from .mesh import LatentMesh, build_laplacian, smoothness_loss
 from .mixtures import Condition, FULL_COND, IMAGE_COND
+from .optimize import DIVERGENCE_GUARD
 from .oracle import NoiseOracle, forward_diffuse
 
 
@@ -66,43 +71,45 @@ def render_view(mesh: LatentMesh, view: ViewSpec) -> np.ndarray:
     return view.blend @ mesh.codes[view.vertices]
 
 
-def backprop_view(mesh: LatentMesh, view: ViewSpec, residual) -> np.ndarray:
-    """Chain rule through the linear render: blend_i * residual at supported rows."""
+def backprop_view(mesh: LatentMesh, view: ViewSpec,
+                  residual) -> tuple[np.ndarray, np.ndarray]:
+    """Chain rule through the linear render: blend_i * residual at the supported rows.
+
+    Returns the gradient as a (rows, values) pair, `view.vertices` and
+    `blend[:, None] * residual`; every other row of the gradient is zero.
+    """
     residual = np.asarray(residual, dtype=float)
     if residual.shape != (mesh.latent_dim,):
         raise ValueError("residual must match the latent dimension")
-    grad = np.zeros((mesh.num_vertices, mesh.latent_dim))
-    grad[view.vertices] += view.blend[:, None] * residual
-    return grad
+    return view.vertices, view.blend[:, None] * residual
 
 
-def region_weights(per_view_gradients: Iterable[np.ndarray], mesh: LatentMesh,
-                   regions=None) -> dict[int, float]:
+def region_weights(view_gradients: Iterable[tuple[np.ndarray, np.ndarray]],
+                   mesh: LatentMesh, regions=None) -> dict[int, float]:
     """Average per-view per-vertex gradient norms over each region's vertices.
 
-    Streams over any iterable of (N, latent_dim) gradients: each is reduced to
-    its per-vertex norms and added to every region's running total in view
-    order, so a generator input is never held in memory all at once.
+    Takes any iterable of (rows, values) view gradients, as backprop_view
+    returns them. Rows outside a view's support are zero, so each region's
+    total is the sum of the norms of the support rows that lie in it.
     """
-    regions = [int(r) for r in (mesh.region_ids() if regions is None else regions)]
-    members = {r: mesh.region_vertices(r) for r in regions}
-    totals = dict.fromkeys(members, 0.0)
-    num_views = 0
-    for grad in per_view_gradients:
-        norm = np.linalg.norm(grad, axis=1)
-        for region, verts in members.items():
-            totals[region] += float(norm[verts].sum())
-        num_views += 1
-    if num_views == 0:
+    pairs = list(view_gradients)
+    if not pairs:
         raise ValueError("need at least one view gradient")
+    ids, sizes = np.unique(mesh.regions, return_counts=True)
+    owner = np.searchsorted(ids, mesh.regions[np.concatenate([rows for rows, _ in pairs])])
+    norms = np.linalg.norm(np.concatenate([values for _, values in pairs]), axis=1)
+    totals = np.bincount(owner, weights=norms, minlength=ids.size)
+    per_region = {int(r): (float(total), int(size))
+                  for r, total, size in zip(ids, totals, sizes)}
     out: dict[int, float] = {}
-    for region in regions:
-        verts = members[region]
-        if verts.size == 0:
+    for region in (ids if regions is None else regions):
+        region = int(region)
+        if region not in per_region:
             warnings.warn(f"region {region} is empty; weight set to 0")
             out[region] = 0.0
             continue
-        out[region] = totals[region] / (num_views * verts.size)
+        total, size = per_region[region]
+        out[region] = total / (len(pairs) * size)
     return out
 
 
@@ -185,9 +192,17 @@ class SmoothedStepSolver:
         n = mesh.num_vertices
         if w1 == 0.0:
             self._solve = None
-        else:
-            mat = sp.identity(n, format="csc") + (lr * w1 * 2.0 / n) * (self.lap.T @ self.lap)
-            self._solve = sp.linalg.splu(mat.tocsc()).solve
+            return
+        scale = self.lr * float(w1) * 2.0 / n
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = sp.identity(n, format="csc") + scale * (self.lap.T @ self.lap)
+        if not (np.isfinite(scale) and np.all(np.isfinite(mat.data))):
+            raise ValueError(f"lr * w1 = {self.lr * float(w1):g} overflows the "
+                             "smoothing system")
+        # The matrix is symmetric positive definite (L is symmetric), so a
+        # symmetric minimum-degree ordering of A^T + A fills in far less than
+        # splu's default column ordering.
+        self._solve = sp.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
 
     def step_delta(self, grad: np.ndarray) -> np.ndarray:
         raw = -self.lr * grad
@@ -198,8 +213,9 @@ class SmoothedStepSolver:
 
 def view_gradient(mesh: LatentMesh, view: ViewSpec, t: int, rng: np.random.Generator,
                   oracle: NoiseOracle, target: Condition, weights: GuidanceWeights,
-                  thresholds: StageThresholds) -> np.ndarray:
-    """Code gradient of one view at timestep t, steered toward its target condition.
+                  thresholds: StageThresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Code gradient of one view at timestep t, steered toward its target condition,
+    as backprop_view's (rows, values) pair.
 
     Draws one noise sample from rng and nothing else (rendering draws nothing).
     """
@@ -216,10 +232,13 @@ def edit_step(mesh: LatentMesh, views: list[ViewSpec], oracle: NoiseOracle,
               thresholds: StageThresholds = StageThresholds()) -> tuple[LatentMesh, StepReport]:
     """Accumulate per-view residual gradients, smooth the candidate delta, apply it.
 
-    Per-view work is pure; accumulation happens in view order into a dense
-    matrix so results do not depend on evaluation scheduling. The report's
-    region weights are streamed from the same per-view gradients. The new mesh
-    shares this one's validated topology.
+    Per-view work is pure; each view's support rows are added into one dense
+    step total in view order, so results do not depend on evaluation
+    scheduling. The report's region weights come from the same per-view
+    gradients. The new mesh shares this one's validated topology.
+
+    Raises ValueError if a new code leaves the descent's divergence guard
+    (|code| > optimize.DIVERGENCE_GUARD, or not finite).
     """
     if not views:
         raise ValueError("edit step needs at least one view")
@@ -228,14 +247,20 @@ def edit_step(mesh: LatentMesh, views: list[ViewSpec], oracle: NoiseOracle,
     per_view = [view_gradient(mesh, view, t, rng, oracle, profile[view.region], weights,
                               thresholds) for view, t in zip(views, timesteps)]
     total = np.zeros_like(mesh.codes)
-    for grad in per_view:
-        total += grad
+    # add.at sums repeated rows one by one in index order, i.e. in view order
+    np.add.at(total, np.concatenate([rows for rows, _ in per_view]),
+              np.concatenate([values for _, values in per_view]))
     delta = solver.step_delta(total)
-    new_mesh = mesh.with_codes(mesh.codes + delta)
-    counts: dict[int, int] = {int(r): 0 for r in mesh.region_ids()}
+    codes = mesh.codes + delta
+    largest = np.abs(codes).max()
+    if not largest <= DIVERGENCE_GUARD:  # also trips on NaN/inf
+        raise ValueError(f"mesh codes diverged: largest |code| is {largest:g}, "
+                         f"beyond the guard {DIVERGENCE_GUARD:g}")
+    new_mesh = mesh.with_codes(codes)
+    grad_norms = region_weights(per_view, mesh)
+    counts = dict.fromkeys(grad_norms, 0)       # every mesh region, in id order
     for view in views:
         counts[int(view.region)] += 1
-    report = StepReport(grad_norms=region_weights(per_view, mesh),
-                        view_counts=counts,
+    report = StepReport(grad_norms=grad_norms, view_counts=counts,
                         smooth_loss=smoothness_loss(solver.lap, delta))
     return new_mesh, report

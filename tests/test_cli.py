@@ -431,6 +431,28 @@ def test_mesh_edit_on_a_subset_of_the_profile_regions(tmp_path):
         {"0", "1", "2"}
 
 
+MESH_EXAMPLE = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "mesh_example.json").read_text())
+
+
+@pytest.mark.parametrize("override", [{"lr": 1e200, "steps": 20},
+                                      {"lr": 1e6, "w1": 0, "steps": 20}],
+                         ids=["smoothed", "unsmoothed"])
+def test_diverging_mesh_edit_names_the_seed_and_step(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, {**MESH_EXAMPLE, **override})
+    assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed 0, step 1: mesh codes diverged")
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
+def test_overflowing_smoothing_system_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**MESH_CONFIG, "lr": 1e300, "w1": 1e10})
+    assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == \
+        "error: lr * w1 = inf overflows the smoothing system\n"
+
+
 def test_mesh_edit_missing_fixture(tmp_path, capsys):
     cfg = write_config(tmp_path, {**MESH_CONFIG, "mesh_path": "nope.json"})
     assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -199,7 +199,9 @@ def _reference_mesh_edit(mesh, profile, seed, config):
     """run_mesh_edit's per-seed loop spelled out from the public primitives.
 
     Random draws in order: measuring pass view, t, noise per view; then each
-    step draws all its views and t's before each view's noise.
+    step draws all its views and t's before each view's noise. View gradients
+    are backprop_view's (rows, values) pairs, added into the step total in
+    view order.
     """
     oracle = NoiseOracle(MIX, SCHED)
     rng = np.random.default_rng(seed)
@@ -230,8 +232,8 @@ def _reference_mesh_edit(mesh, profile, seed, config):
         batch = list(draw(current, allocation.counts))
         grads = [gradient(current, view, t) for view, t in batch]
         total = np.zeros_like(current.codes)
-        for grad in grads:
-            total += grad
+        for rows, values in grads:
+            total[rows] += values
         delta = solver.step_delta(total)
         current = current.with_codes(current.codes + delta)
         losses.append(smoothness_loss(solver.lap, delta))

@@ -160,6 +160,33 @@ def test_trajectory_csv_round_trips_non_finite_values(tmp_path):
     np.testing.assert_array_equal(back.thetas, traj.thetas)
 
 
+def per_value_csv(traj):
+    """Trajectory.to_csv written one repr(float(v)) at a time, the reference text."""
+    lines = [f"# digest={traj.config_digest}"] if traj.config_digest else []
+    lines += [f"# seed={traj.seed}", "step,t,theta_0,theta_1,res_0,res_1,p,p_img,p_full"]
+    for i in range(traj.num_rows):
+        row = [str(int(traj.steps[i])), str(int(traj.timesteps[i]))]
+        for block in (traj.thetas, traj.residuals, traj.densities):
+            row += [repr(float(v)) for v in block[i]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_per_value_formatting(setup):
+    mix, sched = setup
+    traj = optimize_point([0.5, 1.0], EstimatorKind.SDSE, uniform(1, 800, 60),
+                          mix, sched, lr=1e-2, steps=60, seed=8, config_digest="d1")
+    odd = Trajectory(steps=np.arange(4), timesteps=np.array([0, 7, 3, 1]),
+                     thetas=np.array([[0.5, 1.0], [np.inf, -0.0], [np.nan, 2.0],
+                                      [5e-324, 1e300]]),
+                     residuals=np.array([[0.0, 0.0], [-np.inf, 1e-300], [np.nan, 3.0],
+                                         [0.1, -2.5e-17]]),
+                     densities=np.array([[1.0, 2.0, 3.0], [np.nan, 0.0, np.inf],
+                                         [4.0, 5.0, 6.0], [1 / 3, 2 / 3, 1e-7]]), seed=3)
+    for t in (traj, odd):
+        assert t.to_csv() == per_value_csv(t)
+
+
 @pytest.mark.parametrize("row,message", [
     ("1,5,0.5,1.0", "expected 9 columns, got 4"),
     ("1,5,0.5,1.0,0.0,0.0,0.1,0.2,0.3,9", "expected 9 columns, got 10"),

@@ -62,16 +62,38 @@ def test_render_convex_combination():
     np.testing.assert_allclose(render_view(m, view), [3.0, 0.0])
 
 
+def dense(mesh, pair):
+    """The (N, latent_dim) gradient a (rows, values) view gradient stands for."""
+    rows, values = pair
+    grad = np.zeros((mesh.num_vertices, mesh.latent_dim))
+    grad[rows] += values
+    return grad
+
+
+def as_pair(grad):
+    """A dense gradient as a (rows, values) pair over every row."""
+    return np.arange(len(grad)), grad
+
+
+def test_backprop_returns_the_support_rows(mesh):
+    rng = np.random.default_rng(0)
+    view = make_view(mesh, 1, rng)
+    r = np.array([0.3, -1.1])
+    rows, values = backprop_view(mesh, view, r)
+    np.testing.assert_array_equal(rows, view.vertices)
+    np.testing.assert_array_equal(values, view.blend[:, None] * r)
+
+
 def test_backprop_zero_residual(mesh):
     view = ViewSpec(region=0, vertices=np.array([0, 1]), blend=np.array([0.5, 0.5]))
-    np.testing.assert_array_equal(backprop_view(mesh, view, np.zeros(2)),
+    np.testing.assert_array_equal(dense(mesh, backprop_view(mesh, view, np.zeros(2))),
                                   np.zeros((mesh.num_vertices, 2)))
 
 
 def test_backprop_single_vertex(mesh):
     view = ViewSpec(region=0, vertices=np.array([3]), blend=np.array([1.0]))
     r = np.array([0.7, -0.2])
-    grad = backprop_view(mesh, view, r)
+    grad = dense(mesh, backprop_view(mesh, view, r))
     np.testing.assert_array_equal(grad[3], r)
     assert np.count_nonzero(grad) == 2
 
@@ -80,15 +102,16 @@ def test_backprop_linearity(mesh):
     rng = np.random.default_rng(1)
     view = make_view(mesh, 2, rng)
     r1, r2 = rng.standard_normal((2, 2))
-    np.testing.assert_allclose(backprop_view(mesh, view, r1 + r2),
-                               backprop_view(mesh, view, r1) + backprop_view(mesh, view, r2),
+    np.testing.assert_allclose(dense(mesh, backprop_view(mesh, view, r1 + r2)),
+                               dense(mesh, backprop_view(mesh, view, r1))
+                               + dense(mesh, backprop_view(mesh, view, r2)),
                                atol=1e-12)
 
 
 def test_backprop_off_support_rows_are_zero(mesh):
     rng = np.random.default_rng(2)
     view = make_view(mesh, 3, rng)
-    grad = backprop_view(mesh, view, np.array([1.0, 1.0]))
+    grad = dense(mesh, backprop_view(mesh, view, np.array([1.0, 1.0])))
     outside = np.setdiff1d(np.arange(mesh.num_vertices), view.vertices)
     np.testing.assert_array_equal(grad[outside], 0.0)
 
@@ -98,16 +121,14 @@ def test_backprop_off_support_rows_are_zero(mesh):
 # ---------------------------------------------------------------------------
 
 def test_zero_gradients_give_zero_weights(mesh):
-    grads = [np.zeros((mesh.num_vertices, 2))]
+    grads = [as_pair(np.zeros((mesh.num_vertices, 2)))]
     weights = region_weights(grads, mesh)
     assert all(w == 0.0 for w in weights.values())
 
 
 def test_unit_norm_gradient_on_one_region(mesh):
-    grad = np.zeros((mesh.num_vertices, 2))
     verts = mesh.region_vertices(2)
-    grad[verts] = [1.0, 0.0]
-    weights = region_weights([grad], mesh)
+    weights = region_weights([(verts, np.tile([1.0, 0.0], (verts.size, 1)))], mesh)
     assert weights[2] == pytest.approx(1.0)
     assert all(weights[r] == 0.0 for r in weights if r != 2)
 
@@ -115,14 +136,14 @@ def test_unit_norm_gradient_on_one_region(mesh):
 def test_weights_are_homogeneous(mesh):
     rng = np.random.default_rng(3)
     grads = [rng.standard_normal((mesh.num_vertices, 2)) for _ in range(3)]
-    w1 = region_weights(grads, mesh)
-    w2 = region_weights([2.0 * g for g in grads], mesh)
+    w1 = region_weights([as_pair(g) for g in grads], mesh)
+    w2 = region_weights([as_pair(2.0 * g) for g in grads], mesh)
     for r in w1:
         assert w2[r] == pytest.approx(2.0 * w1[r], rel=1e-12)
 
 
 def test_empty_region_warns_and_zeroes(mesh):
-    grads = [np.ones((mesh.num_vertices, 2))]
+    grads = [as_pair(np.ones((mesh.num_vertices, 2)))]
     with pytest.warns(UserWarning, match="empty"):
         weights = region_weights(grads, mesh, regions=[0, 99])
     assert weights[99] == 0.0
@@ -137,7 +158,7 @@ def test_region_weights_require_views(mesh):
 
 
 def looped_region_weights(grads, mesh, regions):
-    """Per-(region, view) loop the streamed weights must reproduce bit for bit."""
+    """Per-(region, view) loop over dense gradients, the old definition of the weights."""
     out = {}
     for region in regions:
         verts = mesh.region_vertices(region)
@@ -151,18 +172,29 @@ def looped_region_weights(grads, mesh, regions):
     return out
 
 
+def assert_weights_close(got, want, rtol=1e-14):
+    assert list(got) == list(want)
+    for region, value in want.items():
+        assert abs(got[region] - value) <= rtol * abs(value), region
+
+
 @pytest.mark.parametrize("rows, cols, dim", [(5, 4, 2), (30, 30, 3)])
-def test_region_weights_match_per_region_loop_bitwise(rows, cols, dim):
+def test_region_weights_match_per_region_loop(rows, cols, dim):
+    """Support-row sums equal the dense per-region loop up to summation order."""
     mesh = grid_mesh(rows=rows, cols=cols, num_regions=5, init_code=np.zeros(dim))
     rng = np.random.default_rng(11)
-    grads = [rng.standard_normal((mesh.num_vertices, dim)) * rng.uniform(0.1, 10.0)
-             for _ in range(7)]
+    pairs = []
+    for _ in range(7):
+        support = rng.integers(1, mesh.num_vertices + 1)
+        verts = np.sort(rng.choice(mesh.num_vertices, size=support, replace=False))
+        pairs.append((verts, rng.standard_normal((support, dim)) * rng.uniform(0.1, 10.0)))
+    grads = [dense(mesh, pair) for pair in pairs]
     expected = looped_region_weights(grads, mesh, mesh.region_ids())
-    assert region_weights(grads, mesh) == expected
-    assert region_weights((g for g in grads), mesh) == expected
+    assert_weights_close(region_weights(pairs, mesh), expected)
+    assert_weights_close(region_weights((p for p in pairs), mesh), expected)
     with pytest.warns(UserWarning, match="empty"):
-        assert region_weights(iter(grads), mesh, regions=[0, 99]) == \
-            looped_region_weights(grads, mesh, [0, 99])
+        assert_weights_close(region_weights(iter(pairs), mesh, regions=[0, 99]),
+                             looped_region_weights(grads, mesh, [0, 99]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +279,51 @@ def test_step_delta_matches_per_column_lu_solve_bitwise(rows, cols):
     lr, w1, n = 0.02, 300.0, big.num_vertices
     solver = SmoothedStepSolver(big, w1=w1, lr=lr)
     lu = splu((identity(n, format="csc")
-               + (lr * w1 * 2.0 / n) * (solver.lap.T @ solver.lap)).tocsc())
+               + (lr * w1 * 2.0 / n) * (solver.lap.T @ solver.lap)).tocsc(),
+              permc_spec="MMD_AT_PLUS_A")
     rng = np.random.default_rng(rows)
     for _ in range(3):
         grad = rng.standard_normal((n, 2))
         raw = -lr * grad
         want = np.column_stack([lu.solve(raw[:, d]) for d in range(2)])
         np.testing.assert_array_equal(solver.step_delta(grad), want)
+
+
+@pytest.mark.parametrize("name", ["grid-10x10", "grid-100x100", "icosphere"])
+def test_step_delta_matches_colamd_ordered_solve(name):
+    """The symmetric ordering changes only roundoff against splu's default ordering."""
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import splu
+
+    from sdse_lab.mesh import icosphere_mesh
+
+    big = {"grid-10x10": lambda: grid_mesh(rows=10, cols=10),
+           "grid-100x100": lambda: grid_mesh(rows=100, cols=100),
+           "icosphere": icosphere_mesh}[name]()
+    lr, w1, n = 0.02, 300.0, big.num_vertices
+    solver = SmoothedStepSolver(big, w1=w1, lr=lr)
+    lu = splu((identity(n, format="csc")
+               + (lr * w1 * 2.0 / n) * (solver.lap.T @ solver.lap)).tocsc(),
+              permc_spec="COLAMD")
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        grad = rng.standard_normal((n, 2))
+        want = lu.solve(-lr * grad)
+        got = solver.step_delta(grad)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lr, w1", [(1e300, 1e10), (1e10, 1e300), (1e154, 1e154)],
+                         ids=["scale", "scale-w1", "matrix"])
+def test_overflowing_smoothing_system_is_a_value_error(mesh, lr, w1):
+    # lr * w1 overflows in the first two; in the third, lr * w1 = 1e308 is
+    # finite but scale * (L^T L) overflows
+    with pytest.raises(ValueError, match=r"lr \* w1 = .* overflows the smoothing system"):
+        SmoothedStepSolver(mesh, w1=w1, lr=lr)
+
+
+def test_huge_finite_smoothing_system_is_factored(mesh):
+    SmoothedStepSolver(mesh, w1=1e100, lr=1e100)
 
 
 def test_huge_smoothing_projects_onto_constants(mesh):
