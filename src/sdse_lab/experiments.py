@@ -67,9 +67,11 @@ class ConvergenceReport:
 def residual_ema_norm(traj: Trajectory, window: int = DEFAULT_EMA_WINDOW) -> float:
     """Norm of the exponential moving average of residual vectors at the final step."""
     alpha = 2.0 / (window + 1.0)
-    ema = np.zeros(traj.residuals.shape[1])
-    for row in traj.residuals[1:]:
-        ema = (1.0 - alpha) * ema + alpha * row
+    keep = 1.0 - alpha
+    # plain floats: the same IEEE operations as the array update, without its overhead
+    ema = [0.0] * traj.residuals.shape[1]
+    for row in traj.residuals[1:].tolist():
+        ema = [keep * e + alpha * r for e, r in zip(ema, row)]
     return float(np.linalg.norm(ema))
 
 

@@ -48,6 +48,7 @@ class LatentMesh:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "_region_index", _index_regions(regions))
 
     @property
     def num_vertices(self) -> int:
@@ -61,14 +62,15 @@ class LatentMesh:
         return np.unique(self.regions)
 
     def region_vertices(self, region: int) -> np.ndarray:
-        return np.flatnonzero(self.regions == region)
+        """The region's vertices in increasing order, read-only (empty if it has none)."""
+        return self._region_index.get(region, _NO_VERTICES)
 
     def with_codes(self, codes: np.ndarray) -> "LatentMesh":
         """Same mesh with new codes of the same shape.
 
         The topology was validated when this mesh was built and cannot change,
-        so the new mesh shares the edges and regions and only the shape of
-        the codes is checked.
+        so the new mesh shares the edges, the regions and their vertex index,
+        and only the shape of the codes is checked.
         """
         codes = np.array(codes, dtype=float)
         if codes.shape != self.codes.shape:
@@ -79,7 +81,24 @@ class LatentMesh:
         object.__setattr__(mesh, "edges", self.edges)
         object.__setattr__(mesh, "codes", codes)
         object.__setattr__(mesh, "regions", self.regions)
+        object.__setattr__(mesh, "_region_index", self._region_index)
         return mesh
+
+
+_NO_VERTICES = np.empty(0, dtype=np.intp)
+_NO_VERTICES.flags.writeable = False
+
+
+def _index_regions(regions: np.ndarray) -> dict[int, np.ndarray]:
+    """Each region id's vertices, as read-only slices of one region-sorted order.
+
+    The sort is stable, so a slice equals np.flatnonzero(regions == region).
+    """
+    order = np.argsort(regions, kind="stable")
+    order.flags.writeable = False
+    ids, starts = np.unique(regions[order], return_index=True)
+    ends = np.append(starts[1:], order.size)
+    return {int(r): order[a:b] for r, a, b in zip(ids, starts, ends)}
 
 
 def _connected(n: int, edges) -> bool:

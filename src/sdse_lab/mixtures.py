@@ -202,43 +202,58 @@ def _log_weights(wts: np.ndarray) -> np.ndarray:
 class FrozenMixture:
     """Precomputed arrays for fast repeated density/score evaluation.
 
-    Isotropic components take a diagonal path; any other covariance uses
+    Isotropic components take a diagonal path and keep one variance per
+    component (`variances`); any other covariance keeps the stack (`covs`) and
     stored inverses. Evaluation accepts one point (d,) or a stack (..., d).
     """
 
-    __slots__ = ("means", "covs", "log_wts", "iso", "inv_vars", "inv_covs", "log_norms", "dim")
+    __slots__ = ("means", "covs", "variances", "log_wts", "iso", "inv_vars", "inv_covs",
+                 "log_norms", "dim")
 
     def __init__(self, mix: ConditionedMixture):
         self._freeze(mix.means(), mix.covariances(), _log_weights(mix.weights()))
 
     def _freeze(self, means: np.ndarray, covs: np.ndarray, log_wts: np.ndarray) -> None:
-        self.means, self.covs, self.log_wts = means, covs, log_wts
+        self.means, self.log_wts = means, log_wts
         self.dim = means.shape[1]
         diag = covs[:, np.arange(self.dim), np.arange(self.dim)]
         off = covs - diag[:, :, None] * np.eye(self.dim)
         self.iso = bool(not off.any() and np.all(diag == diag[:, :1]))
         if self.iso:
-            variances = diag[:, 0]
-            self.inv_vars, self.inv_covs = 1.0 / variances, None
-            self.log_norms = -0.5 * self.dim * (_LOG_2PI + np.log(variances))
+            self._isotropic(diag[:, 0])
         else:
             sign, logdet = np.linalg.slogdet(covs)
             if np.any(sign <= 0):
                 raise ValueError("covariance must be positive definite")
+            self.covs, self.variances = covs, None
             self.inv_vars, self.inv_covs = None, np.linalg.inv(covs)
             self.log_norms = -0.5 * (self.dim * _LOG_2PI + logdet)
 
+    def _isotropic(self, variances: np.ndarray) -> None:
+        self.covs, self.variances = None, variances
+        self.inv_vars, self.inv_covs = 1.0 / variances, None
+        self.log_norms = -0.5 * self.dim * (_LOG_2PI + np.log(variances))
+
     def pushforward(self, ab: float) -> "FrozenMixture":
-        """The same mixture forward-diffused to signal level ab (weights kept)."""
+        """The same mixture forward-diffused to signal level ab (weights kept).
+
+        An isotropic table stays isotropic: its variances are ab s_k + (1 - ab)
+        in closed form, the diagonal that _pushforward's covariance stack holds.
+        """
         out = object.__new__(FrozenMixture)
-        out._freeze(*_pushforward(ab, self.means, self.covs), self.log_wts)
+        if self.iso:
+            out.means, out.log_wts = np.sqrt(ab) * self.means, self.log_wts
+            out.dim, out.iso = self.dim, True
+            out._isotropic(ab * self.variances + (1.0 - ab))
+        else:
+            out._freeze(*_pushforward(ab, self.means, self.covs), self.log_wts)
         return out
 
     def evaluate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-component (log N_k(z), mean_k - z) for every component at once."""
         d = self.means - z[..., None, :]
         if self.iso:
-            maha = (d * d).sum(-1) * self.inv_vars
+            maha = np.add.reduce(d * d, -1) * self.inv_vars
         else:
             maha = np.einsum("...kd,kde,...ke->...k", d, self.inv_covs, d)
         return self.log_norms - 0.5 * maha, d
@@ -246,23 +261,29 @@ class FrozenMixture:
     def log_density(self, z: np.ndarray):
         return logsumexp(self.log_wts + self.evaluate(z)[0], axis=-1)
 
+    def inverses(self, idx) -> np.ndarray:
+        """Inverse variances (isotropic) or inverse covariances of the components idx selects."""
+        return (self.inv_vars if self.iso else self.inv_covs)[idx]
+
     def masked_score(self, evaluated: tuple[np.ndarray, np.ndarray], idx,
-                     log_wts: np.ndarray) -> np.ndarray:
+                     log_wts: np.ndarray, inverses: np.ndarray) -> np.ndarray:
         """Score of the sub-mixture (idx, log_wts) at the point `evaluated` came from.
 
-        The gradient of the log density is the responsibility-weighted pull
-        toward the component means.
+        `inverses` is `self.inverses(idx)`, which a caller may keep across
+        points. The gradient of the log density is the responsibility-weighted
+        pull toward the component means.
         """
         log_n, d = evaluated
         logp = log_wts + log_n[idx]
-        resp = np.exp(logp - logp.max())
-        resp /= resp.sum()
+        resp = np.exp(logp - np.maximum.reduce(logp))
+        resp /= np.add.reduce(resp)
         if self.iso:
-            return (resp * self.inv_vars[idx]) @ d[idx]
-        return np.einsum("k,kde,ke->d", resp, self.inv_covs[idx], d[idx])
+            return np.dot(resp * inverses, d.take(idx, 0))
+        return np.einsum("k,kde,ke->d", resp, inverses, d.take(idx, 0))
 
     def score(self, z: np.ndarray) -> np.ndarray:
-        return self.masked_score(self.evaluate(z), slice(None), self.log_wts)
+        every = np.arange(self.log_wts.size)
+        return self.masked_score(self.evaluate(z), every, self.log_wts, self.inverses(every))
 
 
 def _as_point(mix: ConditionedMixture, z) -> np.ndarray:

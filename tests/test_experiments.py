@@ -72,6 +72,18 @@ def test_moving_far_iterate_is_wandering():
     assert report.classification is Classification.WANDERING
 
 
+def test_residual_ema_norm_repeats_the_array_recurrence_bitwise():
+    rng = np.random.default_rng(5)
+    residuals = rng.standard_normal((400, 2)) * 10.0 ** rng.integers(-9, 5, size=(400, 1))
+    residuals[0] = 0.0
+    alpha = 2.0 / (50 + 1.0)
+    ema = np.zeros(2)
+    for row in residuals[1:]:
+        ema = (1.0 - alpha) * ema + alpha * row
+    traj = make_traj(np.zeros((400, 2)), residuals)
+    assert residual_ema_norm(traj, window=50) == float(np.linalg.norm(ema))
+
+
 def test_ema_window_controls_smoothing():
     # loud prefix followed by silence: a short window forgets the prefix faster
     residuals = np.vstack([np.ones((200, 2)), np.zeros((50, 2))])

@@ -123,6 +123,27 @@ def test_region_subgraph_laplacians_match_per_edge_assembly(name):
         assert_same_csr(lap, per_edge_laplacian(len(verts), edges))
 
 
+@pytest.mark.parametrize("name", sorted(LAPLACIAN_MESHES))
+def test_region_vertices_equal_flatnonzero_and_are_read_only(name):
+    mesh = LAPLACIAN_MESHES[name]()
+    for region in [-1, *mesh.region_ids().tolist(), 99]:
+        got = mesh.region_vertices(region)
+        want = np.flatnonzero(mesh.regions == region)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+    first = int(mesh.region_ids()[0])
+    np.testing.assert_array_equal(mesh.region_vertices(np.int64(first)),
+                                  mesh.region_vertices(first))
+
+
+def test_with_codes_shares_the_region_index():
+    mesh = random_region_mesh(7, 40)
+    new = mesh.with_codes(np.zeros(mesh.codes.shape))
+    for region in mesh.region_ids().tolist():
+        assert new.region_vertices(region) is mesh.region_vertices(region)
+
+
 # ---------------------------------------------------------------------------
 # with_codes
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from sdse_lab.mixtures import (
     ConditionLabel,
     ConditionedMixture,
     FULL_COND,
+    FrozenMixture,
     GaussianComponent,
     IMAGE_COND,
     TEXT_COND,
@@ -22,7 +23,7 @@ from sdse_lab.mixtures import (
     sub_mixture,
     toy_mixture,
 )
-from sdse_lab.schedule import NoiseSchedule
+from sdse_lab.schedule import NoiseSchedule, linear_beta_schedule
 from sdse_lab.verify import finite_difference_score, random_conditioned_mixture
 
 
@@ -227,7 +228,7 @@ def test_noised_density_matches_quadrature_convolution():
     dx = grid[1] - grid[0]
     xs, ys = np.meshgrid(grid, grid, indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    raw = np.array([mixture_density(mix, p) for p in pts])
+    raw = np.exp(FrozenMixture(mix).log_density(pts))
     sig2 = 1.0 - ab
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -236,6 +237,36 @@ def test_noised_density_matches_quadrature_convolution():
         kernel = np.exp(-0.5 * d2 / sig2) / (2 * np.pi * sig2)
         convolved = float((raw * kernel).sum() * dx * dx)
         assert abs(convolved - mixture_density(out, g)) < 1e-3
+
+
+def test_pushforward_table_equals_frozen_noised_mixture_bitwise():
+    """The closed-form isotropic table is the table of the noised mixture, field for field."""
+    mix = toy_mixture()
+    sched = linear_beta_schedule()
+    base = FrozenMixture(mix)
+    assert base.iso
+    for t in range(1, sched.num_steps + 1):
+        fast = base.pushforward(sched.alpha_bar(t))
+        ref = FrozenMixture(noised_mixture(mix, sched, t))
+        for name in FrozenMixture.__slots__:
+            got, want = getattr(fast, name), getattr(ref, name)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), (t, name)
+                assert got.tobytes() == want.tobytes(), (t, name)
+            else:
+                assert got == want and type(got) is type(want), (t, name)
+
+
+def test_full_covariance_pushforward_matches_noised_mixture():
+    mix = random_conditioned_mixture(np.random.default_rng(4), full_cov=True)
+    sched = linear_beta_schedule()
+    base = FrozenMixture(mix)
+    assert not base.iso
+    for t in (1, 400, 1000):
+        fast = base.pushforward(sched.alpha_bar(t))
+        ref = FrozenMixture(noised_mixture(mix, sched, t))
+        for name in ("means", "covs", "inv_covs", "log_norms", "log_wts"):
+            np.testing.assert_array_equal(getattr(fast, name), getattr(ref, name))
 
 
 def test_noised_out_of_range_timestep():

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sdse_lab.mixtures import (
     ALL_CONDITIONS,
@@ -132,3 +132,51 @@ def test_density_bundle_at_infinite_point_is_zero_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert oracle.density_bundle(np.array([np.inf, -np.inf])) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warmed"])
+@pytest.mark.parametrize("t", [0, 1001])
+def test_predict_rejects_a_timestep_outside_the_schedule(t, warm):
+    oracle = NoiseOracle(toy_mixture(), linear_beta_schedule())
+    z = np.array([0.5, 1.0])
+    if warm:
+        for s in (1, 500, 1000):
+            for cond in ALL_CONDITIONS:
+                oracle.predict(z, s, cond)
+        oracle.density_bundle(z)
+    for cond in ALL_CONDITIONS:
+        with pytest.raises(ValueError, match=rf"timestep {t} out of range \[1, 1000\]"):
+            oracle.predict(z, t, cond)
+
+
+def _joined(parts, var_scale):
+    """One mixture holding every component of `parts`, covariances times var_scale."""
+    return ConditionedMixture(tuple(
+        (GaussianComponent(c.weight, c.mean, var_scale * c.covariance), lab)
+        for part in parts for c, lab in part.components))
+
+
+@settings(derandomize=True, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), parts=st.integers(1, 3), full_cov=st.booleans(),
+       var_scale=st.sampled_from([1.0, 1e-6]), offset=st.sampled_from([0.0, 4.0, 40.0]))
+def test_fast_paths_match_pure_path(seed, parts, full_cov, var_scale, offset):
+    """The oracle's cached tables and masked density reduction against the pure
+    functions, on mixtures of 4 to 24 components (8 or more regroup numpy's
+    unrolled sums), tiny variances and far-off points."""
+    rng = np.random.default_rng(seed)
+    mix = _joined([random_conditioned_mixture(rng, max_components=8, full_cov=full_cov)
+                   for _ in range(parts)], var_scale)
+    sched = linear_beta_schedule()
+    oracle = NoiseOracle(mix, sched)
+    z = rng.uniform(-2.0, 2.0, size=mix.dim) + offset * rng.choice([-1.0, 1.0], size=mix.dim)
+    for got, cond in zip(oracle.density_bundle(z), (UNCONDITIONED, IMAGE_COND, FULL_COND)):
+        # below the normal range a float holds too few digits for a relative bound
+        want = mixture_density(sub_mixture(mix, cond), z)
+        assert got == pytest.approx(want, rel=1e-12, abs=np.finfo(float).tiny)
+    for t in (1, int(rng.integers(2, 1000)), 1000):
+        z_t = np.sqrt(sched.alpha_bar(t)) * z
+        for cond in (*ALL_CONDITIONS, *reversed(ALL_CONDITIONS)):  # cold, then cached
+            fast = oracle.predict(z_t, t, cond)
+            pure = predict_noise(mix, sched, z_t, t, cond)
+            scale = max(1.0, float(np.max(np.abs(pure))))
+            assert np.max(np.abs(fast - pure)) <= 1e-9 * scale, (t, cond, fast, pure)
