@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .experiments import PROFILES, MeshEditConfig
 from .fields import boolean, choice, expect, get, items, known_fields, number, text
 from .fields import resolve_data_path  # noqa: F401  (imported from here by callers)
-from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
+from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds
 from .samplers import SamplerKind, TimestepSampler
 from .schedule import linear_beta_schedule
 
@@ -45,8 +45,6 @@ def _parse_seeds(cfg: dict) -> tuple[int, ...]:
 
 ESTIMATOR_NAMES = {k.value: k for k in EstimatorKind}
 SAMPLER_NAMES = {k.value: k for k in SamplerKind}
-# Estimators that exclude large timesteps (t > thresholds.L).
-STAGED = (EstimatorKind.SDSE, EstimatorKind.SDSE_PRIME)
 # Both commands run on the standard linear-beta schedule; samplers must stay inside it.
 SCHEDULE_STEPS = linear_beta_schedule().num_steps
 

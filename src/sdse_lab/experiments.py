@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
+from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds
 from .mesh import LatentMesh, _laplacian
 from .mixtures import Condition, ConditionedMixture, FULL_COND, IMAGE_COND
 from .optimize import Trajectory, optimize_point
@@ -115,8 +115,8 @@ def run_full_schedule(estimator: EstimatorKind, sampler: TimestepSampler,
                       window: int = DEFAULT_EMA_WINDOW,
                       theta0=(0.5, 1.0)) -> list[tuple[Trajectory, ConvergenceReport]]:
     """Full scheduled runs plus convergence classification against the joint modes."""
-    if sampler.t_max > thresholds.middle_max:
-        raise ValueError("sampler range must lie within [1, middle_max]")
+    if estimator in STAGED and sampler.t_max > thresholds.middle_max:
+        raise ValueError(f"sampler range must lie within [1, middle_max] for {estimator.value}")
     oracle = NoiseOracle(mix, sched)
     modes = mix.mode_points(FULL_COND)
     out = []

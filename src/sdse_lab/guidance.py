@@ -74,6 +74,10 @@ class EstimatorKind(enum.Enum):
     SDSE_PRIME = "sdse_prime"
 
 
+# Estimators that exclude large timesteps (t > StageThresholds.middle_max).
+STAGED = (EstimatorKind.SDSE, EstimatorKind.SDSE_PRIME)
+
+
 def cfg_combine(eps_uncond, eps_img, eps_full, w: GuidanceWeights) -> np.ndarray:
     """Guided noise prediction from the three oracle queries.
 

@@ -5,7 +5,8 @@ distributions they belong to: the unconditional density uses every component,
 the image-conditional density uses components reachable with the image
 condition, and so on. Sub-mixture selection, densities, scores, and the
 forward-diffusion pushforward are all closed form. All density work happens
-in log space so far-tail queries stay well behaved.
+in log space so far-tail queries stay well behaved: `FrozenMixture` holds the
+one log-sum-exp reduction over components that every density goes through.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .fields import ConfigError, array, choice, get, items, known_fields, load_json, number
 from .schedule import NoiseSchedule
@@ -191,6 +191,7 @@ def noised_mixture(mix: ConditionedMixture, sched: NoiseSchedule, t: int) -> Con
 # ---------------------------------------------------------------------------
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _log_weights(wts: np.ndarray) -> np.ndarray:
@@ -258,8 +259,33 @@ class FrozenMixture:
             maha = np.einsum("...kd,kde,...ke->...k", d, self.inv_covs, d)
         return self.log_norms - 0.5 * maha, d
 
+    def _shifted_sum(self, z: np.ndarray, log_wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of log_wts + log N(z): its max m and s = sum_k exp(logp_k - m).
+
+        The shift is clamped at -float max, so a row that is -inf throughout
+        (an infinite point, or a mask over no reachable component) gives
+        m = -inf and s = 0 rather than NaN.
+        """
+        logp = log_wts + self.evaluate(z)[0]
+        m = np.maximum.reduce(logp, axis=-1)
+        terms = np.exp(logp - np.maximum(m, -_FLOAT_MAX)[..., None])
+        return m, np.add.reduce(terms, axis=-1)
+
     def log_density(self, z: np.ndarray):
-        return logsumexp(self.log_wts + self.evaluate(z)[0], axis=-1)
+        """Log mixture density m + log s at one point (d,) or a stack (..., d)."""
+        m, s = self._shifted_sum(z, self.log_wts)
+        with np.errstate(divide="ignore"):  # s = 0 on an all -inf row
+            return m + np.log(s)
+
+    def density(self, z: np.ndarray, log_wts: np.ndarray | None = None):
+        """Mixture density exp(m) s at one point or a stack of points.
+
+        `log_wts` defaults to the mixture's own weights; masked rows (R, K),
+        -inf outside each sub-mixture's support, give R sub-mixture densities
+        at one point z.
+        """
+        m, s = self._shifted_sum(z, self.log_wts if log_wts is None else log_wts)
+        return np.exp(m) * s
 
     def inverses(self, idx) -> np.ndarray:
         """Inverse variances (isotropic) or inverse covariances of the components idx selects."""
@@ -301,7 +327,7 @@ def mixture_log_density(mix: ConditionedMixture, z) -> float:
 
 def mixture_density(mix: ConditionedMixture, z) -> float:
     """Weight-normalized mixture density at z."""
-    return float(np.exp(mixture_log_density(mix, z)))
+    return float(FrozenMixture(mix).density(_as_point(mix, z)))
 
 
 def mixture_score(mix: ConditionedMixture, z) -> np.ndarray:

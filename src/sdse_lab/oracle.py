@@ -30,8 +30,6 @@ from .mixtures import (
 )
 from .schedule import NoiseSchedule
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
 
 def forward_diffuse(z, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
     """Forward-diffused point sqrt(ab_t) z + sqrt(1 - ab_t) eps."""
@@ -55,14 +53,15 @@ class NoiseOracle:
 
     The oracle keeps, per timestep t, the forward-diffused component table
     (closed form for an isotropic mixture, see `FrozenMixture.pushforward`)
-    and, per (t, condition) pair, the operands of a prediction: -sigma_t, the
+    and, per (t, text, image) key, the operands of a prediction: -sigma_t, the
     support indices and their renormalized log weights, and the supported
     components' inverse (co)variances. A prediction then evaluates the
     components once per (t, z_t), shared by every condition queried there, and
     hands the cached operands to `FrozenMixture.masked_score`. Raw densities of
-    the unconditional, image and full conditions come from one (3, K)
-    log-weight matrix, -inf outside each condition's support, built on first
-    use (a mixture may lack a condition it is never asked about).
+    the unconditional, image and full conditions come from one
+    `FrozenMixture.density` call on a (3, K) log-weight matrix, -inf outside
+    each condition's support, built on first use (a mixture may lack a
+    condition it is never asked about).
     """
 
     def __init__(self, mix: ConditionedMixture, sched: NoiseSchedule):
@@ -73,7 +72,7 @@ class NoiseOracle:
         self._sigmas = np.sqrt(1.0 - sched.alphas_bar).tolist()
         self._tables: dict[int, FrozenMixture] = {}
         self._supports: dict[Condition, tuple[np.ndarray, np.ndarray]] = {}
-        self._operands: dict[tuple[int, Condition], tuple] = {}
+        self._operands: dict[tuple[int, bool, bool], tuple] = {}
         self._density_log_wts: np.ndarray | None = None
         self._eval_key: tuple[int, bytes] | None = None
         self._eval_val: tuple[np.ndarray, np.ndarray] | None = None
@@ -99,9 +98,11 @@ class NoiseOracle:
     def predict(self, z_t, t: int, cond: Condition) -> np.ndarray:
         """eps_hat(z_t, t, cond)."""
         z_t = np.asarray(z_t, dtype=float)
-        ops = self._operands.get((t, cond))
+        # A plain-tuple key: Condition's dataclass __hash__ would run in Python.
+        op_key = (t, cond.text, cond.image)
+        ops = self._operands.get(op_key)
         if ops is None:
-            ops = self._operands[(t, cond)] = self._prediction_operands(t, cond)
+            ops = self._operands[op_key] = self._prediction_operands(t, cond)
         table, neg_sigma, idx, log_wts, inverses = ops
         key = (t, z_t.tobytes())
         if key != self._eval_key:
@@ -118,9 +119,4 @@ class NoiseOracle:
                 idx, sub_log_wts = self._support(cond)
                 log_wts[row, idx] = sub_log_wts
             self._density_log_wts = log_wts
-        logp = log_wts + self._base.evaluate(np.asarray(z, dtype=float))[0]
-        m = np.maximum.reduce(logp, axis=1, keepdims=True)
-        # A row of -inf (e.g. at an infinite point) is shifted by a finite
-        # number instead of itself, so its terms are exp(-inf) = 0, not NaN.
-        terms = np.exp(logp - np.maximum(m, -_FLOAT_MAX))
-        return tuple((np.exp(m) * np.add.reduce(terms, axis=1, keepdims=True)).ravel().tolist())
+        return tuple(self._base.density(np.asarray(z, dtype=float), log_wts).tolist())

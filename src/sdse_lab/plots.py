@@ -30,7 +30,7 @@ def density_grid(mix: ConditionedMixture, bounds: tuple[float, float, float, flo
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     points = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    return xs, ys, np.exp(FrozenMixture(mix).log_density(points))
+    return xs, ys, FrozenMixture(mix).density(points)
 
 
 # Marching-squares cells: corner k of cell (i, j) is 0 (xs[i], ys[j]), 1 (xs[i+1], ys[j]),

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sdse_lab
 from sdse_lab.cli import main
 
 TOY_CONFIG = {
@@ -120,6 +124,24 @@ def test_toy_default_config_runs_seven_estimators(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     estimators = {r["estimator"] for r in summary["runs"]}
     assert estimators == {"sds", "ssd", "m1", "m3", "m4", "sdse", "sdse_prime"}
+
+
+def test_toy_run_leaves_scipy_special_unloaded(tmp_path):
+    """numpy and scipy.sparse are the only numeric imports; a fresh interpreter
+    that imports the CLI and runs a short toy (SVG on) never loads scipy.special."""
+    code = ("import sys\n"
+            "from sdse_lab.cli import main\n"
+            f"assert main(['toy', '--out', {str(tmp_path / 'out')!r}, '--steps', '3',"
+            " '--seed', '0']) == 0\n"
+            "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n")
+    src = str(Path(sdse_lab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("SDSE_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list((tmp_path / "out").glob("*.svg"))) == 7
 
 
 def test_toy_svg_emission(tmp_path):

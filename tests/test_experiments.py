@@ -125,6 +125,22 @@ def test_full_schedule_rejects_out_of_band_sampler():
                           lr=1e-2, steps=10)
 
 
+@pytest.mark.parametrize("estimator", [EstimatorKind.SDSE, EstimatorKind.SDSE_PRIME])
+def test_full_schedule_rejects_large_timesteps_for_staged_estimators(estimator):
+    sampler = TimestepSampler(SamplerKind.UNIFORM, 1, 801, 10)
+    with pytest.raises(ValueError, match=f"middle_max.*{estimator.value}"):
+        run_full_schedule(estimator, sampler, MIX, SCHED, seeds=[0], lr=1e-2, steps=10)
+
+
+def test_full_schedule_runs_sds_over_the_whole_schedule_with_default_thresholds():
+    """Only staged estimators exclude t > middle_max, as `parse_toy_config` rules."""
+    sampler = TimestepSampler(SamplerKind.UNIFORM, 1, 1000, 20)
+    [(traj, _)] = run_full_schedule(EstimatorKind.SDS, sampler, MIX, SCHED, seeds=[0],
+                                    lr=1e-2, steps=20)
+    assert traj.timesteps.max() > StageThresholds().middle_max
+    assert np.all(np.isfinite(traj.thetas))
+
+
 def test_full_schedule_allows_wide_band_when_thresholds_allow():
     sampler = TimestepSampler(SamplerKind.UNIFORM, 1, 1000, 10)
     th = StageThresholds(small_max=150, middle_max=1000)

@@ -1,8 +1,10 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp  # reference only; the package does not import it
 
 from sdse_lab.fields import ConfigError
 from sdse_lab.mixtures import (
@@ -15,6 +17,7 @@ from sdse_lab.mixtures import (
     IMAGE_COND,
     TEXT_COND,
     UNCONDITIONED,
+    condition_support,
     mixture_density,
     mixture_from_dict,
     mixture_log_density,
@@ -150,6 +153,87 @@ def test_log_density_survives_far_tail():
 
 
 # ---------------------------------------------------------------------------
+# the log-sum-exp kernel
+# ---------------------------------------------------------------------------
+
+def _scaled(mix, var_scale):
+    return ConditionedMixture(tuple(
+        (GaussianComponent(c.weight, c.mean, var_scale * c.covariance), lab)
+        for c, lab in mix.components))
+
+
+def _assert_log_close(got, want):
+    """Within 1e-14 relative, with a floor of 1e-14 absolute: an absolute error d
+    in a log density is a relative error of about d in the density."""
+    got, want = np.asarray(got), np.asarray(want)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    err = np.abs(got[finite] - want[finite])
+    assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(want[finite]))), err.max()
+
+
+@settings(derandomize=True, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), full_cov=st.booleans(),
+       var_scale=st.sampled_from([1.0, 1e-6]), offset=st.sampled_from([0.0, 4.0, 40.0]))
+def test_density_kernel_matches_scipy_logsumexp(seed, full_cov, var_scale, offset):
+    """log_density and density of points and stacks against scipy's logsumexp."""
+    rng = np.random.default_rng(seed)
+    mix = _scaled(random_conditioned_mixture(rng, max_components=12, full_cov=full_cov),
+                  var_scale)
+    frozen = FrozenMixture(mix)
+    z = (rng.uniform(-2.0, 2.0, size=(3, 4, mix.dim))
+         + offset * rng.choice([-1.0, 1.0], size=(3, 4, mix.dim)))
+    for pts in (z[0, 0], z[0], z):
+        want = logsumexp(frozen.log_wts + frozen.evaluate(pts)[0], axis=-1)
+        got = frozen.log_density(pts)
+        assert np.shape(got) == np.shape(want)
+        _assert_log_close(got, want)
+        dens = frozen.density(pts)
+        assert np.shape(dens) == np.shape(want)
+        normal = want > np.log(np.finfo(float).tiny)
+        with np.errstate(divide="ignore"):
+            _assert_log_close(np.log(dens)[normal], want[normal])
+        # below the normal range a float holds too few digits for a relative bound
+        assert np.all(np.abs(dens[~normal] - np.exp(want[~normal])) <= np.finfo(float).tiny)
+    assert mixture_log_density(mix, z[0, 0]) == frozen.log_density(z[0, 0])
+    assert mixture_density(mix, z[0, 0]) == frozen.density(z[0, 0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_density_of_masked_rows_equals_sub_mixture_densities(seed):
+    rng = np.random.default_rng(seed)
+    mix = random_conditioned_mixture(rng, max_components=12, full_cov=seed % 2 == 0)
+    rows = np.full((len(ALL_CONDITIONS), mix.size), -np.inf)
+    for row, cond in enumerate(ALL_CONDITIONS):
+        idx, log_wts = condition_support(mix, cond)
+        rows[row, idx] = log_wts
+    frozen = FrozenMixture(mix)
+    for _ in range(5):
+        z = rng.uniform(-3.0, 3.0, size=mix.dim)
+        got = frozen.density(z, rows)
+        assert got.shape == (len(ALL_CONDITIONS),)
+        for value, cond in zip(got, ALL_CONDITIONS):
+            assert value == pytest.approx(mixture_density(sub_mixture(mix, cond), z),
+                                          rel=1e-12)
+
+
+def test_all_minus_inf_rows_give_zero_and_minus_inf_without_warnings():
+    frozen = FrozenMixture(toy_mixture())
+    far = np.array([np.inf, -np.inf])
+    rows = np.stack([frozen.log_wts, np.full(frozen.log_wts.size, -np.inf)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frozen.density(far) == 0.0
+        assert frozen.log_density(far) == -np.inf
+        np.testing.assert_array_equal(frozen.density(far, rows), [0.0, 0.0])
+        got = frozen.density(np.zeros(2), rows)
+    assert got[0] > 0.0 and got[1] == 0.0
+    stack = np.array([[0.0, 0.0], [np.inf, 0.0]])
+    np.testing.assert_array_equal(frozen.log_density(stack)[1:], [-np.inf])
+    assert np.isfinite(frozen.log_density(stack)[0])
+
+
+# ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
 
@@ -228,7 +312,7 @@ def test_noised_density_matches_quadrature_convolution():
     dx = grid[1] - grid[0]
     xs, ys = np.meshgrid(grid, grid, indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    raw = np.exp(FrozenMixture(mix).log_density(pts))
+    raw = FrozenMixture(mix).density(pts)
     sig2 = 1.0 - ab
     rng = np.random.default_rng(0)
     for _ in range(10):

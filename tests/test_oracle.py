@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdse_lab.mixtures import (
     ALL_CONDITIONS,
+    Condition,
     ConditionLabel,
     ConditionedMixture,
     FULL_COND,
@@ -132,6 +133,22 @@ def test_density_bundle_at_infinite_point_is_zero_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert oracle.density_bundle(np.array([np.inf, -np.inf])) == (0.0, 0.0, 0.0)
+
+
+def test_predict_keys_conditions_by_value():
+    """A freshly built condition hits the same cached operands as FULL_COND."""
+    sched = linear_beta_schedule()
+    z = np.array([0.5, 1.0])
+    for t in (1, 400, 1000):
+        want = NoiseOracle(toy_mixture(), sched).predict(z, t, FULL_COND)
+        cold = NoiseOracle(toy_mixture(), sched)
+        got = cold.predict(z, t, Condition(text=True, image=True))
+        assert got.tobytes() == want.tobytes()
+        warm = NoiseOracle(toy_mixture(), sched)
+        warm.predict(z, t, FULL_COND)
+        got = warm.predict(z, t, Condition(text=True, image=True))
+        assert got.tobytes() == want.tobytes()
+        assert len(warm._operands) == 1
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warmed"])
