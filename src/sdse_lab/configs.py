@@ -16,6 +16,7 @@ from .experiments import PROFILES, MeshEditConfig
 from .fields import boolean, choice, expect, get, items, known_fields, number, text
 from .fields import resolve_data_path  # noqa: F401  (imported from here by callers)
 from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds
+from .mixtures import START_POINT
 from .samplers import SamplerKind, TimestepSampler
 from .schedule import linear_beta_schedule
 
@@ -39,14 +40,38 @@ def _parse_weights(cfg: dict) -> GuidanceWeights:
         omega_i=get(cfg, "omega_i", number, default=default.omega_i, minimum=0.0))
 
 
+def _distinct(values, path: str, key=lambda value: value):
+    """`values`, the list at `path`; ConfigError on an entry whose key an earlier one has."""
+    first: dict = {}
+    for i, value in enumerate(values):
+        j = first.setdefault(key(value), i)
+        expect(j == i, f"{path}[{i}]", f"repeats {path}[{j}] ({key(value)})")
+    return values
+
+
 def _parse_seeds(cfg: dict) -> tuple[int, ...]:
-    return tuple(get(cfg, "seeds", items, number, default=[0], integer=True, minimum=0))
+    return tuple(_distinct(get(cfg, "seeds", items, number, default=[0], integer=True,
+                               minimum=0), "seeds"))
 
 
 ESTIMATOR_NAMES = {k.value: k for k in EstimatorKind}
 SAMPLER_NAMES = {k.value: k for k in SamplerKind}
 # Both commands run on the standard linear-beta schedule; samplers must stay inside it.
 SCHEDULE_STEPS = linear_beta_schedule().num_steps
+
+
+def _timestep_range(obj: dict, prefix: str, thresholds: StageThresholds,
+                    staged: str) -> tuple[int, int]:
+    """[`prefix`t_min, `prefix`t_max] inside the schedule, and within thresholds.L if
+    `staged` names what runs staged; the defaults are MeshEditConfig's."""
+    t_min = get(obj, f"{prefix}t_min", number, default=MeshEditConfig.t_min, integer=True,
+                minimum=1)
+    t_max = get(obj, f"{prefix}t_max", number, default=MeshEditConfig.t_max, integer=True,
+                minimum=1, maximum=SCHEDULE_STEPS)
+    expect(t_min <= t_max, f"{prefix}t_max", f"must be >= {prefix}t_min")
+    expect(not staged or t_max <= thresholds.middle_max, f"{prefix}t_max",
+           f"must be <= thresholds.L ({thresholds.middle_max}) for {staged}")
+    return t_min, t_max
 
 
 def config_digest(cfg: dict) -> str:
@@ -86,28 +111,24 @@ class ToyRunConfig:
 def parse_toy_config(cfg: dict) -> ToyRunConfig:
     path = get(cfg, "mixture_path", text)
 
-    names = get(cfg, "estimators", items, choice, ESTIMATOR_NAMES)
+    names = _distinct(get(cfg, "estimators", items, choice, ESTIMATOR_NAMES), "estimators")
     estimators = [ESTIMATOR_NAMES[name] for name in names]
 
     weights = _parse_weights(cfg)
 
     sampler = cfg.get("sampler", {})
     kind_name = get(sampler, "sampler.kind", choice, SAMPLER_NAMES, default="non_increasing")
-    t_min = get(sampler, "sampler.t_min", number, default=1, integer=True, minimum=1)
-    t_max = get(sampler, "sampler.t_max", number, default=800, integer=True, minimum=1,
-                maximum=SCHEDULE_STEPS)
-    expect(t_min <= t_max, "sampler.t_max", "must be >= sampler.t_min")
-    jitter = get(sampler, "sampler.jitter", number, default=0.0, minimum=0.0)
     thresholds = parse_thresholds(cfg)
-    staged = [e.value for e in estimators if e in STAGED]
-    expect(not staged or t_max <= thresholds.middle_max, "sampler.t_max",
-           f"must be <= thresholds.L ({thresholds.middle_max}) for {', '.join(staged)}")
+    staged = ", ".join(e.value for e in estimators if e in STAGED)
+    t_min, t_max = _timestep_range(sampler, "sampler.", thresholds, staged)
+    jitter = get(sampler, "sampler.jitter", number, default=TimestepSampler.jitter,
+                 minimum=0.0)
 
     lr = get(cfg, "lr", number, default=1e-2, minimum=0.0)
     steps = get(cfg, "steps", number, default=2000, integer=True, minimum=1)
     seeds = _parse_seeds(cfg)
 
-    theta0 = get(cfg, "theta0", items, number, default=[0.5, 1.0])
+    theta0 = get(cfg, "theta0", items, number, default=list(START_POINT))
     expect(len(theta0) == 2, "theta0", "expected a 2-element list")
     theta0 = tuple(float(v) for v in theta0)
     # accepted so that existing configs keep parsing; the oracle always noises
@@ -153,17 +174,14 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
 
     w1 = cfg.get("w1", default.w1)
     if isinstance(w1, list):
-        w1_values = tuple(float(v) for v in items(w1, "w1", number, minimum=0.0))
+        # a repeat is an equal number (0.0, -0.0) or one that writes the same w1_{:g} file
+        w1_values = _distinct(tuple(float(v) for v in items(w1, "w1", number, minimum=0.0)),
+                              "w1", key=lambda v: f"w1_{v + 0.0:g}")
     else:
         w1_values = (float(number(w1, "w1", minimum=0.0)),)
 
-    t_min = get(cfg, "t_min", number, default=default.t_min, integer=True, minimum=1)
-    t_max = get(cfg, "t_max", number, default=default.t_max, integer=True, minimum=1,
-                maximum=SCHEDULE_STEPS)
-    expect(t_min <= t_max, "t_max", "must be >= t_min")
     thresholds = parse_thresholds(cfg)
-    expect(t_max <= thresholds.middle_max, "t_max",
-           f"must be <= thresholds.L ({thresholds.middle_max}) for the SDSE mesh edit")
+    t_min, t_max = _timestep_range(cfg, "", thresholds, "the SDSE mesh edit")
     edit = MeshEditConfig(
         steps=get(cfg, "steps", number, default=default.steps, integer=True, minimum=1),
         views_per_step=get(cfg, "views_per_step", number, default=default.views_per_step,

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds
 from .mesh import LatentMesh, _laplacian
-from .mixtures import Condition, ConditionedMixture, FULL_COND, IMAGE_COND
+from .mixtures import START_POINT, Condition, ConditionedMixture, FULL_COND, IMAGE_COND
 from .optimize import Trajectory, optimize_point
 from .oracle import NoiseOracle
 from .samplers import TimestepSampler
@@ -24,8 +24,6 @@ from .schedule import NoiseSchedule
 from .views import (RegionAllocation, SmoothedStepSolver, allocate_views, edit_step,
                     make_view, region_weights, view_gradient)
 
-DEFAULT_TOLERANCE = 0.05
-DEFAULT_GRAD_TOL = 1e-3
 DEFAULT_EMA_WINDOW = 50
 
 
@@ -75,8 +73,8 @@ def residual_ema_norm(traj: Trajectory, window: int = DEFAULT_EMA_WINDOW) -> flo
     return float(np.linalg.norm(ema))
 
 
-def convergence_check(traj: Trajectory, modes: np.ndarray, tol: float = DEFAULT_TOLERANCE,
-                      grad_tol: float = DEFAULT_GRAD_TOL,
+def convergence_check(traj: Trajectory, modes: np.ndarray, tol: float = 0.05,
+                      grad_tol: float = 1e-3,
                       window: int = DEFAULT_EMA_WINDOW) -> ConvergenceReport:
     """Classify a finished run against the labeled target modes.
 
@@ -108,23 +106,18 @@ def convergence_check(traj: Trajectory, modes: np.ndarray, tol: float = DEFAULT_
 def run_full_schedule(estimator: EstimatorKind, sampler: TimestepSampler,
                       mix: ConditionedMixture, sched: NoiseSchedule,
                       seeds: list[int], lr: float, steps: int,
-                      weights: GuidanceWeights = GuidanceWeights(),
-                      thresholds: StageThresholds = StageThresholds(),
-                      tol: float = DEFAULT_TOLERANCE,
-                      grad_tol: float = DEFAULT_GRAD_TOL,
-                      window: int = DEFAULT_EMA_WINDOW,
-                      theta0=(0.5, 1.0)) -> list[tuple[Trajectory, ConvergenceReport]]:
-    """Full scheduled runs plus convergence classification against the joint modes."""
-    if estimator in STAGED and sampler.t_max > thresholds.middle_max:
+                      theta0=START_POINT) -> list[tuple[Trajectory, ConvergenceReport]]:
+    """Full scheduled runs at the default guidance weights and staging thresholds,
+    plus convergence classification against the joint modes."""
+    if estimator in STAGED and sampler.t_max > StageThresholds.middle_max:
         raise ValueError(f"sampler range must lie within [1, middle_max] for {estimator.value}")
     oracle = NoiseOracle(mix, sched)
     modes = mix.mode_points(FULL_COND)
     out = []
     for seed in sorted(seeds):
         traj = optimize_point(theta0, estimator, sampler, mix, sched,
-                              lr=lr, steps=steps, seed=seed, weights=weights,
-                              thresholds=thresholds, oracle=oracle)
-        out.append((traj, convergence_check(traj, modes, tol, grad_tol, window)))
+                              lr=lr, steps=steps, seed=seed, oracle=oracle)
+        out.append((traj, convergence_check(traj, modes)))
     return out
 
 
@@ -147,7 +140,7 @@ class MeshEditConfig:
     w1: float = 300.0
     allocator: bool = True
     t_min: int = 1
-    t_max: int = 800
+    t_max: int = StageThresholds.middle_max
     support: int = 8
     threshold_distance: float = 0.5
     weights: GuidanceWeights = GuidanceWeights()

@@ -160,12 +160,10 @@ def sdse_residual(oracle: NoiseOracle, z_t, t: int, epsilon, w: GuidanceWeights,
 
 def sdse_prime_residual(oracle: NoiseOracle, z_t, t: int, epsilon, w: GuidanceWeights,
                         th: StageThresholds = StageThresholds()) -> np.ndarray:
-    """Variant dropping the divergence term at small timesteps (t <= small_max)."""
-    if t > th.middle_max:
-        raise ValueError(f"large timesteps excluded: t={t} > {th.middle_max}")
-    epsilon = np.asarray(epsilon, dtype=float)
+    """Variant dropping the divergence term at small timesteps (t <= small_max);
+    sdse_residual refuses the large ones."""
     if t <= th.small_max:
-        return oracle.predict(z_t, t, FULL_COND) - epsilon
+        return oracle.predict(z_t, t, FULL_COND) - np.asarray(epsilon, dtype=float)
     return sdse_residual(oracle, z_t, t, epsilon, w, th)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import ConfigError, array, choice, expect, get, known_fields, load_json, number
+from .mixtures import START_POINT
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ def mesh_to_dict(mesh: LatentMesh) -> dict:
 
 
 def grid_mesh(rows: int = 10, cols: int = 10, num_regions: int = 5,
-              init_code=(0.5, 1.0)) -> LatentMesh:
+              init_code=START_POINT) -> LatentMesh:
     """Banded grid graph: 4-connected lattice split into horizontal region bands."""
     n = rows * cols
     edges = []
@@ -246,8 +247,9 @@ def icosahedron_edges() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     return verts, tuple(edges)
 
 
-def icosphere_mesh(num_regions: int = 5, init_code=(0.5, 1.0)) -> LatentMesh:
-    """Once-subdivided icosahedron graph (42 vertices) with latitude-band regions."""
+def icosphere_mesh(num_regions: int = 5) -> LatentMesh:
+    """Once-subdivided icosahedron graph (42 vertices) with latitude-band regions,
+    every code at START_POINT."""
     verts, edges = icosahedron_edges()
     verts = [v / np.linalg.norm(v) for v in verts]
     midpoint: dict[tuple[int, int], int] = {}
@@ -281,5 +283,5 @@ def icosphere_mesh(num_regions: int = 5, init_code=(0.5, 1.0)) -> LatentMesh:
     order = np.argsort(np.argsort(pts[:, 2]))  # rank by latitude
     band = np.ceil((order + 1) / (n / num_regions)).astype(int) - 1
     regions = np.clip(band, 0, num_regions - 1)
-    codes = np.tile(np.asarray(init_code, dtype=float), (n, 1))
+    codes = np.tile(np.asarray(START_POINT, dtype=float), (n, 1))
     return LatentMesh(edges=tuple(sorted(new_edges)), codes=codes, regions=regions)

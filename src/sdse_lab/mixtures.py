@@ -159,13 +159,9 @@ def condition_support(mix: ConditionedMixture, cond: Condition) -> tuple[np.ndar
 
 
 def sub_mixture(mix: ConditionedMixture, cond: Condition) -> ConditionedMixture:
-    """Renormalized sub-mixture of components admitted by the conditioning pair."""
+    """The components admitted by `cond`, weights as given (`_log_weights` normalizes)."""
     idx, _ = condition_support(mix, cond)
-    selected = [mix.components[k] for k in idx]
-    total = sum(c.weight for c, _ in selected)
-    return ConditionedMixture(tuple(
-        (GaussianComponent(c.weight / total, c.mean, c.covariance), lab)
-        for c, lab in selected))
+    return ConditionedMixture(tuple(mix.components[k] for k in idx))
 
 
 def _pushforward(ab: float, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,6 +357,11 @@ def mixture_from_dict(spec: dict) -> ConditionedMixture:
 def load_mixture(path) -> ConditionedMixture:
     """The mixture in the file `path` names ('pkg:NAME' for a shipped file)."""
     return mixture_from_dict(load_json(path))
+
+
+# The toy mixture's image-only mode (the unedited source): the default start of
+# a toy descent and of a generated mesh's codes.
+START_POINT = (0.5, 1.0)
 
 
 def toy_mixture() -> ConditionedMixture:

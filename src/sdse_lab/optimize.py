@@ -137,6 +137,9 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
         raise ValueError("steps must be >= 1")
     if not 0 <= lr < np.inf:
         raise ValueError(f"lr must be a finite number >= 0, got {lr}")
+    if sampler.t_max > sched.num_steps:
+        raise ValueError(f"sampler t_max = {sampler.t_max} lies beyond the schedule's "
+                         f"{sched.num_steps} steps")
     if oracle is None:
         oracle = NoiseOracle(mix, sched)
     elif oracle.mixture is not mix or oracle.schedule is not sched:
@@ -146,8 +149,7 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
     rng = np.random.default_rng(seed)
     ts = timestep_sequence(sampler, rng, steps)
     epsilons = rng.standard_normal((steps, dim))
-    sqrt_ab = np.sqrt(sched.alphas_bar)
-    sigma = np.sqrt(1.0 - sched.alphas_bar)
+    sqrt_ab, sigma = sched.sqrt_alphas_bar, sched.sigmas
 
     n = steps + 1
     out_steps = np.arange(n)

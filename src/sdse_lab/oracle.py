@@ -37,8 +37,8 @@ def forward_diffuse(z, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
     eps = np.asarray(eps, dtype=float)
     if eps.shape != z.shape:
         raise ValueError("noise sample must match the point's dimension")
-    ab = sched.alpha_bar(t)
-    return np.sqrt(ab) * z + np.sqrt(1.0 - ab) * eps
+    i = sched.index(t)
+    return sched.sqrt_alphas_bar[i] * z + sched.sigmas[i] * eps
 
 
 def predict_noise(mix: ConditionedMixture, sched: NoiseSchedule, z_t, t: int,
@@ -68,8 +68,6 @@ class NoiseOracle:
         self.mixture = mix
         self.schedule = sched
         self._base = FrozenMixture(mix)
-        # sqrt(1 - ab_t) element for element, as NoiseSchedule.sigma computes it
-        self._sigmas = np.sqrt(1.0 - sched.alphas_bar).tolist()
         self._tables: dict[int, FrozenMixture] = {}
         self._supports: dict[Condition, tuple[np.ndarray, np.ndarray]] = {}
         self._operands: dict[tuple[int, bool, bool], tuple] = {}
@@ -91,9 +89,9 @@ class NoiseOracle:
         return hit
 
     def _prediction_operands(self, t: int, cond: Condition) -> tuple:
-        table = self._table(t)  # validates t before the sigma lookup
+        table = self._table(t)
         idx, log_wts = self._support(cond)
-        return table, -self._sigmas[int(t) - 1], idx, log_wts, table.inverses(idx)
+        return table, -self.schedule.sigma(t), idx, log_wts, table.inverses(idx)
 
     def predict(self, z_t, t: int, cond: Condition) -> np.ndarray:
         """eps_hat(z_t, t, cond)."""

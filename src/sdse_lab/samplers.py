@@ -36,12 +36,6 @@ class TimestepSampler:
             raise ValueError("jitter must be >= 0")
 
 
-def _envelope(sampler: TimestepSampler, steps: int) -> np.ndarray:
-    if steps == 1:
-        return np.array([float(sampler.t_max)])
-    return np.linspace(sampler.t_max, sampler.t_min, steps)
-
-
 def timestep_sequence(sampler: TimestepSampler, rng: np.random.Generator,
                       steps: int | None = None) -> np.ndarray:
     """Full emitted timestep sequence for a run, deterministic given the rng state."""
@@ -50,7 +44,7 @@ def timestep_sequence(sampler: TimestepSampler, rng: np.random.Generator,
         raise ValueError("steps must be >= 1")
     if sampler.kind is SamplerKind.UNIFORM:
         return rng.integers(sampler.t_min, sampler.t_max + 1, size=n).astype(int)
-    env = _envelope(sampler, n)
+    env = np.linspace(sampler.t_max, sampler.t_min, n)  # [t_max] when n == 1
     if sampler.jitter > 0.0:
         env = env + sampler.jitter * rng.standard_normal(n)
     ts = np.rint(env).astype(int)

@@ -42,10 +42,9 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def random_conditioned_mixture(rng: np.random.Generator, dim: int = 2,
-                               max_components: int = 5,
+def random_conditioned_mixture(rng: np.random.Generator, max_components: int = 5,
                                full_cov: bool = True) -> ConditionedMixture:
-    """Random labeled mixture guaranteed to support all four condition pairs."""
+    """Random labeled planar mixture guaranteed to support all four condition pairs."""
     labels = [ConditionLabel.UNCONDITIONAL, ConditionLabel.IMAGE_ONLY,
               ConditionLabel.TEXT_ONLY, ConditionLabel.BOTH]
     extra = rng.integers(0, max(1, max_components - len(labels) + 1))
@@ -53,27 +52,26 @@ def random_conditioned_mixture(rng: np.random.Generator, dim: int = 2,
                for _ in range(extra)]
     comps = []
     for lab in labels:
-        mean = rng.uniform(-2.0, 2.0, size=dim)
+        mean = rng.uniform(-2.0, 2.0, size=2)
         if full_cov and rng.random() < 0.5:
-            a = rng.standard_normal((dim, dim)) * 0.3
-            cov = a @ a.T + (0.05 + 0.2 * rng.random()) * np.eye(dim)
+            a = rng.standard_normal((2, 2)) * 0.3
+            cov = a @ a.T + (0.05 + 0.2 * rng.random()) * np.eye(2)
         else:
-            cov = (0.05 + 0.45 * rng.random()) * np.eye(dim)
+            cov = (0.05 + 0.45 * rng.random()) * np.eye(2)
         comps.append((GaussianComponent(0.1 + rng.random(), mean, cov), lab))
     return ConditionedMixture(tuple(comps))
 
 
-def finite_difference_score(mix: ConditionedMixture, z: np.ndarray,
-                            step: float = FD_STEP) -> np.ndarray:
-    """Central differences of the log density, the independent score oracle."""
+def finite_difference_score(mix: ConditionedMixture, z: np.ndarray) -> np.ndarray:
+    """Central differences of the log density (step FD_STEP), the independent score oracle."""
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
     for d in range(z.size):
         hi = z.copy()
         lo = z.copy()
-        hi[d] += step
-        lo[d] -= step
-        out[d] = (mixture_log_density(mix, hi) - mixture_log_density(mix, lo)) / (2 * step)
+        hi[d] += FD_STEP
+        lo[d] -= FD_STEP
+        out[d] = (mixture_log_density(mix, hi) - mixture_log_density(mix, lo)) / (2 * FD_STEP)
     return out
 
 
@@ -103,20 +101,22 @@ def decomposition_worst_error(rng: np.random.Generator, trials: int) -> float:
     return float(worst)
 
 
-def check_score_finite_difference(trials: int = 100, seed: int = 2024) -> CheckResult:
-    worst = score_fd_worst_error(np.random.default_rng(seed), trials)
+def check_score_finite_difference() -> CheckResult:
+    trials = 100
+    worst = score_fd_worst_error(np.random.default_rng(2024), trials)
     return CheckResult("score_finite_difference", worst < FD_REL_TOL,
                        {"trials": trials, "worst_rel_error": worst, "tolerance": FD_REL_TOL})
 
 
-def check_decomposition_identities(trials: int = 1000, seed: int = 7) -> CheckResult:
-    worst = decomposition_worst_error(np.random.default_rng(seed), trials)
+def check_decomposition_identities() -> CheckResult:
+    trials = 1000
+    worst = decomposition_worst_error(np.random.default_rng(7), trials)
     return CheckResult("decomposition_identities", worst < 1e-12,
                        {"trials": trials, "worst_abs_error": worst, "tolerance": 1e-12})
 
 
-def check_cfg_collapses(seed: int = 11) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_cfg_collapses() -> CheckResult:
+    rng = np.random.default_rng(11)
     ok = True
     for _ in range(50):
         eps_u, eps_i, eps_f = rng.standard_normal((3, 2))
@@ -125,10 +125,9 @@ def check_cfg_collapses(seed: int = 11) -> CheckResult:
     return CheckResult("cfg_collapses_exact", bool(ok), {"cases": 100})
 
 
-def check_sdse_equals_m2(mix: ConditionedMixture, seed: int = 3) -> CheckResult:
-    sched = linear_beta_schedule()
-    oracle = NoiseOracle(mix, sched)
-    rng = np.random.default_rng(seed)
+def check_sdse_equals_m2(mix: ConditionedMixture) -> CheckResult:
+    oracle = NoiseOracle(mix, linear_beta_schedule())
+    rng = np.random.default_rng(3)
     w = GuidanceWeights()
     ok = True
     for _ in range(50):
@@ -174,8 +173,9 @@ def laplacian_fd_rel_error(rng: np.random.Generator, n: int) -> float:
     return float(np.abs(grad - fd).max() / max(np.abs(grad).max(), 1e-9))
 
 
-def check_laplacian_gradient(trials: int = 10, seed: int = 5) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_laplacian_gradient() -> CheckResult:
+    trials = 10
+    rng = np.random.default_rng(5)
     worst = max(laplacian_fd_rel_error(rng, int(rng.integers(5, 51))) for _ in range(trials))
     return CheckResult("laplacian_gradient_fd", worst < 1e-5,
                        {"trials": trials, "worst_rel_error": worst, "tolerance": 1e-5})
@@ -194,11 +194,11 @@ def check_allocation_table() -> CheckResult:
     return CheckResult("allocation_table", bool(ok), {"rows": rows})
 
 
-def check_sampler_monotone(seed: int = 17) -> CheckResult:
+def check_sampler_monotone() -> CheckResult:
     ok = True
-    for s in range(20):
-        sampler = TimestepSampler(SamplerKind.NON_INCREASING, 1, 800, 257, jitter=25.0)
-        ts = timestep_sequence(sampler, np.random.default_rng(seed + s))
+    sampler = TimestepSampler(SamplerKind.NON_INCREASING, 1, 800, 257, jitter=25.0)
+    for seed in range(17, 37):
+        ts = timestep_sequence(sampler, np.random.default_rng(seed))
         ok &= bool(np.all(np.diff(ts) <= 0))
     return CheckResult("sampler_non_increasing", bool(ok), {"sequences": 20})
 

@@ -85,8 +85,9 @@ def backprop_view(mesh: LatentMesh, view: ViewSpec,
 
 
 def region_weights(view_gradients: Iterable[tuple[np.ndarray, np.ndarray]],
-                   mesh: LatentMesh, regions=None) -> dict[int, float]:
-    """Average per-view per-vertex gradient norms over each region's vertices.
+                   mesh: LatentMesh) -> dict[int, float]:
+    """Average per-view per-vertex gradient norms over each region's vertices,
+    for every region of the mesh in id order.
 
     Takes any iterable of (rows, values) view gradients, as backprop_view
     returns them. Rows outside a view's support are zero, so each region's
@@ -99,18 +100,8 @@ def region_weights(view_gradients: Iterable[tuple[np.ndarray, np.ndarray]],
     owner = np.searchsorted(ids, mesh.regions[np.concatenate([rows for rows, _ in pairs])])
     norms = np.linalg.norm(np.concatenate([values for _, values in pairs]), axis=1)
     totals = np.bincount(owner, weights=norms, minlength=ids.size)
-    per_region = {int(r): (float(total), int(size))
-                  for r, total, size in zip(ids, totals, sizes)}
-    out: dict[int, float] = {}
-    for region in (ids if regions is None else regions):
-        region = int(region)
-        if region not in per_region:
-            warnings.warn(f"region {region} is empty; weight set to 0")
-            out[region] = 0.0
-            continue
-        total, size = per_region[region]
-        out[region] = total / (len(pairs) * size)
-    return out
+    return {int(r): float(total) / (len(pairs) * int(size))
+            for r, total, size in zip(ids, totals, sizes)}
 
 
 @dataclass(frozen=True)
@@ -181,9 +172,10 @@ class SmoothedStepSolver:
     """One-pass solve of the per-step update under the smoothness penalty.
 
     The applied delta solves  delta = -lr * (G + w1 * grad_smooth(delta)),
-    i.e. (I + lr * w1 * (2/N) L^T L) delta = -lr * G.  Solving the fixed point
-    exactly keeps the step stable for arbitrarily large w1, where the delta is
-    projected onto the Laplacian kernel (constant per connected component).
+    i.e. (I + s L^T L) delta = -lr * G  with  s = lr * w1 * 2 / N.  Its relative
+    error tracks eps * kappa, kappa <= 1 + s * (2 * dmax)^2 (dmax the largest
+    degree): on grid_mesh(10, 10) an all-ones solve is off by 7e-8 at lr * w1 =
+    1e10 and by 0.5 at 1e17. Only a system that overflows is rejected.
     """
 
     def __init__(self, mesh: LatentMesh, w1: float, lr: float):

@@ -4,10 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sdse_lab
 from sdse_lab.cli import main
+from sdse_lab.experiments import run_full_schedule
+from sdse_lab.guidance import EstimatorKind
+from sdse_lab.mixtures import toy_mixture
+from sdse_lab.optimize import trajectory_from_csv
+from sdse_lab.samplers import SamplerKind, TimestepSampler
+from sdse_lab.schedule import linear_beta_schedule
 
 TOY_CONFIG = {
     "mixture_path": "pkg:toy_gmm.json",
@@ -114,6 +121,24 @@ def test_toy_rerun_is_byte_identical(tmp_path):
     assert main(["toy", "--config", cfg, "--out", str(out_b), "--no-svg"]) == 0
     assert read_bytes_map(out_a) == read_bytes_map(out_b)
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("estimator", ["sdse", "sds"])
+def test_toy_csvs_equal_run_full_schedule(tmp_path, estimator):
+    """`sdse toy` and `run_full_schedule` run the same per-seed descent."""
+    steps, seeds = 60, [0, 3]
+    cfg = write_config(tmp_path, {**TOY_CONFIG, "estimators": [estimator], "seeds": seeds,
+                                  "steps": steps})
+    out = tmp_path / "out"
+    assert main(["toy", "--config", cfg, "--out", str(out), "--no-svg"]) == 0
+    sampler = TimestepSampler(SamplerKind.NON_INCREASING, 1, 800, steps)
+    runs = run_full_schedule(EstimatorKind(estimator), sampler, toy_mixture(),
+                             linear_beta_schedule(), seeds, lr=0.01, steps=steps)
+    assert [traj.seed for traj, _ in runs] == seeds
+    for traj, _ in runs:
+        written = trajectory_from_csv(out / f"{estimator}_seed{traj.seed}.csv")
+        for name in ("thetas", "residuals", "densities", "timesteps"):
+            assert np.array_equal(getattr(written, name), getattr(traj, name)), name
 
 
 def test_toy_default_config_runs_seven_estimators(tmp_path):
@@ -279,6 +304,14 @@ INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
     pytest.param("toy", {"seed": 3}, None, "seed", id="toy-seed-alias"),
     pytest.param("mesh-edit", {"step": 2}, None, "step", id="mesh-unknown-key"),
     pytest.param("mesh-edit", {"seed": 3}, None, "seed", id="mesh-seed-alias"),
+    pytest.param("toy", {"estimators": ["m4", "m4"]}, None, "estimators[1]",
+                 id="toy-estimator-repeat"),
+    pytest.param("toy", {"seeds": [1, 0, 1]}, None, "seeds[2]", id="toy-seed-repeat"),
+    pytest.param("mesh-edit", {"seeds": [2, 2]}, None, "seeds[1]", id="mesh-seed-repeat"),
+    pytest.param("mesh-edit", {"w1": [300, 300]}, None, "w1[1]", id="mesh-w1-repeat"),
+    pytest.param("mesh-edit", {"w1": [0.0, -0.0]}, None, "w1[1]", id="mesh-w1-signed-zero"),
+    pytest.param("mesh-edit", {"w1": [300, 300.0000001]}, None, "w1[1]",
+                 id="mesh-w1-same-tag"),
 ])
 def test_bad_field_is_config_error_naming_it(tmp_path, capsys, monkeypatch, command,
                                             override, env, field):

@@ -132,6 +132,15 @@ def test_full_schedule_rejects_large_timesteps_for_staged_estimators(estimator):
         run_full_schedule(estimator, sampler, MIX, SCHED, seeds=[0], lr=1e-2, steps=10)
 
 
+@pytest.mark.parametrize("estimator,num_steps,t_max", [(EstimatorKind.SDS, 1000, 1001),
+                                                       (EstimatorKind.SDSE, 50, 800)])
+def test_full_schedule_names_a_sampler_beyond_the_schedule(estimator, num_steps, t_max):
+    sampler = TimestepSampler(SamplerKind.UNIFORM, 1, t_max, 10)
+    with pytest.raises(ValueError, match=rf"t_max = {t_max} .* schedule's {num_steps} steps"):
+        run_full_schedule(estimator, sampler, MIX, linear_beta_schedule(num_steps),
+                          seeds=[0], lr=1e-2, steps=10)
+
+
 def test_full_schedule_runs_sds_over_the_whole_schedule_with_default_thresholds():
     """Only staged estimators exclude t > middle_max, as `parse_toy_config` rules."""
     sampler = TimestepSampler(SamplerKind.UNIFORM, 1, 1000, 20)
@@ -139,14 +148,6 @@ def test_full_schedule_runs_sds_over_the_whole_schedule_with_default_thresholds(
                                     lr=1e-2, steps=20)
     assert traj.timesteps.max() > StageThresholds().middle_max
     assert np.all(np.isfinite(traj.thetas))
-
-
-def test_full_schedule_allows_wide_band_when_thresholds_allow():
-    sampler = TimestepSampler(SamplerKind.UNIFORM, 1, 1000, 10)
-    th = StageThresholds(small_max=150, middle_max=1000)
-    results = run_full_schedule(EstimatorKind.SDS, sampler, MIX, SCHED, seeds=[0],
-                                lr=1e-2, steps=10, thresholds=th)
-    assert len(results) == 1
 
 
 # ---------------------------------------------------------------------------

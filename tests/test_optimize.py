@@ -78,10 +78,17 @@ class _NaNOracle(NoiseOracle):
 def test_oracle_on_other_inputs_is_rejected(setup, other):
     mix, sched = setup
     oracle = (NoiseOracle(toy_mixture(), sched) if other == "mixture" else
-              NoiseOracle(mix, linear_beta_schedule(1000, 1e-3, 5e-2)))
+              NoiseOracle(mix, linear_beta_schedule()))
     with pytest.raises(ValueError, match="oracle"):
         optimize_point([0.5, 1.0], EstimatorKind.SDSE, uniform(1, 800, 20),
                        mix, sched, lr=1e-2, steps=20, seed=0, oracle=oracle)
+
+
+def test_sampler_beyond_the_schedule_is_named(setup):
+    mix, sched = setup
+    with pytest.raises(ValueError, match=r"t_max = 1001 .* schedule's 1000 steps"):
+        optimize_point([0.5, 1.0], EstimatorKind.SDS, uniform(1, 1001, 20),
+                       mix, sched, lr=1e-2, steps=20, seed=0)
 
 
 def test_guard_trips_on_non_finite_iterate(setup):

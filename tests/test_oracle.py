@@ -116,6 +116,24 @@ def test_oracle_matches_pure_path(seed):
         np.testing.assert_allclose(fast, pure, rtol=1e-10, atol=1e-12)
 
 
+def test_oracle_equals_pure_path_bitwise_on_isotropic_mixtures():
+    """Sub-mixture weights are normalized once, by `_log_weights`, so the cached
+    oracle and `predict_noise` do the same float operations on isotropic mixtures."""
+    rng = np.random.default_rng(2024)
+    sched = linear_beta_schedule()
+    differ = 0
+    for _ in range(10):
+        mix = random_conditioned_mixture(rng, max_components=8, full_cov=False)
+        oracle = NoiseOracle(mix, sched)
+        for _ in range(200):
+            z = rng.uniform(-2.5, 2.5, size=mix.dim)
+            t = int(rng.integers(1, 1001))
+            for cond in ALL_CONDITIONS:
+                fast = oracle.predict(z, t, cond)
+                differ += fast.tobytes() != predict_noise(mix, sched, z, t, cond).tobytes()
+    assert differ == 0
+
+
 def test_density_bundle_matches_direct_densities():
     mix = toy_mixture()
     oracle = NoiseOracle(mix, linear_beta_schedule())

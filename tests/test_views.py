@@ -142,14 +142,6 @@ def test_weights_are_homogeneous(mesh):
         assert w2[r] == pytest.approx(2.0 * w1[r], rel=1e-12)
 
 
-def test_empty_region_warns_and_zeroes(mesh):
-    grads = [as_pair(np.ones((mesh.num_vertices, 2)))]
-    with pytest.warns(UserWarning, match="empty"):
-        weights = region_weights(grads, mesh, regions=[0, 99])
-    assert weights[99] == 0.0
-    assert weights[0] > 0.0
-
-
 def test_region_weights_require_views(mesh):
     with pytest.raises(ValueError):
         region_weights([], mesh)
@@ -157,14 +149,11 @@ def test_region_weights_require_views(mesh):
         region_weights(iter([]), mesh)
 
 
-def looped_region_weights(grads, mesh, regions):
+def looped_region_weights(grads, mesh):
     """Per-(region, view) loop over dense gradients, the old definition of the weights."""
     out = {}
-    for region in regions:
+    for region in mesh.region_ids():
         verts = mesh.region_vertices(region)
-        if verts.size == 0:
-            out[int(region)] = 0.0
-            continue
         total = 0.0
         for grad in grads:
             total += float(np.linalg.norm(grad[verts], axis=1).sum())
@@ -189,12 +178,9 @@ def test_region_weights_match_per_region_loop(rows, cols, dim):
         verts = np.sort(rng.choice(mesh.num_vertices, size=support, replace=False))
         pairs.append((verts, rng.standard_normal((support, dim)) * rng.uniform(0.1, 10.0)))
     grads = [dense(mesh, pair) for pair in pairs]
-    expected = looped_region_weights(grads, mesh, mesh.region_ids())
+    expected = looped_region_weights(grads, mesh)
     assert_weights_close(region_weights(pairs, mesh), expected)
     assert_weights_close(region_weights((p for p in pairs), mesh), expected)
-    with pytest.warns(UserWarning, match="empty"):
-        assert_weights_close(region_weights(iter(pairs), mesh, regions=[0, 99]),
-                             looped_region_weights(grads, mesh, [0, 99]))
 
 
 # ---------------------------------------------------------------------------
