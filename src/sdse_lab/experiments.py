@@ -12,9 +12,8 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds
+from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
 from .mesh import LatentMesh, _laplacian
 from .mixtures import START_POINT, Condition, ConditionedMixture, FULL_COND, IMAGE_COND
 from .optimize import Trajectory, optimize_point
@@ -109,8 +108,6 @@ def run_full_schedule(estimator: EstimatorKind, sampler: TimestepSampler,
                       theta0=START_POINT) -> list[tuple[Trajectory, ConvergenceReport]]:
     """Full scheduled runs at the default guidance weights and staging thresholds,
     plus convergence classification against the joint modes."""
-    if estimator in STAGED and sampler.t_max > StageThresholds.middle_max:
-        raise ValueError(f"sampler range must lie within [1, middle_max] for {estimator.value}")
     oracle = NoiseOracle(mix, sched)
     modes = mix.mode_points(FULL_COND)
     out = []
@@ -158,32 +155,21 @@ class EditReport:
     final_mesh: LatentMesh
 
 
-def region_subgraph_laplacians(mesh: LatentMesh) -> dict[int, sp.csr_matrix]:
-    """Laplacian of each region's induced subgraph, on the region's own vertex order."""
+def region_dispersion(mesh: LatentMesh) -> dict[int, float]:
+    """High-frequency dispersion per region: mean squared Laplacian of the codes
+    on the region's induced subgraph. Smooth ramps cost little; speckle costs a lot.
+
+    One Laplacian over the edges whose two ends share a region is the direct
+    sum of the induced subgraphs' Laplacians, so its rows restricted to a
+    region are that region's subgraph Laplacian rows.
+    """
     edges = np.asarray(mesh.edges, dtype=np.intp).reshape(-1, 2)
     ends = mesh.regions[edges]
-    inside = ends[:, 0] == ends[:, 1]
-    local = np.empty(mesh.num_vertices, dtype=np.intp)
-    out = {}
-    for region in mesh.region_ids():
-        verts = mesh.region_vertices(region)
-        local[verts] = np.arange(verts.size)
-        sub_edges = local[edges[inside & (ends[:, 0] == region)]]
-        out[int(region)] = _laplacian(verts.size, sub_edges)
-    return out
-
-
-def region_dispersion(mesh: LatentMesh,
-                      sub_laplacians: dict[int, sp.csr_matrix] | None = None) -> dict[int, float]:
-    """High-frequency dispersion per region: mean squared Laplacian of the codes
-    on the region's induced subgraph. Smooth ramps cost little; speckle costs a lot."""
-    subs = sub_laplacians or region_subgraph_laplacians(mesh)
-    out = {}
-    for region, lap in subs.items():
-        verts = mesh.region_vertices(region)
-        rough = lap @ mesh.codes[verts]
-        out[region] = float((rough * rough).sum(axis=1).mean())
-    return out
+    lap = _laplacian(mesh.num_vertices, edges[ends[:, 0] == ends[:, 1]])
+    rough = lap @ mesh.codes
+    row_sq = (rough * rough).sum(axis=1)
+    return {region: float(row_sq[mesh.region_vertices(region)].mean())
+            for region in mesh.region_ids().tolist()}
 
 
 def mode_distance_of_regions(mesh: LatentMesh, regions: list[int], modes: np.ndarray) -> float:
@@ -236,7 +222,6 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     edited = [r for r, c in profile.items() if c == FULL_COND]
     uniform = dict.fromkeys(profile, 1.0)
     solver = SmoothedStepSolver(mesh, config.w1, config.lr)
-    sub_laps = region_subgraph_laplacians(mesh)
     reports = []
     for seed in sorted(seeds):
         rng = np.random.default_rng(seed)
@@ -257,20 +242,17 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
         for step in range(1, config.steps + 1):
             batch = list(_draw_views(current, allocation.counts, rng, config))
             try:
-                current, report = edit_step(current, [view for view, _ in batch], oracle,
-                                            profile, [t for _, t in batch], rng, solver,
-                                            config.weights, config.thresholds)
+                current, row = edit_step(current, batch, oracle, profile, rng, solver,
+                                         config.weights, config.thresholds)
             except ValueError as err:  # the divergence guard, named by seed and step
                 raise ValueError(f"seed {seed}, step {step}: {err}") from None
-            grad_rows.append({"step": step, "grad_norms": report.grad_norms,
-                              "view_counts": report.view_counts,
-                              "smooth_loss": report.smooth_loss})
+            grad_rows.append({"step": step, **row})
             if hit is None and edited and \
                     mode_distance_of_regions(current, edited, modes) < config.threshold_distance:
                 hit = step
         reports.append(EditReport(seed=seed, allocation=allocation,
                                   steps_to_threshold=hit,
-                                  dispersion=region_dispersion(current, sub_laps),
+                                  dispersion=region_dispersion(current),
                                   smooth_losses=np.asarray([row["smooth_loss"]
                                                             for row in grad_rows]),
                                   grad_norm_rows=grad_rows, final_mesh=current))

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fields import ConfigError, array, choice, expect, get, known_fields, load_json, number
 from .mixtures import START_POINT
@@ -60,7 +59,8 @@ class LatentMesh:
         return self.codes.shape[1]
 
     def region_ids(self) -> np.ndarray:
-        return np.unique(self.regions)
+        """The region ids in increasing order, read from the region index."""
+        return np.array(list(self._region_index), dtype=np.intp)
 
     def region_vertices(self, region: int) -> np.ndarray:
         """The region's vertices in increasing order, read-only (empty if it has none)."""
@@ -123,6 +123,8 @@ def _connected(n: int, edges) -> bool:
 
 def _laplacian(n: int, edges) -> sp.csr_matrix:
     """Combinatorial Laplacian L = D - A of an n-vertex edge list (no connectivity check)."""
+    import scipy.sparse as sp  # here: toy runs, plots and descents skip its ~0.2 s import
+
     ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     diag = np.arange(n)
     rows = np.concatenate([ends[:, 0], ends[:, 1], diag])

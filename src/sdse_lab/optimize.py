@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .guidance import EstimatorKind, GuidanceWeights, StageThresholds, term_residual
+from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds, term_residual
 from .mixtures import ConditionedMixture
 from .oracle import NoiseOracle
 from .samplers import TimestepSampler, timestep_sequence
@@ -140,6 +140,9 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
     if sampler.t_max > sched.num_steps:
         raise ValueError(f"sampler t_max = {sampler.t_max} lies beyond the schedule's "
                          f"{sched.num_steps} steps")
+    if kind in STAGED and sampler.t_max > thresholds.middle_max:
+        raise ValueError(f"sampler range must lie within [1, middle_max = "
+                         f"{thresholds.middle_max}] for {kind.value}")
     if oracle is None:
         oracle = NoiseOracle(mix, sched)
     elif oracle.mixture is not mix or oracle.schedule is not sched:

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .guidance import GuidanceWeights, cfg_combine, decompose_terms, sdse_residual
+from .guidance import (GuidanceWeights, StageThresholds, cfg_combine, decompose_terms,
+                       sdse_residual)
 from .mesh import LatentMesh, build_laplacian, smoothness_gradient, smoothness_loss
 from .mixtures import (ConditionLabel, ConditionedMixture, FULL_COND,
                        GaussianComponent, IMAGE_COND, UNCONDITIONED,
@@ -132,7 +133,7 @@ def check_sdse_equals_m2(mix: ConditionedMixture) -> CheckResult:
     ok = True
     for _ in range(50):
         z = rng.uniform(-1, 3, size=mix.dim)
-        t = int(rng.integers(1, 801))
+        t = int(rng.integers(1, StageThresholds.middle_max + 1))
         eps = rng.standard_normal(mix.dim)
         lhs = sdse_residual(oracle, z, t, eps, w)
         bundle = decompose_terms(oracle.predict(z, t, UNCONDITIONED),
@@ -196,7 +197,8 @@ def check_allocation_table() -> CheckResult:
 
 def check_sampler_monotone() -> CheckResult:
     ok = True
-    sampler = TimestepSampler(SamplerKind.NON_INCREASING, 1, 800, 257, jitter=25.0)
+    sampler = TimestepSampler(SamplerKind.NON_INCREASING, 1, StageThresholds.middle_max, 257,
+                              jitter=25.0)
     for seed in range(17, 37):
         ts = timestep_sequence(sampler, np.random.default_rng(seed))
         ok &= bool(np.all(np.diff(ts) <= 0))

@@ -18,7 +18,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .guidance import GuidanceWeights, StageThresholds, sdse_residual
 from .mesh import LatentMesh, build_laplacian, smoothness_loss
@@ -51,7 +50,7 @@ class ViewSpec:
 
 
 def make_view(mesh: LatentMesh, region: int, rng: np.random.Generator,
-              support: int = 8) -> ViewSpec:
+              support: int) -> ViewSpec:
     """Draw a view: a symmetric-Dirichlet blend over a random subset of the region."""
     verts = mesh.region_vertices(region)
     if verts.size == 0:
@@ -96,12 +95,12 @@ def region_weights(view_gradients: Iterable[tuple[np.ndarray, np.ndarray]],
     pairs = list(view_gradients)
     if not pairs:
         raise ValueError("need at least one view gradient")
-    ids, sizes = np.unique(mesh.regions, return_counts=True)
+    ids = mesh.region_ids()
     owner = np.searchsorted(ids, mesh.regions[np.concatenate([rows for rows, _ in pairs])])
     norms = np.linalg.norm(np.concatenate([values for _, values in pairs]), axis=1)
     totals = np.bincount(owner, weights=norms, minlength=ids.size)
-    return {int(r): float(total) / (len(pairs) * int(size))
-            for r, total, size in zip(ids, totals, sizes)}
+    return {int(r): float(total) / (len(pairs) * mesh.region_vertices(r).size)
+            for r, total in zip(ids.tolist(), totals)}
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,6 @@ def allocate_views(weights: dict[int, float], total: int) -> RegionAllocation:
 # Edit step
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepReport:
-    grad_norms: dict[int, float]     # per-region mean per-view gradient norms
-    view_counts: dict[int, int]
-    smooth_loss: float
-
-
 def target_residual(oracle: NoiseOracle, z_t, t: int, epsilon, target: Condition,
                     weights: GuidanceWeights, thresholds: StageThresholds) -> np.ndarray:
     """Residual steering a view toward its region's target condition.
@@ -168,14 +160,21 @@ def target_residual(oracle: NoiseOracle, z_t, t: int, epsilon, target: Condition
     raise ValueError(f"unsupported target condition: {target}")
 
 
+# Largest eps * kappa_bound a smoothing solve may have (its relative error bound).
+SOLVE_TOLERANCE = 1e-6
+_EPS = float(np.finfo(float).eps)
+
+
 class SmoothedStepSolver:
     """One-pass solve of the per-step update under the smoothness penalty.
 
     The applied delta solves  delta = -lr * (G + w1 * grad_smooth(delta)),
     i.e. (I + s L^T L) delta = -lr * G  with  s = lr * w1 * 2 / N.  Its relative
-    error tracks eps * kappa, kappa <= 1 + s * (2 * dmax)^2 (dmax the largest
-    degree): on grid_mesh(10, 10) an all-ones solve is off by 7e-8 at lr * w1 =
-    1e10 and by 0.5 at 1e17. Only a system that overflows is rejected.
+    error tracks eps * kappa, kappa <= kappa_bound = 1 + s * (2 * dmax)^2 (dmax
+    the largest degree). A system with eps * kappa_bound > SOLVE_TOLERANCE is
+    rejected with a ValueError: on grid_mesh(10, 10) that is lr * w1 > 3.5e9.
+    At the edge of the range an all-ones solve is off by at most 5e-8 on
+    grids up to 100 x 100 and on the icosphere.
     """
 
     def __init__(self, mesh: LatentMesh, w1: float, lr: float):
@@ -186,11 +185,15 @@ class SmoothedStepSolver:
             self._solve = None
             return
         scale = self.lr * float(w1) * 2.0 / n
-        with np.errstate(over="ignore", invalid="ignore"):
-            mat = sp.identity(n, format="csc") + scale * (self.lap.T @ self.lap)
-        if not (np.isfinite(scale) and np.all(np.isfinite(mat.data))):
-            raise ValueError(f"lr * w1 = {self.lr * float(w1):g} overflows the "
-                             "smoothing system")
+        # Python floats, so an overflow gives inf rather than a RuntimeWarning
+        kappa = 1.0 + scale * (2.0 * float(self.lap.diagonal().max())) ** 2
+        if not _EPS * kappa <= SOLVE_TOLERANCE:  # also fails on inf and NaN
+            raise ValueError(f"lr * w1 = {self.lr * float(w1):g} is outside the smoothing "
+                             f"solve's accuracy range: kappa_bound = {kappa:.3g}, and eps "
+                             f"* kappa_bound must be <= {SOLVE_TOLERANCE:g}")
+        import scipy.sparse as sp  # here: toy runs, plots and descents skip its ~0.2 s import
+
+        mat = sp.identity(n, format="csc") + scale * (self.lap.T @ self.lap)
         # The matrix is symmetric positive definite (L is symmetric), so a
         # symmetric minimum-degree ordering of A^T + A fills in far less than
         # splu's default column ordering.
@@ -217,27 +220,27 @@ def view_gradient(mesh: LatentMesh, view: ViewSpec, t: int, rng: np.random.Gener
     return backprop_view(mesh, view, res)
 
 
-def edit_step(mesh: LatentMesh, views: list[ViewSpec], oracle: NoiseOracle,
-              profile: dict[int, Condition], timesteps: list[int],
-              rng: np.random.Generator, solver: SmoothedStepSolver,
-              weights: GuidanceWeights = GuidanceWeights(),
-              thresholds: StageThresholds = StageThresholds()) -> tuple[LatentMesh, StepReport]:
-    """Accumulate per-view residual gradients, smooth the candidate delta, apply it.
+def edit_step(mesh: LatentMesh, batch: list[tuple[ViewSpec, int]], oracle: NoiseOracle,
+              profile: dict[int, Condition], rng: np.random.Generator,
+              solver: SmoothedStepSolver, weights: GuidanceWeights = GuidanceWeights(),
+              thresholds: StageThresholds = StageThresholds()) -> tuple[LatentMesh, dict]:
+    """Accumulate per-view residual gradients over a batch of (view, t) pairs,
+    smooth the candidate delta, apply it.
 
     Per-view work is pure; each view's support rows are added into one dense
     step total in view order, so results do not depend on evaluation
-    scheduling. The report's region weights come from the same per-view
-    gradients. The new mesh shares this one's validated topology.
+    scheduling. Returns the new mesh, which shares this one's validated
+    topology, and the step's row: `grad_norms` (the region weights of the same
+    per-view gradients), `view_counts` (views per region, every region in id
+    order) and `smooth_loss`.
 
     Raises ValueError if a new code leaves the descent's divergence guard
     (|code| > optimize.DIVERGENCE_GUARD, or not finite).
     """
-    if not views:
+    if not batch:
         raise ValueError("edit step needs at least one view")
-    if len(timesteps) != len(views):
-        raise ValueError("need one timestep per view")
     per_view = [view_gradient(mesh, view, t, rng, oracle, profile[view.region], weights,
-                              thresholds) for view, t in zip(views, timesteps)]
+                              thresholds) for view, t in batch]
     total = np.zeros_like(mesh.codes)
     # add.at sums repeated rows one by one in index order, i.e. in view order
     np.add.at(total, np.concatenate([rows for rows, _ in per_view]),
@@ -251,8 +254,7 @@ def edit_step(mesh: LatentMesh, views: list[ViewSpec], oracle: NoiseOracle,
     new_mesh = mesh.with_codes(codes)
     grad_norms = region_weights(per_view, mesh)
     counts = dict.fromkeys(grad_norms, 0)       # every mesh region, in id order
-    for view in views:
+    for view, _ in batch:
         counts[int(view.region)] += 1
-    report = StepReport(grad_norms=grad_norms, view_counts=counts,
-                        smooth_loss=smoothness_loss(solver.lap, delta))
-    return new_mesh, report
+    return new_mesh, {"grad_norms": grad_norms, "view_counts": counts,
+                      "smooth_loss": smoothness_loss(solver.lap, delta)}

@@ -152,13 +152,16 @@ def test_toy_default_config_runs_seven_estimators(tmp_path):
 
 
 def test_toy_run_leaves_scipy_special_unloaded(tmp_path):
-    """numpy and scipy.sparse are the only numeric imports; a fresh interpreter
-    that imports the CLI and runs a short toy (SVG on) never loads scipy.special."""
+    """numpy and scipy.sparse are the only numeric imports, and scipy.sparse only
+    for mesh edits; a fresh interpreter that imports the CLI and runs a short toy
+    (SVG on) never loads scipy.special, nor any other scipy module."""
     code = ("import sys\n"
             "from sdse_lab.cli import main\n"
             f"assert main(['toy', '--out', {str(tmp_path / 'out')!r}, '--steps', '3',"
             " '--seed', '0']) == 0\n"
-            "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n")
+            "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, f'scipy modules were imported: {loaded}'\n")
     src = str(Path(sdse_lab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -505,7 +508,8 @@ def test_overflowing_smoothing_system_is_named(tmp_path, capsys):
     cfg = write_config(tmp_path, {**MESH_CONFIG, "lr": 1e300, "w1": 1e10})
     assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == \
-        "error: lr * w1 = inf overflows the smoothing system\n"
+        ("error: lr * w1 = inf is outside the smoothing solve's accuracy range: "
+         "kappa_bound = inf, and eps * kappa_bound must be <= 1e-06\n")
 
 
 def test_mesh_edit_missing_fixture(tmp_path, capsys):

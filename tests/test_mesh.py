@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from sdse_lab.experiments import region_subgraph_laplacians
+from sdse_lab.experiments import region_dispersion
 from sdse_lab.fields import ConfigError
 from sdse_lab.mesh import (LatentMesh, _laplacian, build_laplacian, grid_mesh,
                            icosahedron_edges, icosphere_mesh, load_mesh,
@@ -110,17 +110,43 @@ def test_laplacian_matches_per_edge_assembly(name):
     assert_same_csr(build_laplacian(mesh), want)
 
 
-@pytest.mark.parametrize("name", sorted(LAPLACIAN_MESHES))
-def test_region_subgraph_laplacians_match_per_edge_assembly(name):
-    mesh = LAPLACIAN_MESHES[name]()
-    got = region_subgraph_laplacians(mesh)
-    assert list(got) == [int(r) for r in mesh.region_ids()]
-    for region, lap in got.items():
+def permuted_grid(rows, cols, seed):
+    """grid_mesh(rows, cols) with its vertices renumbered at random, so regions
+    are no longer contiguous runs of vertex ids."""
+    grid = grid_mesh(rows=rows, cols=cols)
+    perm = np.random.default_rng(seed).permutation(grid.num_vertices)
+    regions = np.empty_like(grid.regions)
+    regions[perm] = grid.regions
+    return LatentMesh(edges=tuple((int(perm[i]), int(perm[j])) for i, j in grid.edges),
+                      codes=grid.codes, regions=regions)
+
+
+DISPERSION_MESHES = {
+    **LAPLACIAN_MESHES,
+    "grid-10x10": lambda: grid_mesh(rows=10, cols=10),
+    "grid-100x100": lambda: grid_mesh(rows=100, cols=100),
+    "permuted-grid": lambda: permuted_grid(12, 9, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISPERSION_MESHES))
+def test_region_dispersion_matches_per_region_subgraphs(name):
+    """Bitwise against each region's induced subgraph Laplacian, assembled on the
+    region's own vertex numbering and applied to that region's codes."""
+    base = DISPERSION_MESHES[name]()
+    codes = np.random.default_rng(len(name)).standard_normal(base.codes.shape)
+    mesh = base.with_codes(codes)
+    want = {}
+    for region in mesh.region_ids().tolist():
         verts = mesh.region_vertices(region)
         index = {int(v): k for k, v in enumerate(verts)}
         edges = [(index[i], index[j]) for i, j in mesh.edges
                  if mesh.regions[i] == region and mesh.regions[j] == region]
-        assert_same_csr(lap, per_edge_laplacian(len(verts), edges))
+        rough = per_edge_laplacian(len(verts), edges) @ codes[verts]
+        want[region] = float((rough * rough).sum(axis=1).mean())
+    got = region_dispersion(mesh)
+    assert list(got) == list(want)
+    assert [x.hex() for x in got.values()] == [x.hex() for x in want.values()]
 
 
 @pytest.mark.parametrize("name", sorted(LAPLACIAN_MESHES))
@@ -142,6 +168,14 @@ def test_with_codes_shares_the_region_index():
     new = mesh.with_codes(np.zeros(mesh.codes.shape))
     for region in mesh.region_ids().tolist():
         assert new.region_vertices(region) is mesh.region_vertices(region)
+
+
+@pytest.mark.parametrize("name", sorted(LAPLACIAN_MESHES))
+def test_region_ids_equal_unique_regions(name):
+    mesh = LAPLACIAN_MESHES[name]()
+    got, want = mesh.region_ids(), np.unique(mesh.regions)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

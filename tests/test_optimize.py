@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from sdse_lab.guidance import EstimatorKind
+from sdse_lab.guidance import EstimatorKind, StageThresholds
 from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED,
                                mixture_density, sub_mixture, toy_mixture)
 from sdse_lab.optimize import Trajectory, optimize_point, trajectory_from_csv
@@ -89,6 +89,18 @@ def test_sampler_beyond_the_schedule_is_named(setup):
     with pytest.raises(ValueError, match=r"t_max = 1001 .* schedule's 1000 steps"):
         optimize_point([0.5, 1.0], EstimatorKind.SDS, uniform(1, 1001, 20),
                        mix, sched, lr=1e-2, steps=20, seed=0)
+
+
+@pytest.mark.parametrize("kind", [EstimatorKind.SDSE, EstimatorKind.SDSE_PRIME])
+def test_staged_estimator_beyond_middle_max_is_named(setup, kind):
+    """Refused before the descent starts, against the thresholds it is given."""
+    mix, sched = setup
+    with pytest.raises(ValueError, match=rf"middle_max = 800\] for {kind.value}"):
+        optimize_point([0.5, 1.0], kind, uniform(1, 801, 10), mix, sched,
+                       lr=1e-2, steps=10, seed=0)
+    with pytest.raises(ValueError, match=rf"middle_max = 700\] for {kind.value}"):
+        optimize_point([0.5, 1.0], kind, uniform(1, 701, 10), mix, sched, lr=1e-2,
+                       steps=10, seed=0, thresholds=StageThresholds(middle_max=700))
 
 
 def test_guard_trips_on_non_finite_iterate(setup):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sdse_lab.mesh import LatentMesh, grid_mesh
+from sdse_lab.mesh import LatentMesh, build_laplacian, grid_mesh, icosphere_mesh
 from sdse_lab.mixtures import FULL_COND, IMAGE_COND, toy_mixture
 from sdse_lab.oracle import NoiseOracle
 from sdse_lab.schedule import linear_beta_schedule
-from sdse_lab.views import (RegionAllocation, SmoothedStepSolver, ViewSpec,
+from sdse_lab.views import (SOLVE_TOLERANCE, RegionAllocation, SmoothedStepSolver, ViewSpec,
                             allocate_views, backprop_view, edit_step, make_view,
                             region_weights, render_view)
 
@@ -37,7 +37,7 @@ def test_view_blend_must_sum_to_one():
 def test_make_view_stays_inside_region(mesh):
     rng = np.random.default_rng(0)
     for region in range(5):
-        view = make_view(mesh, region, rng)
+        view = make_view(mesh, region, rng, 8)
         assert np.all(mesh.regions[view.vertices] == region)
         assert view.blend.sum() == pytest.approx(1.0, abs=1e-12)
         assert len(view.vertices) == min(8, len(mesh.region_vertices(region)))
@@ -77,7 +77,7 @@ def as_pair(grad):
 
 def test_backprop_returns_the_support_rows(mesh):
     rng = np.random.default_rng(0)
-    view = make_view(mesh, 1, rng)
+    view = make_view(mesh, 1, rng, 8)
     r = np.array([0.3, -1.1])
     rows, values = backprop_view(mesh, view, r)
     np.testing.assert_array_equal(rows, view.vertices)
@@ -100,7 +100,7 @@ def test_backprop_single_vertex(mesh):
 
 def test_backprop_linearity(mesh):
     rng = np.random.default_rng(1)
-    view = make_view(mesh, 2, rng)
+    view = make_view(mesh, 2, rng, 8)
     r1, r2 = rng.standard_normal((2, 2))
     np.testing.assert_allclose(dense(mesh, backprop_view(mesh, view, r1 + r2)),
                                dense(mesh, backprop_view(mesh, view, r1))
@@ -110,7 +110,7 @@ def test_backprop_linearity(mesh):
 
 def test_backprop_off_support_rows_are_zero(mesh):
     rng = np.random.default_rng(2)
-    view = make_view(mesh, 3, rng)
+    view = make_view(mesh, 3, rng, 8)
     grad = dense(mesh, backprop_view(mesh, view, np.array([1.0, 1.0])))
     outside = np.setdiff1d(np.arange(mesh.num_vertices), view.vertices)
     np.testing.assert_array_equal(grad[outside], 0.0)
@@ -281,8 +281,6 @@ def test_step_delta_matches_colamd_ordered_solve(name):
     from scipy.sparse import identity
     from scipy.sparse.linalg import splu
 
-    from sdse_lab.mesh import icosphere_mesh
-
     big = {"grid-10x10": lambda: grid_mesh(rows=10, cols=10),
            "grid-100x100": lambda: grid_mesh(rows=100, cols=100),
            "icosphere": icosphere_mesh}[name]()
@@ -299,17 +297,45 @@ def test_step_delta_matches_colamd_ordered_solve(name):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+OUT_OF_RANGE = r"lr \* w1 = .* is outside the smoothing solve's accuracy range"
+
+
 @pytest.mark.parametrize("lr, w1", [(1e300, 1e10), (1e10, 1e300), (1e154, 1e154)],
                          ids=["scale", "scale-w1", "matrix"])
 def test_overflowing_smoothing_system_is_a_value_error(mesh, lr, w1):
     # lr * w1 overflows in the first two; in the third, lr * w1 = 1e308 is
-    # finite but scale * (L^T L) overflows
-    with pytest.raises(ValueError, match=r"lr \* w1 = .* overflows the smoothing system"):
+    # finite but its condition bound overflows
+    with pytest.raises(ValueError, match=OUT_OF_RANGE + r": kappa_bound = inf"):
         SmoothedStepSolver(mesh, w1=w1, lr=lr)
 
 
-def test_huge_finite_smoothing_system_is_factored(mesh):
-    SmoothedStepSolver(mesh, w1=1e100, lr=1e100)
+def test_huge_finite_smoothing_system_is_rejected(mesh):
+    with pytest.raises(ValueError, match=OUT_OF_RANGE + r": kappa_bound = 6\.4e\+200, "
+                                         r"and eps \* kappa_bound must be <= 1e-06"):
+        SmoothedStepSolver(mesh, w1=1e100, lr=1e100)
+
+
+def edge_of_range(mesh):
+    """lr * w1 at which eps * kappa_bound equals SOLVE_TOLERANCE on this mesh."""
+    dmax = build_laplacian(mesh).diagonal().max()
+    scale = (SOLVE_TOLERANCE / np.finfo(float).eps - 1.0) / (2.0 * dmax) ** 2
+    return scale * mesh.num_vertices / 2.0
+
+
+@pytest.mark.parametrize("name", ["grid-5x4", "grid-10x10", "grid-100x100", "icosphere"])
+def test_all_ones_solve_is_accurate_at_the_edge_of_the_range(name):
+    """The exact answer is all ones; inside the range the solve stays within the
+    tolerance, and just past its edge the solver refuses the system."""
+    big = {"grid-5x4": lambda: grid_mesh(rows=5, cols=4),
+           "grid-10x10": lambda: grid_mesh(rows=10, cols=10),
+           "grid-100x100": lambda: grid_mesh(rows=100, cols=100),
+           "icosphere": icosphere_mesh}[name]()
+    edge = edge_of_range(big)
+    solver = SmoothedStepSolver(big, w1=edge * (1.0 - 1e-9), lr=1.0)
+    ones = np.ones((big.num_vertices, 2))
+    assert np.abs(solver.step_delta(-ones) - 1.0).max() <= SOLVE_TOLERANCE
+    with pytest.raises(ValueError, match=OUT_OF_RANGE):
+        SmoothedStepSolver(big, w1=edge * (1.0 + 1e-9), lr=1.0)
 
 
 def test_huge_smoothing_projects_onto_constants(mesh):
@@ -323,40 +349,41 @@ def test_huge_smoothing_projects_onto_constants(mesh):
 
 def test_edit_step_zero_lr_keeps_mesh(mesh, oracle):
     rng = np.random.default_rng(7)
-    views = [make_view(mesh, r, rng) for r in range(5)]
+    batch = [(make_view(mesh, r, rng, 8), 100) for r in range(5)]
     solver = SmoothedStepSolver(mesh, w1=0.0, lr=0.0)
     profile = {r: IMAGE_COND for r in range(5)}
-    out, report = edit_step(mesh, views, oracle, profile, [100] * 5, rng, solver)
+    out, row = edit_step(mesh, batch, oracle, profile, rng, solver)
     np.testing.assert_array_equal(out.codes, mesh.codes)
-    assert report.smooth_loss == 0.0
+    assert row["smooth_loss"] == 0.0
 
 
 def test_edit_step_without_smoothing_moves_only_supported_vertices(mesh, oracle):
     rng = np.random.default_rng(8)
-    view = make_view(mesh, 0, rng)
+    view = make_view(mesh, 0, rng, 8)
     solver = SmoothedStepSolver(mesh, w1=0.0, lr=0.05)
     profile = {r: FULL_COND for r in range(5)}
-    out, _ = edit_step(mesh, [view], oracle, profile, [400], rng, solver)
+    out, _ = edit_step(mesh, [(view, 400)], oracle, profile, rng, solver)
     changed = np.flatnonzero(np.any(out.codes != mesh.codes, axis=1))
     assert set(changed) <= set(view.vertices.tolist())
 
 
 def test_edit_step_reports_counts_and_norms(mesh, oracle):
     rng = np.random.default_rng(9)
-    views = [make_view(mesh, r, rng) for r in (0, 0, 3)]
+    views = [make_view(mesh, r, rng, 8) for r in (0, 0, 3)]
     solver = SmoothedStepSolver(mesh, w1=10.0, lr=0.01)
     profile = {r: IMAGE_COND for r in range(5)}
     profile[0] = FULL_COND
-    _, report = edit_step(mesh, views, oracle, profile, [500, 300, 100], rng, solver)
-    assert report.view_counts == {0: 2, 1: 0, 2: 0, 3: 1, 4: 0}
-    assert set(report.grad_norms) == {0, 1, 2, 3, 4}
-    assert report.smooth_loss >= 0.0
+    _, row = edit_step(mesh, list(zip(views, [500, 300, 100])), oracle, profile, rng, solver)
+    assert list(row) == ["grad_norms", "view_counts", "smooth_loss"]
+    assert row["view_counts"] == {0: 2, 1: 0, 2: 0, 3: 1, 4: 0}
+    assert set(row["grad_norms"]) == {0, 1, 2, 3, 4}
+    assert row["smooth_loss"] >= 0.0
 
 
 def test_edit_step_needs_views(mesh, oracle):
     solver = SmoothedStepSolver(mesh, w1=0.0, lr=0.01)
     with pytest.raises(ValueError):
-        edit_step(mesh, [], oracle, {r: IMAGE_COND for r in range(5)}, [],
+        edit_step(mesh, [], oracle, {r: IMAGE_COND for r in range(5)},
                   np.random.default_rng(0), solver)
 
 
@@ -368,9 +395,9 @@ def test_smoothing_keeps_region_deltas_near_constant(oracle):
     profile = {0: FULL_COND, 1: IMAGE_COND, 2: IMAGE_COND}
     current = mesh
     for _ in range(200):
-        views = [make_view(current, r, rng) for r in (0, 1, 2)]
+        views = [make_view(current, r, rng, 8) for r in (0, 1, 2)]
         ts = [int(rng.integers(1, 801)) for _ in range(3)]
-        current, _ = edit_step(current, views, oracle, profile, ts, rng, solver)
+        current, _ = edit_step(current, list(zip(views, ts)), oracle, profile, rng, solver)
     delta = current.codes - mesh.codes
     for region in range(3):
         rows = delta[current.regions == region]
