@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +147,7 @@ def _write_step_report(reports, path: Path, digest: str) -> None:
                 smooth = repr(float(entry["smooth_loss"]))
                 for region in sorted(entry["grad_norms"]):
                     grad = repr(float(entry["grad_norms"][region]))
-                    views = entry["view_counts"].get(region, 0)
+                    views = entry["view_counts"][region]
                     fh.write(f"{entry['step']},{region},{grad},{views},{smooth}\n")
 
 
@@ -157,23 +156,25 @@ def cmd_mesh_edit(args: argparse.Namespace) -> int:
     mesh = load_mesh(cfg.mesh_path)
     mixture = load_mixture(cfg.mixture_path)
     targets = profile_targets(mesh, cfg.profile)
+    sched = linear_beta_schedule()
+    # Every w1 runs before --out is made, so a run refused at any w1 writes nothing.
+    runs = [(edit, run_mesh_edit(mesh, cfg.profile, mixture, sched, list(cfg.seeds), edit))
+            for edit in cfg.edits]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sched = linear_beta_schedule()
     digest = cfg.digest
     edited = [r for r, c in targets.items() if c == FULL_COND]
     summary_runs = []
     dispersion_by_w1 = {}
-    for w1 in cfg.w1_values:
-        reports = run_mesh_edit(mesh, cfg.profile, mixture, sched, list(cfg.seeds),
-                                replace(cfg.edit, w1=w1))
-        tag = f"w1_{w1:g}" if len(cfg.w1_values) > 1 else "steps"
+    for edit, reports in runs:
+        w1 = edit.w1
+        tag = f"w1_{w1:g}" if len(runs) > 1 else "steps"
         _write_step_report(reports, out_dir / f"mesh_{cfg.profile}_{tag}.csv", digest)
         disp = [float(np.mean([rep.dispersion[r] for r in edited])) for rep in reports]
         dispersion_by_w1[w1] = disp
         for rep in reports:
             summary_runs.append({"w1": w1, "seed": rep.seed,
-                                 "allocator": cfg.edit.allocator,
+                                 "allocator": edit.allocator,
                                  "steps_to_threshold": rep.steps_to_threshold,
                                  "view_counts": rep.allocation.counts,
                                  "weights": rep.allocation.weights,
@@ -190,7 +191,7 @@ def cmd_mesh_edit(args: argparse.Namespace) -> int:
         fh.write(f"{cfg.profile},view_count,{counts_row}\n")
     summary = {"command": "mesh-edit", "version": __version__, "digest": digest,
                "config": cfg.raw, "runs": summary_runs}
-    if len(cfg.w1_values) > 1:
+    if len(runs) > 1:
         pairs = sorted(dispersion_by_w1)
         summary["dispersion_comparison"] = {
             "w1_values": list(pairs),
@@ -204,10 +205,9 @@ def cmd_mesh_edit(args: argparse.Namespace) -> int:
 def cmd_emit_plot(args: argparse.Namespace) -> int:
     mixture = load_mixture(args.mixture)
     trajs = [trajectory_from_csv(p) for p in args.trajectory]
-    digest = trajs[0].config_digest if trajs else ""
     svg = plot_trajectories_svg(mixture, [t.thetas for t in trajs],
                                 labels=[Path(p).stem for p in args.trajectory],
-                                title=args.title, digest=digest)
+                                title=args.title, digest=trajs[0].config_digest)
     write_svg(svg, args.out)
     print(f"plot -> {args.out}")
     return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .experiments import PROFILES, MeshEditConfig
 from .fields import boolean, choice, expect, get, items, known_fields, number, text
@@ -151,13 +151,12 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
 
 @dataclass(frozen=True)
 class MeshRunConfig:
-    """Resolved mesh-edit configuration: one edit config run per (w1, seed)."""
+    """Resolved mesh-edit configuration: one edit config per w1, each run per seed."""
 
     mesh_path: str
     mixture_path: str
     profile: str
-    w1_values: tuple[float, ...]
-    edit: MeshEditConfig       # w1 is set per run from w1_values
+    edits: tuple[MeshEditConfig, ...]
     seeds: tuple[int, ...]
     raw: dict = field(repr=False, default_factory=dict)
 
@@ -210,4 +209,5 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
     }
     known_fields(cfg, "", raw)
     return MeshRunConfig(mesh_path=mesh_path, mixture_path=mixture_path, profile=profile,
-                         w1_values=w1_values, edit=edit, seeds=seeds, raw=raw)
+                         edits=tuple(replace(edit, w1=w1) for w1 in w1_values),
+                         seeds=seeds, raw=raw)

@@ -40,14 +40,6 @@ class Trajectory:
     config_digest: str = ""
     guard_tripped: bool = False
 
-    def __post_init__(self):
-        n = len(self.steps)
-        if not (len(self.timesteps) == len(self.thetas) == len(self.residuals)
-                == len(self.densities) == n):
-            raise ValueError("trajectory arrays must have consistent lengths")
-        if n and np.any(np.diff(self.steps) <= 0):
-            raise ValueError("steps must be strictly increasing")
-
     @property
     def num_rows(self) -> int:
         return len(self.steps)
@@ -103,18 +95,18 @@ def trajectory_from_csv(path) -> Trajectory:
             if len(values) != len(TRAJECTORY_COLUMNS):
                 raise ValueError(f"expected {len(TRAJECTORY_COLUMNS)} columns, "
                                  f"got {len(values)}")
-            rows.append([int(v) for v in values[:2]] + [float(v) for v in values[2:]])
+            row = [int(v) for v in values[:2]] + [float(v) for v in values[2:]]
+            if rows and row[0] <= rows[-1][0]:
+                raise ValueError("steps must be strictly increasing")
+            rows.append(row)
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise ValueError(f"no trajectory rows in {path}")
-    try:
-        return Trajectory(steps=data[:, 0].astype(int), timesteps=data[:, 1].astype(int),
-                          thetas=data[:, 2:4], residuals=data[:, 4:6],
-                          densities=data[:, 6:9], seed=seed, config_digest=digest)
-    except ValueError as err:  # steps out of order
-        raise ValueError(f"{path}: {err}") from None
+    return Trajectory(steps=data[:, 0].astype(int), timesteps=data[:, 1].astype(int),
+                      thetas=data[:, 2:4], residuals=data[:, 4:6],
+                      densities=data[:, 6:9], seed=seed, config_digest=digest)
 
 
 def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,

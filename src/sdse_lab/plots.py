@@ -25,7 +25,7 @@ def _fmt(x: float) -> str:
 
 
 def density_grid(mix: ConditionedMixture, bounds: tuple[float, float, float, float],
-                 resolution: int = 120) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x0, x1, y0, y1 = bounds
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)

@@ -28,25 +28,12 @@ from .oracle import NoiseOracle, forward_diffuse
 
 @dataclass(frozen=True)
 class ViewSpec:
-    """Sparse nonnegative blend over vertices of one region, summing to one."""
+    """Sparse nonnegative blend over sorted distinct vertices of one region,
+    summing to one, as make_view draws it."""
 
     region: int
     vertices: np.ndarray
     blend: np.ndarray
-
-    def __post_init__(self):
-        verts = np.asarray(self.vertices, dtype=int)
-        blend = np.asarray(self.blend, dtype=float)
-        if verts.ndim != 1 or verts.size == 0 or blend.shape != verts.shape:
-            raise ValueError("view needs matching non-empty vertices and blend")
-        if np.any(blend < 0) or abs(blend.sum() - 1.0) > 1e-12:
-            raise ValueError("blend weights must be nonnegative and sum to 1")
-        verts = verts.copy()
-        blend = blend.copy()
-        verts.flags.writeable = False
-        blend.flags.writeable = False
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "blend", blend)
 
 
 def make_view(mesh: LatentMesh, region: int, rng: np.random.Generator,
@@ -64,22 +51,16 @@ def make_view(mesh: LatentMesh, region: int, rng: np.random.Generator,
 
 def render_view(mesh: LatentMesh, view: ViewSpec) -> np.ndarray:
     """Linear render: the blend of the supported vertices' codes."""
-    in_region = mesh.regions[view.vertices] == view.region
-    if not np.all(in_region):
-        raise ValueError("view support must lie inside its region")
     return view.blend @ mesh.codes[view.vertices]
 
 
 def backprop_view(mesh: LatentMesh, view: ViewSpec,
-                  residual) -> tuple[np.ndarray, np.ndarray]:
+                  residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chain rule through the linear render: blend_i * residual at the supported rows.
 
     Returns the gradient as a (rows, values) pair, `view.vertices` and
     `blend[:, None] * residual`; every other row of the gradient is zero.
     """
-    residual = np.asarray(residual, dtype=float)
-    if residual.shape != (mesh.latent_dim,):
-        raise ValueError("residual must match the latent dimension")
     return view.vertices, view.blend[:, None] * residual
 
 
@@ -109,13 +90,6 @@ class RegionAllocation:
 
     weights: dict[int, float]
     counts: dict[int, int]
-    total: int
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.total:
-            raise ValueError("allocation counts must sum to the total")
-        if any(c < 0 for c in self.counts.values()):
-            raise ValueError("allocation counts must be nonnegative")
 
 
 def allocate_views(weights: dict[int, float], total: int) -> RegionAllocation:
@@ -137,8 +111,7 @@ def allocate_views(weights: dict[int, float], total: int) -> RegionAllocation:
     for idx in order[:leftover]:
         counts[idx] += 1
     return RegionAllocation(weights=dict(weights),
-                            counts={r: int(c) for r, c in zip(regions, counts)},
-                            total=int(total))
+                            counts={r: int(c) for r, c in zip(regions, counts)})
 
 
 # ---------------------------------------------------------------------------

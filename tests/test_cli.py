@@ -512,6 +512,17 @@ def test_overflowing_smoothing_system_is_named(tmp_path, capsys):
          "kappa_bound = inf, and eps * kappa_bound must be <= 1e-06\n")
 
 
+def test_mesh_edit_refused_at_a_later_w1_writes_nothing(tmp_path, capsys):
+    # w1 = 0 runs fine; w1 = 1e12 is outside the smoothing solve's accuracy range
+    out = tmp_path / "o"
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "mesh_example.json"
+    assert main(["mesh-edit", "--config", str(cfg), "--out", str(out), "--steps", "2",
+                 "--w1", "0", "--w1", "1e12"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: lr * w1 = 2e+10 is outside the smoothing solve's accuracy range")
+    assert not out.exists()
+
+
 def test_mesh_edit_missing_fixture(tmp_path, capsys):
     cfg = write_config(tmp_path, {**MESH_CONFIG, "mesh_path": "nope.json"})
     assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -217,8 +217,7 @@ def test_malformed_trajectory_csv_names_the_file_and_line(tmp_path, row, message
     path = tmp_path / "run.csv"
     path.write_text("# seed=0\nstep,t,theta_0,theta_1,res_0,res_1,p,p_img,p_full\n"
                     "0,0,0.5,1.0,0.0,0.0,0.1,0.2,0.3\n" + row + "\n")
-    where = f"{path}: " if "steps" in message else f"{path}:4: "
-    with pytest.raises(ValueError, match=re.escape(where + message)):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: {message}")):
         trajectory_from_csv(path)
 
 
@@ -227,13 +226,6 @@ def test_non_utf8_trajectory_csv_names_the_file(tmp_path):
     path.write_bytes(b"step,t\n\xff\xfe,1\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text (byte 7)")):
         trajectory_from_csv(path)
-
-
-def test_trajectory_validates_lengths():
-    with pytest.raises(ValueError):
-        Trajectory(steps=np.arange(3), timesteps=np.zeros(2, dtype=int),
-                   thetas=np.zeros((3, 2)), residuals=np.zeros((3, 2)),
-                   densities=np.zeros((3, 3)), seed=0)
 
 
 def test_csv_header_matches_interface(setup):
