@@ -8,8 +8,7 @@ allocation, and the scripted experiments that exercise all of it.
 __version__ = "0.1.0"
 
 from .guidance import (EstimatorKind, GuidanceWeights, StageThresholds, TermBundle,
-                       cfg_combine, decompose_terms, sds_residual, sdse_prime_residual,
-                       sdse_residual, ssd_residual, term_residual)
+                       cfg_combine, decompose_terms, sdse_residual, term_residual)
 from .mixtures import (ALL_CONDITIONS, Condition, ConditionLabel, ConditionedMixture,
                        FULL_COND, GaussianComponent, IMAGE_COND, TEXT_COND,
                        UNCONDITIONED, load_mixture, mixture_density,

@@ -85,7 +85,8 @@ def convergence_check(traj: Trajectory, modes: np.ndarray, tol: float = 0.05,
         raise ValueError("tol must be > 0")
     modes = np.atleast_2d(np.asarray(modes, dtype=float))
     final = traj.final_theta
-    dists = np.linalg.norm(modes - final, axis=1)
+    with np.errstate(over="ignore" if traj.guard_tripped else None):  # the guard named it
+        dists = np.linalg.norm(modes - final, axis=1)
     nearest = int(np.argmin(dists))
     distance = float(dists[nearest])
     ema = residual_ema_norm(traj, window)
@@ -239,17 +240,19 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
 
         grad_rows = []
         hit = None
-        for step in range(1, config.steps + 1):
-            batch = list(_draw_views(current, allocation.counts, rng, config))
-            try:
-                current, row = edit_step(current, batch, oracle, profile, rng, solver,
-                                         config.weights, config.thresholds)
-            except ValueError as err:  # the divergence guard, named by seed and step
-                raise ValueError(f"seed {seed}, step {step}: {err}") from None
-            grad_rows.append({"step": step, **row})
-            if hit is None and edited and \
-                    mode_distance_of_regions(current, edited, modes) < config.threshold_distance:
-                hit = step
+        # A step that overflows leaves the divergence guard, which names it.
+        with np.errstate(over="ignore"):
+            for step in range(1, config.steps + 1):
+                batch = list(_draw_views(current, allocation.counts, rng, config))
+                try:
+                    current, row = edit_step(current, batch, oracle, profile, rng, solver,
+                                             config.weights, config.thresholds)
+                except ValueError as err:  # the divergence guard, named by seed and step
+                    raise ValueError(f"seed {seed}, step {step}: {err}") from None
+                grad_rows.append({"step": step, **row})
+                if hit is None and edited and mode_distance_of_regions(
+                        current, edited, modes) < config.threshold_distance:
+                    hit = step
         reports.append(EditReport(seed=seed, allocation=allocation,
                                   steps_to_threshold=hit,
                                   dispersion=region_dispersion(current),

@@ -121,32 +121,6 @@ def decompose_terms(eps_uncond, eps_img, eps_full, epsilon,
     return TermBundle(m1=m1, m2=m2, m3=m3, m4=m4, cfg_residual=cfg_residual)
 
 
-def sds_residual(oracle: NoiseOracle, z_t, t: int, epsilon, w: GuidanceWeights) -> np.ndarray:
-    """Plain guided residual: guided prediction - epsilon."""
-    epsilon = np.asarray(epsilon, dtype=float)
-    eps_u = oracle.predict(z_t, t, UNCONDITIONED)
-    eps_i = oracle.predict(z_t, t, IMAGE_COND)
-    eps_f = oracle.predict(z_t, t, FULL_COND)
-    return cfg_combine(eps_u, eps_i, eps_f, w) - epsilon
-
-
-def ssd_residual(oracle: NoiseOracle, z_t, t: int, epsilon, omega: float,
-                 th: StageThresholds = StageThresholds()) -> np.ndarray:
-    """Single-condition split: mode-seeking pull plus a gated disengaging term.
-
-    The joint (text, image) condition plays the single condition; the
-    disengaging term against the unconditional prediction is dropped at small
-    timesteps.
-    """
-    epsilon = np.asarray(epsilon, dtype=float)
-    eps_f = oracle.predict(z_t, t, FULL_COND)
-    res = eps_f - epsilon
-    if t > th.small_max and omega != 0.0:
-        eps_u = oracle.predict(z_t, t, UNCONDITIONED)
-        res = res + omega * (eps_f - eps_u)
-    return res
-
-
 def sdse_residual(oracle: NoiseOracle, z_t, t: int, epsilon, w: GuidanceWeights,
                   th: StageThresholds = StageThresholds()) -> np.ndarray:
     """Staged editing residual: the condition-integration term m2, middle cap enforced."""
@@ -158,30 +132,39 @@ def sdse_residual(oracle: NoiseOracle, z_t, t: int, epsilon, w: GuidanceWeights,
     return _integration_term(eps_i, eps_f, epsilon, w.omega_t)
 
 
-def sdse_prime_residual(oracle: NoiseOracle, z_t, t: int, epsilon, w: GuidanceWeights,
-                        th: StageThresholds = StageThresholds()) -> np.ndarray:
-    """Variant dropping the divergence term at small timesteps (t <= small_max);
-    sdse_residual refuses the large ones."""
-    if t <= th.small_max:
-        return oracle.predict(z_t, t, FULL_COND) - np.asarray(epsilon, dtype=float)
-    return sdse_residual(oracle, z_t, t, epsilon, w, th)
-
-
 def term_residual(kind: EstimatorKind, oracle: NoiseOracle, z_t, t: int, epsilon,
                   w: GuidanceWeights, th: StageThresholds = StageThresholds()) -> np.ndarray:
-    """Dispatch to a full estimator or a single decomposition term."""
-    if kind is EstimatorKind.SDS:
-        return sds_residual(oracle, z_t, t, epsilon, w)
-    if kind is EstimatorKind.SSD:
-        return ssd_residual(oracle, z_t, t, epsilon, w.omega_t, th)
-    if kind is EstimatorKind.SDSE:
+    """The residual of an estimator, or of a single decomposition term, at (z_t, t).
+
+    - SDS: the guided prediction minus epsilon.
+    - SSD: a single-condition split. The joint (text, image) condition plays
+      the single condition: a mode-seeking pull eps_full - epsilon, plus
+      omega_t (eps_full - eps_uncond), a disengaging term dropped at small
+      timesteps (t <= small_max).
+    - SDSE: `sdse_residual`, which refuses large timesteps (t > middle_max).
+    - SDSE': SDSE with the divergence term dropped at small timesteps, where
+      it is the full-condition pull m4.
+    - M1, M3, M4: the decomposition term alone.
+    """
+    if kind is EstimatorKind.SDSE or (kind is EstimatorKind.SDSE_PRIME and t > th.small_max):
         return sdse_residual(oracle, z_t, t, epsilon, w, th)
-    if kind is EstimatorKind.SDSE_PRIME:
-        return sdse_prime_residual(oracle, z_t, t, epsilon, w, th)
+    if kind is EstimatorKind.M4_ONLY or kind is EstimatorKind.SDSE_PRIME:
+        return oracle.predict(z_t, t, FULL_COND) - np.asarray(epsilon, dtype=float)
+    if kind is EstimatorKind.SDS:
+        epsilon = np.asarray(epsilon, dtype=float)
+        eps_u = oracle.predict(z_t, t, UNCONDITIONED)
+        eps_i = oracle.predict(z_t, t, IMAGE_COND)
+        eps_f = oracle.predict(z_t, t, FULL_COND)
+        return cfg_combine(eps_u, eps_i, eps_f, w) - epsilon
+    if kind is EstimatorKind.SSD:
+        epsilon = np.asarray(epsilon, dtype=float)
+        eps_f = oracle.predict(z_t, t, FULL_COND)
+        res = eps_f - epsilon
+        if t > th.small_max and w.omega_t != 0.0:
+            res = res + w.omega_t * (eps_f - oracle.predict(z_t, t, UNCONDITIONED))
+        return res
     if kind is EstimatorKind.M1_ONLY:
         return oracle.predict(z_t, t, IMAGE_COND) - oracle.predict(z_t, t, UNCONDITIONED)
     if kind is EstimatorKind.M3_ONLY:
         return oracle.predict(z_t, t, FULL_COND) - oracle.predict(z_t, t, IMAGE_COND)
-    if kind is EstimatorKind.M4_ONLY:
-        return oracle.predict(z_t, t, FULL_COND) - np.asarray(epsilon, dtype=float)
     raise ValueError(f"unknown estimator kind: {kind!r}")

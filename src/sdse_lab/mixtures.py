@@ -164,9 +164,14 @@ def sub_mixture(mix: ConditionedMixture, cond: Condition) -> ConditionedMixture:
     return ConditionedMixture(tuple(mix.components[k] for k in idx))
 
 
-def _pushforward(ab: float, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked components (mu, S) forward-diffused to (sqrt(ab) mu, ab S + (1-ab) I)."""
-    return np.sqrt(ab) * means, ab * covs + (1.0 - ab) * np.eye(means.shape[-1])
+def _pushforward(ab, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked components (mu, S) forward-diffused to (sqrt(ab) mu, ab S + (1-ab) I).
+
+    A scalar ab gives (K, d) and (K, d, d); a vector of T levels prepends a T axis.
+    """
+    ab = np.asarray(ab)[..., None, None]
+    scale = ab[..., None]
+    return np.sqrt(ab) * means, scale * covs + (1.0 - scale) * np.eye(means.shape[-1])
 
 
 def noised_mixture(mix: ConditionedMixture, sched: NoiseSchedule, t: int) -> ConditionedMixture:
@@ -202,6 +207,11 @@ class FrozenMixture:
     Isotropic components take a diagonal path and keep one variance per
     component (`variances`); any other covariance keeps the stack (`covs`) and
     stored inverses. Evaluation accepts one point (d,) or a stack (..., d).
+
+    `pushforward` stacks the tables of many noise levels: every array but
+    `log_wts` gains a leading level axis, and `evaluate` reads one level
+    through its `row` argument. Its default, `...`, reads the whole table,
+    which is what an unstacked table needs.
     """
 
     __slots__ = ("means", "covs", "variances", "log_wts", "iso", "inv_vars", "inv_covs",
@@ -212,12 +222,12 @@ class FrozenMixture:
 
     def _freeze(self, means: np.ndarray, covs: np.ndarray, log_wts: np.ndarray) -> None:
         self.means, self.log_wts = means, log_wts
-        self.dim = means.shape[1]
-        diag = covs[:, np.arange(self.dim), np.arange(self.dim)]
-        off = covs - diag[:, :, None] * np.eye(self.dim)
-        self.iso = bool(not off.any() and np.all(diag == diag[:, :1]))
+        self.dim = means.shape[-1]
+        diag = covs[..., np.arange(self.dim), np.arange(self.dim)]
+        off = covs - diag[..., None] * np.eye(self.dim)
+        self.iso = bool(not off.any() and np.all(diag == diag[..., :1]))
         if self.iso:
-            self._isotropic(diag[:, 0])
+            self._isotropic(diag[..., 0])
         else:
             sign, logdet = np.linalg.slogdet(covs)
             if np.any(sign <= 0):
@@ -231,29 +241,33 @@ class FrozenMixture:
         self.inv_vars, self.inv_covs = 1.0 / variances, None
         self.log_norms = -0.5 * self.dim * (_LOG_2PI + np.log(variances))
 
-    def pushforward(self, ab: float) -> "FrozenMixture":
-        """The same mixture forward-diffused to signal level ab (weights kept).
+    def pushforward(self, alphas_bar: np.ndarray) -> "FrozenMixture":
+        """The tables forward-diffused to each signal level of alphas_bar (T,), stacked
+        along a leading axis: row i is the table at alphas_bar[i] (weights kept).
 
         An isotropic table stays isotropic: its variances are ab s_k + (1 - ab)
         in closed form, the diagonal that _pushforward's covariance stack holds.
         """
         out = object.__new__(FrozenMixture)
         if self.iso:
-            out.means, out.log_wts = np.sqrt(ab) * self.means, self.log_wts
+            ab = np.asarray(alphas_bar)[:, None]
+            out.means, out.log_wts = np.sqrt(ab)[..., None] * self.means, self.log_wts
             out.dim, out.iso = self.dim, True
             out._isotropic(ab * self.variances + (1.0 - ab))
         else:
-            out._freeze(*_pushforward(ab, self.means, self.covs), self.log_wts)
+            out._freeze(*_pushforward(alphas_bar, self.means, self.covs), self.log_wts)
         return out
 
-    def evaluate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-component (log N_k(z), mean_k - z) for every component at once."""
-        d = self.means - z[..., None, :]
+    def evaluate(self, z: np.ndarray, row=...) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-component (log N_k(z), mean_k - z) for every component at once, and
+        the inverse variances or covariances they used."""
+        inv = (self.inv_vars if self.iso else self.inv_covs)[row]
+        d = self.means[row] - z[..., None, :]
         if self.iso:
-            maha = np.add.reduce(d * d, -1) * self.inv_vars
+            maha = np.add.reduce(d * d, -1) * inv
         else:
-            maha = np.einsum("...kd,kde,...ke->...k", d, self.inv_covs, d)
-        return self.log_norms - 0.5 * maha, d
+            maha = np.einsum("...kd,kde,...ke->...k", d, inv, d)
+        return self.log_norms[row] - 0.5 * maha, d, inv
 
     def _shifted_sum(self, z: np.ndarray, log_wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of log_wts + log N(z): its max m and s = sum_k exp(logp_k - m).
@@ -283,29 +297,24 @@ class FrozenMixture:
         m, s = self._shifted_sum(z, self.log_wts if log_wts is None else log_wts)
         return np.exp(m) * s
 
-    def inverses(self, idx) -> np.ndarray:
-        """Inverse variances (isotropic) or inverse covariances of the components idx selects."""
-        return (self.inv_vars if self.iso else self.inv_covs)[idx]
-
-    def masked_score(self, evaluated: tuple[np.ndarray, np.ndarray], idx,
-                     log_wts: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+    def masked_score(self, evaluated: tuple[np.ndarray, np.ndarray, np.ndarray], idx,
+                     log_wts: np.ndarray) -> np.ndarray:
         """Score of the sub-mixture (idx, log_wts) at the point `evaluated` came from.
 
-        `inverses` is `self.inverses(idx)`, which a caller may keep across
-        points. The gradient of the log density is the responsibility-weighted
-        pull toward the component means.
+        The gradient of the log density is the responsibility-weighted pull
+        toward the component means.
         """
-        log_n, d = evaluated
+        log_n, d, inv = evaluated
         logp = log_wts + log_n[idx]
         resp = np.exp(logp - np.maximum.reduce(logp))
         resp /= np.add.reduce(resp)
         if self.iso:
-            return np.dot(resp * inverses, d.take(idx, 0))
-        return np.einsum("k,kde,ke->d", resp, inverses, d.take(idx, 0))
+            return np.dot(resp * inv[idx], d.take(idx, 0))
+        return np.einsum("k,kde,ke->d", resp, inv[idx], d.take(idx, 0))
 
     def score(self, z: np.ndarray) -> np.ndarray:
         every = np.arange(self.log_wts.size)
-        return self.masked_score(self.evaluate(z), every, self.log_wts, self.inverses(every))
+        return self.masked_score(self.evaluate(z), every, self.log_wts)
 
 
 def _as_point(mix: ConditionedMixture, z) -> np.ndarray:

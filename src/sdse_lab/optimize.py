@@ -157,20 +157,22 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
     densities[0] = oracle.density_bundle(theta)
     guard = False
     used = 1
-    for i in range(steps):
-        t = int(ts[i])
-        epsilon = epsilons[i]
-        z_t = sqrt_ab[t - 1] * theta + sigma[t - 1] * epsilon
-        res = term_residual(kind, oracle, z_t, t, epsilon, weights, thresholds)
-        theta = theta - lr * res
-        thetas[i + 1] = theta
-        residuals[i + 1] = res
-        out_ts[i + 1] = t
-        densities[i + 1] = oracle.density_bundle(theta)
-        used = i + 2
-        if not (theta @ theta <= DIVERGENCE_GUARD**2):  # also trips on NaN/inf
-            guard = True
-            break
+    # A step that overflows leaves the guard, which ends the run and names it.
+    with np.errstate(over="ignore"):
+        for i in range(steps):
+            t = int(ts[i])
+            epsilon = epsilons[i]
+            z_t = sqrt_ab[t - 1] * theta + sigma[t - 1] * epsilon
+            res = term_residual(kind, oracle, z_t, t, epsilon, weights, thresholds)
+            theta = theta - lr * res
+            thetas[i + 1] = theta
+            residuals[i + 1] = res
+            out_ts[i + 1] = t
+            densities[i + 1] = oracle.density_bundle(theta)
+            used = i + 2
+            if not (theta @ theta <= DIVERGENCE_GUARD**2):  # also trips on NaN/inf
+                guard = True
+                break
 
     return Trajectory(steps=out_steps[:used], timesteps=out_ts[:used],
                       thetas=thetas[:used], residuals=residuals[:used],

@@ -51,62 +51,48 @@ def predict_noise(mix: ConditionedMixture, sched: NoiseSchedule, z_t, t: int,
 class NoiseOracle:
     """Cached noise predictions and raw conditional densities for one mixture.
 
-    The oracle keeps, per timestep t, the forward-diffused component table
-    (closed form for an isotropic mixture, see `FrozenMixture.pushforward`)
-    and, per (t, text, image) key, the operands of a prediction: -sigma_t, the
-    support indices and their renormalized log weights, and the supported
-    components' inverse (co)variances. A prediction then evaluates the
-    components once per (t, z_t), shared by every condition queried there, and
-    hands the cached operands to `FrozenMixture.masked_score`. Raw densities of
-    the unconditional, image and full conditions come from one
-    `FrozenMixture.density` call on a (3, K) log-weight matrix, -inf outside
-    each condition's support, built on first use (a mixture may lack a
-    condition it is never asked about).
+    The oracle builds the forward-diffused component tables of every timestep
+    once, as one `FrozenMixture.pushforward` stack over the schedule's
+    alphas_bar (closed form for an isotropic mixture): means (T, K, d),
+    inverse variances (T, K) or inverse covariances (T, K, d, d), and log
+    normalizers (T, K). A prediction at t reads row t - 1. It evaluates the
+    components once per (t, z_t), shared by every condition queried there,
+    and hands each condition's support indices and renormalized log weights
+    to `FrozenMixture.masked_score`. Raw densities of the unconditional, image
+    and full conditions come from one `FrozenMixture.density` call on a
+    (3, K) log-weight matrix, -inf outside each condition's support, built on
+    first use (a mixture may lack a condition it is never asked about).
     """
 
     def __init__(self, mix: ConditionedMixture, sched: NoiseSchedule):
         self.mixture = mix
         self.schedule = sched
         self._base = FrozenMixture(mix)
-        self._tables: dict[int, FrozenMixture] = {}
-        self._supports: dict[Condition, tuple[np.ndarray, np.ndarray]] = {}
-        self._operands: dict[tuple[int, bool, bool], tuple] = {}
+        self._stack = self._base.pushforward(sched.alphas_bar)
+        # Keyed by plain (text, image) tuples: Condition's dataclass __hash__ runs in Python.
+        self._supports: dict[tuple[bool, bool], tuple[np.ndarray, np.ndarray]] = {}
         self._density_log_wts: np.ndarray | None = None
         self._eval_key: tuple[int, bytes] | None = None
-        self._eval_val: tuple[np.ndarray, np.ndarray] | None = None
+        self._eval_val: tuple[float, tuple] | None = None
 
     def _support(self, cond: Condition) -> tuple[np.ndarray, np.ndarray]:
-        hit = self._supports.get(cond)
+        key = (cond.text, cond.image)
+        hit = self._supports.get(key)
         if hit is None:
-            hit = self._supports[cond] = condition_support(self.mixture, cond)
+            hit = self._supports[key] = condition_support(self.mixture, cond)
         return hit
-
-    def _table(self, t: int) -> FrozenMixture:
-        """Component table at timestep t; ValueError naming t outside [1, T]."""
-        hit = self._tables.get(t)
-        if hit is None:
-            hit = self._tables[t] = self._base.pushforward(self.schedule.alpha_bar(t))
-        return hit
-
-    def _prediction_operands(self, t: int, cond: Condition) -> tuple:
-        table = self._table(t)
-        idx, log_wts = self._support(cond)
-        return table, -self.schedule.sigma(t), idx, log_wts, table.inverses(idx)
 
     def predict(self, z_t, t: int, cond: Condition) -> np.ndarray:
-        """eps_hat(z_t, t, cond)."""
+        """eps_hat(z_t, t, cond); ValueError naming t outside [1, T]."""
         z_t = np.asarray(z_t, dtype=float)
-        # A plain-tuple key: Condition's dataclass __hash__ would run in Python.
-        op_key = (t, cond.text, cond.image)
-        ops = self._operands.get(op_key)
-        if ops is None:
-            ops = self._operands[op_key] = self._prediction_operands(t, cond)
-        table, neg_sigma, idx, log_wts, inverses = ops
         key = (t, z_t.tobytes())
         if key != self._eval_key:
-            self._eval_val = table.evaluate(z_t)
+            row = self.schedule.index(t)  # before the read: row -1 would wrap silently
+            self._eval_val = -self.schedule.sigmas.item(row), self._stack.evaluate(z_t, row)
             self._eval_key = key
-        return neg_sigma * table.masked_score(self._eval_val, idx, log_wts, inverses)
+        neg_sigma, evaluated = self._eval_val
+        idx, log_wts = self._support(cond)
+        return neg_sigma * self._stack.masked_score(evaluated, idx, log_wts)
 
     def density_bundle(self, z: np.ndarray) -> tuple[float, float, float]:
         """Raw densities (p, p_img, p_full) at z from one component evaluation."""

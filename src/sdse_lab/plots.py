@@ -9,6 +9,8 @@ polylines; labeled modes are drawn as markers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .mixtures import ConditionLabel, ConditionedMixture, FrozenMixture
@@ -144,14 +146,19 @@ def plot_trajectories_svg(mix: ConditionedMixture, trajectories: list[np.ndarray
 
     for idx, traj in enumerate(trajectories):
         color = _TRAJ_COLORS[idx % len(_TRAJ_COLORS)]
-        pts = " ".join(f"{_fmt(cv.px(p[0]))},{_fmt(cv.py(p[1]))}" for p in traj)
+        # Python floats overflow to inf without a warning; such points are left out.
+        canvas = [(cv.px(x), cv.py(y)) for x, y in np.asarray(traj)[:, :2].tolist()]
+        drawn = [(_fmt(x), _fmt(y)) if math.isfinite(x) and math.isfinite(y) else None
+                 for x, y in canvas]
+        pts = " ".join(f"{x},{y}" for x, y in filter(None, drawn))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2" opacity="0.85"/>')
-        start, end = traj[0], traj[-1]
-        parts.append(f'<circle cx="{_fmt(cv.px(start[0]))}" cy="{_fmt(cv.py(start[1]))}" '
-                     f'r="3" fill="none" stroke="{color}"/>')
-        parts.append(f'<circle cx="{_fmt(cv.px(end[0]))}" cy="{_fmt(cv.py(end[1]))}" '
-                     f'r="3" fill="{color}"/>')
+        start, end = drawn[0], drawn[-1]
+        if start:
+            parts.append(f'<circle cx="{start[0]}" cy="{start[1]}" '
+                         f'r="3" fill="none" stroke="{color}"/>')
+        if end:
+            parts.append(f'<circle cx="{end[0]}" cy="{end[1]}" r="3" fill="{color}"/>')
         if labels and idx < len(labels):
             parts.append(f'<text x="{_W - _PAD - 120}" y="{_PAD + 16 + 14 * idx}" '
                          f'font-family="monospace" font-size="11" fill="{color}">'

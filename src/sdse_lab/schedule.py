@@ -43,7 +43,7 @@ class NoiseSchedule:
     def index(self, t: int) -> int:
         """Array index t - 1 of timestep t; ValueError outside [1, T]."""
         t = int(t)
-        if not 1 <= t <= self.num_steps:
+        if not 1 <= t <= self.alphas_bar.size:
             raise ValueError(f"timestep {t} out of range [1, {self.num_steps}]")
         return t - 1
 

@@ -141,6 +141,24 @@ def test_toy_csvs_equal_run_full_schedule(tmp_path, estimator):
             assert np.array_equal(getattr(written, name), getattr(traj, name)), name
 
 
+def test_toy_overflowing_divergence_is_named_without_warnings(tmp_path):
+    """lr = 1e308 overflows the first step's iterate, its densities, the guard's
+    norm and the plot's canvas scale; the guard names the run, nothing warns
+    (RuntimeWarnings are errors here) and no file holds a non-finite point."""
+    out = tmp_path / "out"
+    assert main(["toy", "--estimator", "sds", "--lr", "1e308", "--steps", "20",
+                 "--seed", "0", "--out", str(out)]) == 0
+    run, = json.loads((out / "summary.json").read_text())["runs"]
+    assert run["guard_tripped"] and run["classification"] == "diverged"
+    assert trajectory_from_csv(out / "sds_seed0.csv").num_rows == 2
+    plot = tmp_path / "plot.svg"
+    assert main(["emit-plot", "--trajectory", str(out / "sds_seed0.csv"),
+                 "--out", str(plot)]) == 0
+    for svg in (out / "toy_sds.svg", plot):
+        text = svg.read_text()
+        assert "inf" not in text and "nan" not in text
+
+
 def test_toy_default_config_runs_seven_estimators(tmp_path):
     out = tmp_path / "out"
     assert main(["toy", "--out", str(out), "--steps", "4", "--no-svg"]) == 0
@@ -494,8 +512,9 @@ MESH_EXAMPLE = json.loads(
 
 
 @pytest.mark.parametrize("override", [{"lr": 1e200, "steps": 20},
-                                      {"lr": 1e6, "w1": 0, "steps": 20}],
-                         ids=["smoothed", "unsmoothed"])
+                                      {"lr": 1e6, "w1": 0, "steps": 20},
+                                      {"lr": 1e308, "w1": 0, "steps": 20}],
+                         ids=["smoothed", "unsmoothed", "unsmoothed-overflowing"])
 def test_diverging_mesh_edit_names_the_seed_and_step(tmp_path, capsys, override):
     cfg = write_config(tmp_path, {**MESH_EXAMPLE, **override})
     assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

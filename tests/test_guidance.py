@@ -9,10 +9,7 @@ from sdse_lab.guidance import (
     StageThresholds,
     cfg_combine,
     decompose_terms,
-    sds_residual,
-    sdse_prime_residual,
     sdse_residual,
-    ssd_residual,
     term_residual,
 )
 from sdse_lab.mixtures import (
@@ -117,11 +114,13 @@ def test_sds_zero_when_epsilon_is_the_guided_prediction(oracle):
     z, t = np.array([0.7, 0.8]), 420
     eps = oracle.predict(z, t, FULL_COND)
     w = GuidanceWeights(omega_t=1.0, omega_i=1.0)
-    np.testing.assert_array_equal(sds_residual(oracle, z, t, eps, w), np.zeros(2))
+    np.testing.assert_array_equal(term_residual(EstimatorKind.SDS, oracle, z, t, eps, w),
+                                  np.zeros(2))
 
 
 def test_sds_golden_vector(oracle):
-    got = sds_residual(oracle, np.array([0.5, 1.0]), 500, np.zeros(2), W_DEFAULT)
+    got = term_residual(EstimatorKind.SDS, oracle, np.array([0.5, 1.0]), 500, np.zeros(2),
+                        W_DEFAULT)
     np.testing.assert_allclose(got, SDS_GOLDEN, rtol=1e-12)
 
 
@@ -136,20 +135,21 @@ def test_sds_matches_decomposition(oracle):
         b = decompose_terms(oracle.predict(z, t, UNCONDITIONED),
                             oracle.predict(z, t, IMAGE_COND),
                             oracle.predict(z, t, FULL_COND), eps, w)
-        got = sds_residual(oracle, z, t, eps, w)
+        got = term_residual(EstimatorKind.SDS, oracle, z, t, eps, w)
         np.testing.assert_allclose(got, (w.omega_i - 1) * b.m1 + b.m2, atol=1e-12)
 
 
 def test_ssd_small_timestep_drops_disengaging_term(oracle):
     th = StageThresholds()
     z, eps = np.array([1.0, 1.0]), np.array([0.3, -0.2])
-    got = ssd_residual(oracle, z, th.small_max, eps, omega=7.5, th=th)
+    got = term_residual(EstimatorKind.SSD, oracle, z, th.small_max, eps,
+                        GuidanceWeights(omega_t=7.5), th)
     np.testing.assert_array_equal(got, oracle.predict(z, th.small_max, FULL_COND) - eps)
 
 
 def test_ssd_zero_omega_is_mode_seeking_only(oracle):
     z, t, eps = np.array([1.0, 1.0]), 700, np.array([0.1, 0.2])
-    got = ssd_residual(oracle, z, t, eps, omega=0.0)
+    got = term_residual(EstimatorKind.SSD, oracle, z, t, eps, GuidanceWeights(omega_t=0.0))
     np.testing.assert_array_equal(got, oracle.predict(z, t, FULL_COND) - eps)
 
 
@@ -165,8 +165,9 @@ def test_ssd_identity_above_threshold(oracle):
         eps_f = oracle.predict(z, t, FULL_COND)
         b = decompose_terms(eps_u, eps_i, eps_f, eps, W_DEFAULT)
         expected = omega * (b.m1 + b.m3) + (eps_i + b.m3 - eps)
-        np.testing.assert_allclose(ssd_residual(oracle, z, t, eps, omega), expected,
-                                   atol=1e-12)
+        got = term_residual(EstimatorKind.SSD, oracle, z, t, eps,
+                            GuidanceWeights(omega_t=omega))
+        np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_sdse_equals_m2_exactly(oracle):
@@ -200,13 +201,14 @@ def test_sdse_rejects_large_timesteps(oracle, t):
     with pytest.raises(ValueError, match="large timesteps excluded"):
         sdse_residual(oracle, np.zeros(2), t, np.zeros(2), W_DEFAULT)
     with pytest.raises(ValueError, match="large timesteps excluded"):
-        sdse_prime_residual(oracle, np.zeros(2), t, np.zeros(2), W_DEFAULT)
+        term_residual(EstimatorKind.SDSE_PRIME, oracle, np.zeros(2), t, np.zeros(2),
+                      W_DEFAULT)
 
 
 def test_sdse_prime_small_branch_boundary_inclusive(oracle):
     th = StageThresholds()
     z, eps = np.array([1.0, 0.7]), np.array([0.2, 0.2])
-    got = sdse_prime_residual(oracle, z, th.small_max, eps, W_DEFAULT, th)
+    got = term_residual(EstimatorKind.SDSE_PRIME, oracle, z, th.small_max, eps, W_DEFAULT, th)
     np.testing.assert_array_equal(got, oracle.predict(z, th.small_max, FULL_COND) - eps)
 
 
@@ -215,7 +217,7 @@ def test_sdse_prime_matches_sdse_above_boundary(oracle):
     z, eps = np.array([1.0, 0.7]), np.array([0.2, 0.2])
     t = th.small_max + 1
     np.testing.assert_array_equal(
-        sdse_prime_residual(oracle, z, t, eps, W_DEFAULT, th),
+        term_residual(EstimatorKind.SDSE_PRIME, oracle, z, t, eps, W_DEFAULT, th),
         sdse_residual(oracle, z, t, eps, W_DEFAULT, th))
 
 
@@ -224,7 +226,7 @@ def test_sdse_prime_unit_scale_branches_agree(oracle):
     z, eps = np.array([1.4, 0.6]), np.array([-0.3, 0.1])
     for t in (50, 150, 151, 500, 800):
         np.testing.assert_array_equal(
-            sdse_prime_residual(oracle, z, t, eps, w),
+            term_residual(EstimatorKind.SDSE_PRIME, oracle, z, t, eps, w),
             sdse_residual(oracle, z, t, eps, w))
 
 

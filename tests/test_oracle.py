@@ -154,7 +154,7 @@ def test_density_bundle_at_infinite_point_is_zero_without_warnings():
 
 
 def test_predict_keys_conditions_by_value():
-    """A freshly built condition hits the same cached operands as FULL_COND."""
+    """A freshly built condition hits the same cached support as FULL_COND."""
     sched = linear_beta_schedule()
     z = np.array([0.5, 1.0])
     for t in (1, 400, 1000):
@@ -166,7 +166,7 @@ def test_predict_keys_conditions_by_value():
         warm.predict(z, t, FULL_COND)
         got = warm.predict(z, t, Condition(text=True, image=True))
         assert got.tobytes() == want.tobytes()
-        assert len(warm._operands) == 1
+        assert len(warm._supports) == 1
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warmed"])

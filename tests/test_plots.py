@@ -47,6 +47,21 @@ def test_svg_structure_and_determinism():
     assert a.count("<polygon") == 5  # one star per labeled mode
 
 
+def test_svg_leaves_out_points_whose_canvas_coordinates_are_not_finite():
+    """A diverged row (1e308 overflows the canvas scale) or an infinite one is
+    dropped from the polyline and the end marker; the finite rows draw as they
+    do alone."""
+    mix = toy_mixture()
+    finite = np.array([[0.5, 1.0], [1.0, 1.1]])
+    alone = plot_trajectories_svg(mix, [finite], resolution=20)
+    for tail in ([1e308, 0.5], [np.inf, -np.inf], [np.nan, 1.0]):
+        svg = plot_trajectories_svg(mix, [np.vstack([finite, tail])], resolution=20)
+        assert "inf" not in svg and "nan" not in svg
+        polyline = [line for line in svg.splitlines() if "<polyline" in line]
+        assert polyline == [line for line in alone.splitlines() if "<polyline" in line]
+        assert svg.count("<circle") == 1  # the start marker; the end is not finite
+
+
 def test_svg_without_trajectories_is_valid():
     mix = toy_mixture()
     svg = plot_trajectories_svg(mix, [], resolution=20)
