@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
-from .mesh import LatentMesh, _laplacian
+from .mesh import LatentMesh, _laplacian, squared_norms
 from .mixtures import START_POINT, Condition, ConditionedMixture, FULL_COND, IMAGE_COND
 from .optimize import Trajectory, optimize_point
 from .oracle import NoiseOracle
@@ -164,18 +164,25 @@ def region_dispersion(mesh: LatentMesh) -> dict[int, float]:
     sum of the induced subgraphs' Laplacians, so its rows restricted to a
     region are that region's subgraph Laplacian rows.
     """
-    edges = np.asarray(mesh.edges, dtype=np.intp).reshape(-1, 2)
+    edges = mesh.edge_array
     ends = mesh.regions[edges]
     lap = _laplacian(mesh.num_vertices, edges[ends[:, 0] == ends[:, 1]])
-    rough = lap @ mesh.codes
-    row_sq = (rough * rough).sum(axis=1)
+    row_sq = squared_norms(lap @ mesh.codes)
     return {region: float(row_sq[mesh.region_vertices(region)].mean())
             for region in mesh.region_ids().tolist()}
 
 
 def mode_distance_of_regions(mesh: LatentMesh, regions: list[int], modes: np.ndarray) -> float:
-    verts = np.concatenate([mesh.region_vertices(r) for r in regions])
-    d = np.linalg.norm(mesh.codes[verts][:, None, :] - modes[None, :, :], axis=2)
+    """Mean over the listed regions' vertices of the distance from each code to
+    its nearest mode; ValueError on an empty list or a region the mesh lacks."""
+    parts = [mesh.region_vertices(r) for r in regions]
+    if not parts:
+        raise ValueError("regions must name at least one mesh region")
+    missing = [r for r, verts in zip(regions, parts) if verts.size == 0]
+    if missing:
+        raise ValueError(f"regions {missing} are not regions of the mesh")
+    codes = mesh.codes[np.concatenate(parts)]
+    d = np.sqrt(squared_norms(codes[:, None, :] - modes[None, :, :]))
     return float(d.min(axis=1).mean())
 
 

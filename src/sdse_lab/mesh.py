@@ -8,6 +8,7 @@ matrix of per-vertex deltas, so constant fields cost nothing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,13 +42,16 @@ class LatentMesh:
                 raise ValueError(f"edge ({i},{j}) references invalid vertices")
         if not _connected(n, edges):
             raise ValueError("mesh graph must be connected")
+        ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
+                           count=2 * len(edges)).reshape(-1, 2)
         codes = codes.copy()
         regions = regions.copy()
-        codes.flags.writeable = False
-        regions.flags.writeable = False
+        for a in (ends, codes, regions):
+            a.flags.writeable = False
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "_edge_array", ends)
         object.__setattr__(self, "_region_index", _index_regions(regions))
 
     @property
@@ -57,6 +61,11 @@ class LatentMesh:
     @property
     def latent_dim(self) -> int:
         return self.codes.shape[1]
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The edges as one read-only (E, 2) array, built once per topology."""
+        return self._edge_array
 
     def region_ids(self) -> np.ndarray:
         """The region ids in increasing order, read from the region index."""
@@ -70,8 +79,8 @@ class LatentMesh:
         """Same mesh with new codes of the same shape.
 
         The topology was validated when this mesh was built and cannot change,
-        so the new mesh shares the edges, the regions and their vertex index,
-        and only the shape of the codes is checked.
+        so the new mesh shares the edges (tuple and array), the regions and
+        their vertex index, and only the shape of the codes is checked.
         """
         codes = np.array(codes, dtype=float)
         if codes.shape != self.codes.shape:
@@ -82,6 +91,7 @@ class LatentMesh:
         object.__setattr__(mesh, "edges", self.edges)
         object.__setattr__(mesh, "codes", codes)
         object.__setattr__(mesh, "regions", self.regions)
+        object.__setattr__(mesh, "_edge_array", self._edge_array)
         object.__setattr__(mesh, "_region_index", self._region_index)
         return mesh
 
@@ -136,18 +146,70 @@ def _laplacian(n: int, edges) -> sp.csr_matrix:
 
 def build_laplacian(mesh: LatentMesh) -> sp.csr_matrix:
     """Combinatorial Laplacian L = D - A of the mesh graph, connected since it was built."""
-    return _laplacian(mesh.num_vertices, mesh.edges)
+    return _laplacian(mesh.num_vertices, mesh.edge_array)
+
+
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squares of x summed over its last axis, one pass per column.
+
+    Bitwise equal to (x * x).sum(axis=-1) while the last axis is narrower than
+    8, where numpy also adds in column order (from 8 up it sums pairwise), and
+    much cheaper on a narrow last axis than that strided row reduction.
+    """
+    total = np.zeros(x.shape[:-1])
+    for j in range(x.shape[-1]):
+        col = x[..., j]
+        total += col * col
+    return total
+
+
+# Values per bincount pass in _exact_sum: sums of at most 2**26 parts below
+# 2**27 stay below 2**53, so every one is exact.
+_EXACT_CHUNK = 1 << 26
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values) for a 1-D array of nonnegative values, without a Python
+    list: nan if a value is nan, inf if one is or where the total overflows.
+
+    frexp writes each finite value as (h + f) * 2**(e - 27), h an integer below
+    2**27 and f a fraction in multiples of 2**-26. The per-exponent sums of h
+    and of f are exact, so fsum over those few terms rounds the exact total
+    once, as fsum over the values does. A term past the float range is inf;
+    the caller silences that overflow warning.
+    """
+    top = values.max(initial=0.0)
+    if not math.isfinite(top):  # nan if any value is nan, else inf, as fsum gives
+        return float(top)
+    terms = []
+    for start in range(0, values.size, _EXACT_CHUNK):
+        mant, exp = np.frexp(values[start:start + _EXACT_CHUNK])
+        scaled = mant * 2.0 ** 27
+        high = np.floor(scaled)
+        low = int(exp.min())
+        bucket = np.subtract(exp, low, dtype=np.intp)  # the index type bincount takes
+        highs = np.bincount(bucket, high)
+        scale = np.arange(low - 27, low - 27 + highs.size)
+        terms += np.ldexp(highs, scale).tolist()
+        terms += np.ldexp(np.bincount(bucket, scaled - high), scale).tolist()
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # finite terms whose total is not
+        return math.inf
 
 
 def smoothness_loss(lap: sp.spmatrix, delta: np.ndarray) -> float:
-    """Mean squared row norm of L @ delta; zero exactly on per-component-constant fields."""
+    """Mean squared row norm of L @ delta; zero exactly on per-component-constant
+    fields, inf where the total overflows."""
     delta = np.asarray(delta, dtype=float)
     if delta.ndim != 2 or delta.shape[0] != lap.shape[0]:
         raise ValueError("delta must be (N, latent_dim) matching the Laplacian")
     rough = lap @ delta
     n = delta.shape[0]
-    # fsum keeps the total exactly permutation invariant
-    return math.fsum((rough * rough).sum(axis=1).tolist()) / n
+    # The exact sum is correctly rounded, so the loss is exactly permutation
+    # invariant. A row or sum past the float range is inf, and so is the loss.
+    with np.errstate(over="ignore"):
+        return _exact_sum(squared_norms(rough)) / n
 
 
 def smoothness_gradient(lap: sp.spmatrix, delta: np.ndarray) -> np.ndarray:

@@ -43,8 +43,11 @@ def make_view(mesh: LatentMesh, region: int, rng: np.random.Generator,
     if verts.size == 0:
         raise ValueError(f"region {region} has no vertices")
     k = min(support, verts.size)
-    chosen = np.sort(rng.choice(verts, size=k, replace=False))
-    blend = rng.dirichlet(np.ones(k))
+    chosen = verts[np.sort(rng.choice(verts.size, k, replace=False))]  # verts is sorted
+    # rng.dirichlet(np.ones(k)), draw for draw: k standard exponentials times the
+    # reciprocal of their running sum (numpy's Dirichlet(1) stream and arithmetic)
+    draws = rng.standard_exponential(k)
+    blend = draws * (1.0 / np.add.accumulate(draws)[-1])
     blend = blend / blend.sum()
     return ViewSpec(region=region, vertices=chosen, blend=blend)
 

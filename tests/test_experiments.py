@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from sdse_lab.experiments import (Classification, MeshEditConfig, Phase, PROFILE
                                   phase_band, region_dispersion, residual_ema_norm,
                                   run_full_schedule, run_mesh_edit)
 from sdse_lab.guidance import EstimatorKind, StageThresholds
-from sdse_lab.mesh import grid_mesh, smoothness_loss
+from sdse_lab.mesh import LatentMesh, grid_mesh, smoothness_loss
 from sdse_lab.mixtures import FULL_COND, IMAGE_COND, toy_mixture
 from sdse_lab.optimize import Trajectory, optimize_point
 from sdse_lab.oracle import NoiseOracle, forward_diffuse
@@ -301,6 +303,32 @@ def test_mode_distance_of_regions():
     mesh = grid_mesh(rows=5, cols=5, num_regions=5)  # codes at [0.5, 1.0]
     d = mode_distance_of_regions(mesh, [0], MODES)
     assert d == pytest.approx(min(np.linalg.norm(MODES - [0.5, 1.0], axis=1)))
+
+
+@pytest.mark.parametrize("regions,match", [([], "at least one mesh region"),
+                                           ([99], r"\[99\] are not regions"),
+                                           ([0, 7, 2, 8], r"\[7, 8\] are not regions")])
+def test_mode_distance_of_regions_names_a_bad_region_list(regions, match):
+    mesh = grid_mesh(rows=5, cols=5, num_regions=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            mode_distance_of_regions(mesh, regions, MODES)
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_mode_distance_of_regions_matches_linalg_norm_bitwise(width):
+    """The column pass against the np.linalg.norm(..., axis=2) it replaced."""
+    rng = np.random.default_rng(width)
+    mesh = grid_mesh(rows=10, cols=10, num_regions=5)
+    mesh = LatentMesh(edges=mesh.edges, regions=mesh.regions,
+                      codes=rng.standard_normal((100, width)))
+    modes = rng.standard_normal((6, width))
+    for regions in ([0], [1, 3], [4, 2, 0]):
+        verts = np.concatenate([mesh.region_vertices(r) for r in regions])
+        d = np.linalg.norm(mesh.codes[verts][:, None, :] - modes[None, :, :], axis=2)
+        want = float(d.min(axis=1).mean())
+        assert mode_distance_of_regions(mesh, regions, modes).hex() == want.hex()
 
 
 def test_profiles_cover_five_regions():

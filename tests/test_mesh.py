@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import given, strategies as st
 
 from sdse_lab.experiments import region_dispersion
 from sdse_lab.fields import ConfigError
-from sdse_lab.mesh import (LatentMesh, _laplacian, build_laplacian, grid_mesh,
+from sdse_lab import mesh as mesh_module
+from sdse_lab.mesh import (LatentMesh, _exact_sum, _laplacian, build_laplacian, grid_mesh,
                            icosahedron_edges, icosphere_mesh, load_mesh,
                            mesh_from_dict, mesh_to_dict, smoothness_gradient,
-                           smoothness_loss)
+                           smoothness_loss, squared_norms)
 from sdse_lab.verify import _random_connected_graph
 
 
@@ -163,6 +166,30 @@ def test_region_vertices_equal_flatnonzero_and_are_read_only(name):
                                   mesh.region_vertices(first))
 
 
+@pytest.mark.parametrize("name", sorted(LAPLACIAN_MESHES))
+def test_edge_array_is_the_edge_tuple_read_only_and_shared(name):
+    mesh = LAPLACIAN_MESHES[name]()
+    got = mesh.edge_array
+    assert got.dtype == np.intp and got.shape == (len(mesh.edges), 2)
+    np.testing.assert_array_equal(got, np.array(mesh.edges))
+    assert not got.flags.writeable
+    assert mesh.with_codes(np.ones(mesh.codes.shape)).edge_array is got
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_region_dispersion_matches_row_sums_bitwise_at_every_narrow_width(width):
+    """The column pass against the (rough * rough).sum(axis=1) it replaced."""
+    base = random_region_mesh(9, 30)
+    mesh = LatentMesh(edges=base.edges, regions=base.regions,
+                      codes=np.random.default_rng(width).standard_normal((30, width)))
+    ends = mesh.regions[mesh.edge_array]
+    lap = _laplacian(30, mesh.edge_array[ends[:, 0] == ends[:, 1]])
+    rough = lap @ mesh.codes
+    row_sq = (rough * rough).sum(axis=1)
+    want = [float(row_sq[mesh.region_vertices(r)].mean()) for r in mesh.region_ids().tolist()]
+    assert [x.hex() for x in region_dispersion(mesh).values()] == [x.hex() for x in want]
+
+
 def test_with_codes_shares_the_region_index():
     mesh = random_region_mesh(7, 40)
     new = mesh.with_codes(np.zeros(mesh.codes.shape))
@@ -295,6 +322,74 @@ def test_permutation_invariance_general_floats():
     plap = build_laplacian(pmesh)
     assert smoothness_loss(plap, delta[inv]) == pytest.approx(
         smoothness_loss(lap, delta), rel=1e-12)
+
+
+def test_smoothness_loss_is_inf_where_the_total_overflows():
+    # every row norm is finite, but their sum is not
+    lap = build_laplacian(grid_mesh(1, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert smoothness_loss(lap, [[0.0, 0.0], [6e153, 0.0], [0.0, 0.0]]) == math.inf
+        assert smoothness_loss(lap, [[0.0, 0.0], [1e200, 0.0], [0.0, 0.0]]) == math.inf
+
+
+@pytest.mark.parametrize("column,want", [([math.inf, 0.0, 0.0], math.inf),
+                                         ([-math.inf, 0.0, 0.0], math.inf),
+                                         ([math.nan, 0.0, 0.0], math.nan),
+                                         ([math.inf, math.inf, 0.0], math.nan)])
+def test_smoothness_loss_of_nonfinite_rows_without_warnings(column, want):
+    lap = build_laplacian(grid_mesh(1, 3))
+    delta = np.zeros((3, 2))
+    delta[:, 1] = column
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = smoothness_loss(lap, delta)
+    assert got == pytest.approx(want, nan_ok=True)
+
+
+def exact_sum_inputs(n, seed):
+    """Nonnegative values with zeros, subnormals and magnitudes from 1e-300 to 1e3."""
+    rng = np.random.default_rng(seed)
+    spread = rng.random(n) * 10.0 ** rng.uniform(-300, 3, n)
+    mixed = spread.copy()
+    mixed[rng.random(n) < 0.3] = 0.0
+    sub = rng.random(n) < 0.3
+    mixed[sub] = 5e-324 * rng.integers(1, 1 << 52, size=int(sub.sum())).astype(float)
+    return {"spread": spread, "squares": rng.standard_normal(n) ** 2, "mixed": mixed,
+            "equal": np.full(n, rng.random()), "zeros": np.zeros(n),
+            "subnormal": 5e-324 * rng.integers(1, 1 << 52, size=n).astype(float)}
+
+
+@pytest.mark.parametrize("n", [1, 100, 10_000])
+def test_exact_sum_equals_fsum_bitwise(n):
+    for seed in range(5):
+        for kind, q in exact_sum_inputs(n, seed).items():
+            assert _exact_sum(q).hex() == math.fsum(q.tolist()).hex(), (kind, seed)
+
+
+def test_exact_sum_over_several_chunks_equals_fsum_bitwise(monkeypatch):
+    monkeypatch.setattr(mesh_module, "_EXACT_CHUNK", 7)
+    for kind, q in exact_sum_inputs(100, 11).items():
+        assert _exact_sum(q).hex() == math.fsum(q.tolist()).hex(), kind
+
+
+def test_exact_sum_of_nonfinite_values_matches_fsum():
+    assert _exact_sum(np.array([1.0, math.inf, 2.0])) == math.inf
+    assert math.isnan(_exact_sum(np.array([1.0, math.inf, math.nan])))
+    assert _exact_sum(np.empty(0)) == 0.0
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_squared_norms_equal_row_sums_and_norms_bitwise(width):
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((500, width)) * 10.0 ** rng.uniform(-150, 150, (500, 1))
+    np.testing.assert_array_equal(squared_norms(x), (x * x).sum(axis=1))
+    y = rng.standard_normal((40, 6, width))
+    np.testing.assert_array_equal(np.sqrt(squared_norms(y)), np.linalg.norm(y, axis=2))
+
+
+def test_squared_norms_of_an_empty_last_axis_are_zero():
+    np.testing.assert_array_equal(squared_norms(np.zeros((4, 0))), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,27 @@ def test_make_view_stays_inside_region(mesh):
                     assert abs(view.blend.sum() - 1.0) <= 1e-12
 
 
+def test_make_view_draws_match_choice_and_dirichlet_bitwise():
+    """make_view against the rng.choice-over-vertices and rng.dirichlet(np.ones(k))
+    formulation it replaced: the same vertices, the same blend bits and the same
+    generator state afterwards, for support below and at or above the region size."""
+    m = grid_mesh(rows=10, cols=10, num_regions=5)                # 20 vertices a region
+    for seed in range(3):
+        for support in (1, 8, 20, 25):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for i in range(300):
+                region = i % 5
+                view = make_view(m, region, got_rng, support)
+                verts = m.region_vertices(region)
+                k = min(support, verts.size)
+                chosen = np.sort(want_rng.choice(verts, size=k, replace=False))
+                blend = want_rng.dirichlet(np.ones(k))
+                blend = blend / blend.sum()
+                np.testing.assert_array_equal(view.vertices, chosen)
+                assert view.blend.tobytes() == blend.tobytes()
+            assert got_rng.random() == want_rng.random()
+
+
 def test_render_single_vertex(mesh):
     view = ViewSpec(region=0, vertices=np.array([2]), blend=np.array([1.0]))
     np.testing.assert_array_equal(render_view(mesh, view), mesh.codes[2])
