@@ -164,9 +164,8 @@ def region_dispersion(mesh: LatentMesh) -> dict[int, float]:
     sum of the induced subgraphs' Laplacians, so its rows restricted to a
     region are that region's subgraph Laplacian rows.
     """
-    edges = mesh.edge_array
-    ends = mesh.regions[edges]
-    lap = _laplacian(mesh.num_vertices, edges[ends[:, 0] == ends[:, 1]])
+    ends = mesh.regions[mesh.edges]
+    lap = _laplacian(mesh.num_vertices, mesh.edges[ends[:, 0] == ends[:, 1]])
     row_sq = squared_norms(lap @ mesh.codes)
     return {region: float(row_sq[mesh.region_vertices(region)].mean())
             for region in mesh.region_ids().tolist()}
@@ -222,8 +221,12 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     uniformly-spread measuring batch only and stays fixed for the whole run;
     the measuring batch does not move the codes, so allocator on/off pairs
     start identically. A step that takes a code past the divergence guard
-    raises ValueError naming the seed and the step.
+    raises ValueError naming the seed and the step, and codes of another
+    dimension than the mixture's raise it before any step.
     """
+    if mesh.latent_dim != mix.dim:
+        raise ValueError(f"mesh codes are {mesh.latent_dim}-D but the mixture is "
+                         f"{mix.dim}-D; they must match")
     profile = profile_targets(mesh, profile)
     oracle = NoiseOracle(mix, sched)
     modes = mix.mode_points(FULL_COND)

@@ -8,7 +8,6 @@ matrix of per-vertex deltas, so constant fields cost nothing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .mixtures import START_POINT
 class LatentMesh:
     """Connected vertex graph with per-vertex latent codes and region ids."""
 
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray          # (E, 2) vertex ids, read-only np.intp
     codes: np.ndarray          # (N, latent_dim)
     regions: np.ndarray        # (N,) integer region ids
 
@@ -36,22 +35,26 @@ class LatentMesh:
             raise ValueError("every vertex needs a region id")
         if not np.all(np.isfinite(codes)):
             raise ValueError("codes must be finite")
-        edges = tuple((int(i), int(j)) for i, j in self.edges)
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError(f"edge ({i},{j}) references invalid vertices")
-        if not _connected(n, edges):
+        ends = np.asarray(self.edges)
+        if ends.shape == (0,):  # no edges, given as an empty list
+            ends = ends.astype(np.intp).reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
+            raise ValueError(f"edges must be an (E, 2) integer array of vertex pairs, "
+                             f"got {ends.dtype} of shape {ends.shape}")
+        bad = ((ends < 0) | (ends >= n)).any(axis=1) | (ends[:, 0] == ends[:, 1])
+        if bad.any():
+            i, j = ends[np.argmax(bad)].tolist()
+            raise ValueError(f"edge ({i},{j}) references invalid vertices")
+        ends = ends.astype(np.intp)  # a copy, so the caller's array stays theirs
+        if not _is_connected(n, ends):
             raise ValueError("mesh graph must be connected")
-        ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
-                           count=2 * len(edges)).reshape(-1, 2)
         codes = codes.copy()
         regions = regions.copy()
         for a in (ends, codes, regions):
             a.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", ends)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "_edge_array", ends)
         object.__setattr__(self, "_region_index", _index_regions(regions))
 
     @property
@@ -61,11 +64,6 @@ class LatentMesh:
     @property
     def latent_dim(self) -> int:
         return self.codes.shape[1]
-
-    @property
-    def edge_array(self) -> np.ndarray:
-        """The edges as one read-only (E, 2) array, built once per topology."""
-        return self._edge_array
 
     def region_ids(self) -> np.ndarray:
         """The region ids in increasing order, read from the region index."""
@@ -79,8 +77,8 @@ class LatentMesh:
         """Same mesh with new codes of the same shape.
 
         The topology was validated when this mesh was built and cannot change,
-        so the new mesh shares the edges (tuple and array), the regions and
-        their vertex index, and only the shape of the codes is checked.
+        so the new mesh shares the edge array, the regions and their vertex
+        index, and only the shape of the codes is checked.
         """
         codes = np.array(codes, dtype=float)
         if codes.shape != self.codes.shape:
@@ -91,7 +89,6 @@ class LatentMesh:
         object.__setattr__(mesh, "edges", self.edges)
         object.__setattr__(mesh, "codes", codes)
         object.__setattr__(mesh, "regions", self.regions)
-        object.__setattr__(mesh, "_edge_array", self._edge_array)
         object.__setattr__(mesh, "_region_index", self._region_index)
         return mesh
 
@@ -112,30 +109,29 @@ def _index_regions(regions: np.ndarray) -> dict[int, np.ndarray]:
     return {int(r): order[a:b] for r, a, b in zip(ids, starts, ends)}
 
 
-def _connected(n: int, edges) -> bool:
-    if n == 0:
-        return False
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    return bool(seen.all())
+def _is_connected(n: int, ends: np.ndarray) -> bool:
+    """Whether n >= 1 vertices and the (E, 2) edge array form a connected graph.
+
+    Min-label hooking with pointer jumping: each round hooks every edge end's
+    root onto the other end's root where that is smaller, then jumps each label
+    to its root, until every edge's ends share one. A label never leaves its
+    component and vertex 0 keeps label 0, so all labels are 0 iff connected.
+    """
+    label = np.arange(n)
+    while True:
+        a, b = label[ends[:, 0]], label[ends[:, 1]]
+        if np.array_equal(a, b):
+            return n > 0 and not label.any()
+        np.minimum.at(label, a, b)
+        np.minimum.at(label, b, a)
+        while not np.array_equal(up := label[label], label):
+            label = up
 
 
-def _laplacian(n: int, edges) -> sp.csr_matrix:
-    """Combinatorial Laplacian L = D - A of an n-vertex edge list (no connectivity check)."""
+def _laplacian(n: int, ends: np.ndarray) -> sp.csr_matrix:
+    """Combinatorial Laplacian L = D - A of n vertices and an (E, 2) edge array (unchecked)."""
     import scipy.sparse as sp  # here: toy runs, plots and descents skip its ~0.2 s import
 
-    ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     diag = np.arange(n)
     rows = np.concatenate([ends[:, 0], ends[:, 1], diag])
     cols = np.concatenate([ends[:, 1], ends[:, 0], diag])
@@ -146,7 +142,7 @@ def _laplacian(n: int, edges) -> sp.csr_matrix:
 
 def build_laplacian(mesh: LatentMesh) -> sp.csr_matrix:
     """Combinatorial Laplacian L = D - A of the mesh graph, connected since it was built."""
-    return _laplacian(mesh.num_vertices, mesh.edge_array)
+    return _laplacian(mesh.num_vertices, mesh.edges)
 
 
 def squared_norms(x: np.ndarray) -> np.ndarray:
@@ -240,6 +236,8 @@ def mesh_from_dict(spec: dict) -> LatentMesh:
     expect(not ("codes" in spec and "init" in spec), "init", "give codes or init, not both")
     if "codes" in spec:
         codes = get(spec, "codes", array)
+        expect(codes.ndim == 2 and len(codes) == n, "codes",
+               f"expected a list of {n} code vectors, one per vertex")
     elif "init" in spec:
         init = spec["init"]
         known_fields(init, "init", ("mode", "params"))
@@ -258,8 +256,7 @@ def mesh_from_dict(spec: dict) -> LatentMesh:
                 codes = mean + std * rng.standard_normal((n, mean.size))
     else:
         raise ConfigError("codes", "missing required field (or give 'init')")
-    edges = tuple((i, j) for i, j in ends.reshape(-1, 2).tolist())
-    return LatentMesh(edges=edges, codes=codes, regions=regions)
+    return LatentMesh(edges=ends, codes=codes, regions=regions)
 
 
 def load_mesh(path) -> LatentMesh:
@@ -269,7 +266,7 @@ def load_mesh(path) -> LatentMesh:
 
 def mesh_to_dict(mesh: LatentMesh) -> dict:
     return {"vertices": mesh.num_vertices,
-            "edges": [list(e) for e in mesh.edges],
+            "edges": mesh.edges.tolist(),
             "regions": mesh.regions.tolist(),
             "codes": mesh.codes.tolist()}
 
@@ -278,19 +275,15 @@ def grid_mesh(rows: int = 10, cols: int = 10, num_regions: int = 5,
               init_code=START_POINT) -> LatentMesh:
     """Banded grid graph: 4-connected lattice split into horizontal region bands."""
     n = rows * cols
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                edges.append((i, i + 1))
-            if r + 1 < rows:
-                edges.append((i, i + cols))
+    ids = np.arange(n).reshape(rows, cols)
+    # each vertex's edges to its right and lower neighbours, in row-major order
+    pairs = np.stack([np.stack([ids, ids + 1], 2), np.stack([ids, ids + cols], 2)], 2)
+    has = np.stack(np.broadcast_arrays(np.arange(cols) + 1 < cols,
+                                       np.arange(rows)[:, None] + 1 < rows), axis=2)
     band = max(1, rows // num_regions)
-    regions = np.array([min(r // band, num_regions - 1)
-                        for r in range(rows) for _ in range(cols)])
+    regions = np.repeat(np.minimum(np.arange(rows) // band, num_regions - 1), cols)
     codes = np.tile(np.asarray(init_code, dtype=float), (n, 1))
-    return LatentMesh(edges=tuple(edges), codes=codes, regions=regions)
+    return LatentMesh(edges=pairs[has], codes=codes, regions=regions)
 
 
 def icosahedron_edges() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
@@ -348,4 +341,4 @@ def icosphere_mesh(num_regions: int = 5) -> LatentMesh:
     band = np.ceil((order + 1) / (n / num_regions)).astype(int) - 1
     regions = np.clip(band, 0, num_regions - 1)
     codes = np.tile(np.asarray(START_POINT, dtype=float), (n, 1))
-    return LatentMesh(edges=tuple(sorted(new_edges)), codes=codes, regions=regions)
+    return LatentMesh(edges=sorted(new_edges), codes=codes, regions=regions)

@@ -159,7 +159,7 @@ def _random_connected_graph(rng: np.random.Generator, n: int) -> list[tuple[int,
 
 def laplacian_fd_rel_error(rng: np.random.Generator, n: int) -> float:
     """Smoothness gradient against central differences on a random n-vertex graph."""
-    lap = build_laplacian(LatentMesh(edges=tuple(_random_connected_graph(rng, n)),
+    lap = build_laplacian(LatentMesh(edges=_random_connected_graph(rng, n),
                                      codes=np.zeros((n, 2)), regions=np.zeros(n, dtype=int)))
     delta = rng.standard_normal((n, 2))
     grad = smoothness_gradient(lap, delta)

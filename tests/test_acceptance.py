@@ -255,7 +255,7 @@ def test_a5_laplacian_suite():
     delta = rng.integers(-4, 5, size=(16, 2)).astype(float)
     perm = rng.permutation(16)
     inv = np.argsort(perm)
-    pmesh = LatentMesh(edges=tuple((int(perm[i]), int(perm[j])) for i, j in base.edges),
+    pmesh = LatentMesh(edges=perm[base.edges],
                        codes=np.zeros((16, 2)), regions=np.zeros(16, dtype=int))
     assert smoothness_loss(build_laplacian(pmesh), delta[inv]) == \
         smoothness_loss(lap_b, delta)

@@ -489,6 +489,17 @@ def test_mesh_edit_wrong_typed_mesh_field_is_named(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: edges: ")
 
 
+def test_mesh_edit_mesh_and_mixture_dimensions_must_match(tmp_path, capsys):
+    # 3-D codes against the 2-D toy mixture: refused before the first step
+    mesh = write_config(tmp_path, {**GOOD_MESH, "codes": [[0.5, 1.0, 0.0]] * 3},
+                        name="mesh.json")
+    cfg = write_config(tmp_path, {**MESH_CONFIG, "mesh_path": mesh})
+    assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == \
+        "error: mesh codes are 3-D but the mixture is 2-D; they must match\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_mesh_edit_profile_missing_a_region_fails_before_writing(tmp_path, capsys):
     mesh = write_config(tmp_path, {**GOOD_MESH, "regions": [7, 7, 7]}, name="mesh.json")
     cfg = write_config(tmp_path, {**MESH_CONFIG, "mesh_path": mesh})

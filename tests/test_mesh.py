@@ -64,6 +64,59 @@ def test_disconnected_graph_rejected():
                    regions=np.zeros(3, dtype=int))
 
 
+def reference_connected(n, edges):
+    """Depth-first search over adjacency lists: the rule the array check must match."""
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == n
+
+
+def is_mesh(n, edges):
+    try:
+        LatentMesh(edges=edges, codes=np.zeros((n, 1)), regions=np.zeros(n, dtype=int))
+    except ValueError as err:
+        assert str(err) == "mesh graph must be connected"
+        return False
+    return True
+
+
+def connectivity_cases(seed):
+    """Random connected graphs with some edges dropped or isolated vertices added,
+    and randomly renumbered long paths."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    edges = np.array(_random_connected_graph(rng, n))
+    yield n, edges
+    yield n, edges[rng.random(len(edges)) < rng.uniform(0.3, 1.0)]
+    yield n + int(rng.integers(1, 3)), edges
+    perm = rng.permutation(2000)
+    path = perm[np.stack([np.arange(1999), np.arange(1, 2000)], axis=1)]
+    yield 2000, path[rng.permutation(1999)]
+    yield 2000, np.delete(path, rng.integers(0, 1999), axis=0)
+
+
+def test_connectivity_matches_a_reference_search():
+    assert is_mesh(1, ())
+    assert not is_mesh(0, ())
+    assert not is_mesh(2, ())
+    kinds = set()
+    for seed in range(60):
+        for n, edges in connectivity_cases(seed):
+            want = reference_connected(n, edges.tolist())
+            assert is_mesh(n, edges) == want, (seed, n)
+            kinds.add(want)
+    assert kinds == {True, False}
+
+
 def per_edge_laplacian(n, edges):
     """Per-edge assembly the vectorised Laplacians must reproduce exactly."""
     rows, cols, vals = [], [], []
@@ -120,8 +173,7 @@ def permuted_grid(rows, cols, seed):
     perm = np.random.default_rng(seed).permutation(grid.num_vertices)
     regions = np.empty_like(grid.regions)
     regions[perm] = grid.regions
-    return LatentMesh(edges=tuple((int(perm[i]), int(perm[j])) for i, j in grid.edges),
-                      codes=grid.codes, regions=regions)
+    return LatentMesh(edges=perm[grid.edges], codes=grid.codes, regions=regions)
 
 
 DISPERSION_MESHES = {
@@ -143,7 +195,7 @@ def test_region_dispersion_matches_per_region_subgraphs(name):
     for region in mesh.region_ids().tolist():
         verts = mesh.region_vertices(region)
         index = {int(v): k for k, v in enumerate(verts)}
-        edges = [(index[i], index[j]) for i, j in mesh.edges
+        edges = [(index[i], index[j]) for i, j in mesh.edges.tolist()
                  if mesh.regions[i] == region and mesh.regions[j] == region]
         rough = per_edge_laplacian(len(verts), edges) @ codes[verts]
         want[region] = float((rough * rough).sum(axis=1).mean())
@@ -167,13 +219,38 @@ def test_region_vertices_equal_flatnonzero_and_are_read_only(name):
 
 
 @pytest.mark.parametrize("name", sorted(LAPLACIAN_MESHES))
-def test_edge_array_is_the_edge_tuple_read_only_and_shared(name):
+def test_edges_are_one_read_only_intp_array_shared_by_with_codes(name):
     mesh = LAPLACIAN_MESHES[name]()
-    got = mesh.edge_array
-    assert got.dtype == np.intp and got.shape == (len(mesh.edges), 2)
-    np.testing.assert_array_equal(got, np.array(mesh.edges))
+    got = mesh.edges
+    assert got.dtype == np.intp and got.ndim == 2 and got.shape[1] == 2
     assert not got.flags.writeable
-    assert mesh.with_codes(np.ones(mesh.codes.shape)).edge_array is got
+    assert mesh.with_codes(np.ones(mesh.codes.shape)).edges is got
+
+
+@pytest.mark.parametrize("rows,cols,num_regions", [(1, 1, 5), (1, 7, 5), (7, 1, 5), (3, 5, 2),
+                                                   (13, 4, 5), (2, 2, 5), (10, 10, 5)])
+def test_grid_mesh_matches_a_per_vertex_loop(rows, cols, num_regions):
+    """Edges in row-major order, each vertex's right edge before its lower one."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            i = r * cols + c
+            if c + 1 < cols:
+                edges.append((i, i + 1))
+            if r + 1 < rows:
+                edges.append((i, i + cols))
+    band = max(1, rows // num_regions)
+    regions = [min(r // band, num_regions - 1) for r in range(rows) for _ in range(cols)]
+    mesh = grid_mesh(rows, cols, num_regions)
+    assert mesh.edges.tolist() == [list(e) for e in edges]
+    assert mesh.regions.tolist() == regions
+
+
+def test_mesh_copies_the_callers_edge_array():
+    ends = np.array([[0, 1], [1, 2]])
+    mesh = LatentMesh(edges=ends, codes=np.zeros((3, 1)), regions=np.zeros(3, dtype=int))
+    assert not np.shares_memory(mesh.edges, ends)
+    assert ends.flags.writeable
 
 
 @pytest.mark.parametrize("width", range(1, 8))
@@ -182,8 +259,8 @@ def test_region_dispersion_matches_row_sums_bitwise_at_every_narrow_width(width)
     base = random_region_mesh(9, 30)
     mesh = LatentMesh(edges=base.edges, regions=base.regions,
                       codes=np.random.default_rng(width).standard_normal((30, width)))
-    ends = mesh.regions[mesh.edge_array]
-    lap = _laplacian(30, mesh.edge_array[ends[:, 0] == ends[:, 1]])
+    ends = mesh.regions[mesh.edges]
+    lap = _laplacian(30, mesh.edges[ends[:, 0] == ends[:, 1]])
     rough = lap @ mesh.codes
     row_sq = (rough * rough).sum(axis=1)
     want = [float(row_sq[mesh.region_vertices(r)].mean()) for r in mesh.region_ids().tolist()]
@@ -301,8 +378,7 @@ def test_permutation_invariance_exact_on_integer_codes():
     delta = rng.integers(-4, 5, size=(16, 2)).astype(float)
     perm = rng.permutation(16)
     inv = np.argsort(perm)
-    edges = tuple((int(perm[i]), int(perm[j])) for i, j in mesh.edges)
-    pmesh = LatentMesh(edges=edges, codes=mesh.codes[inv],
+    pmesh = LatentMesh(edges=perm[mesh.edges], codes=mesh.codes[inv],
                        regions=np.zeros(16, dtype=int))
     plap = build_laplacian(pmesh)
     assert smoothness_loss(plap, delta[inv]) == smoothness_loss(lap, delta)
@@ -316,8 +392,7 @@ def test_permutation_invariance_general_floats():
     delta = rng.standard_normal((24, 2))
     perm = rng.permutation(24)
     inv = np.argsort(perm)
-    edges = tuple((int(perm[i]), int(perm[j])) for i, j in mesh.edges)
-    pmesh = LatentMesh(edges=edges, codes=mesh.codes[inv],
+    pmesh = LatentMesh(edges=perm[mesh.edges], codes=mesh.codes[inv],
                        regions=np.zeros(24, dtype=int))
     plap = build_laplacian(pmesh)
     assert smoothness_loss(plap, delta[inv]) == pytest.approx(
@@ -401,7 +476,8 @@ def test_mesh_round_trip(tmp_path):
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps(mesh_to_dict(mesh)))
     back = load_mesh(path)
-    assert back.edges == mesh.edges
+    assert back.edges.dtype == mesh.edges.dtype
+    np.testing.assert_array_equal(back.edges, mesh.edges)
     np.testing.assert_array_equal(back.codes, mesh.codes)
     np.testing.assert_array_equal(back.regions, mesh.regions)
 
@@ -431,6 +507,21 @@ def test_mesh_file_validation():
                         "codes": [[0.0], [0.0]]})
 
 
+@pytest.mark.parametrize("edges,message", [
+    (((0, 1.7), (1, 2)),
+     "edges must be an (E, 2) integer array of vertex pairs, got float64 of shape (2, 2)"),
+    (((0, 1, 2),),
+     "edges must be an (E, 2) integer array of vertex pairs, got int64 of shape (1, 3)"),
+    ((0, 1), "edges must be an (E, 2) integer array of vertex pairs, got int64 of shape (2,)"),
+    (((0, 1), (1, 3)), "edge (1,3) references invalid vertices"),
+    (((0, 1), (-1, 2)), "edge (-1,2) references invalid vertices"),
+    (((0, 1), (2, 2), (1, 2)), "edge (2,2) references invalid vertices"),
+])
+def test_malformed_edges_are_refused_naming_the_edge_or_shape(edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LatentMesh(edges=edges, codes=np.zeros((3, 1)), regions=np.zeros(3, dtype=int))
+
+
 @pytest.mark.parametrize("override,field", [
     ({"vertices": [3]}, "vertices"),
     ({"edges": 5}, "edges"),
@@ -450,6 +541,8 @@ def test_mesh_file_validation():
     ({"codes": None, "init": {"mode": "gaussian", "params": {"seed": float("inf")}}},
      "init.params.seed"),
     ({"init": {"mode": "constant", "params": {"value": [1.0]}}}, "init"),  # with codes
+    ({"codes": [[0.0], [0.0]]}, "codes"),
+    ({"codes": [0.0, 0.0, 0.0]}, "codes"),
 ])
 def test_mesh_file_wrong_typed_field_is_named(override, field):
     spec = {"vertices": 3, "edges": [[0, 1], [1, 2]], "regions": [0, 0, 1],
