@@ -85,6 +85,8 @@ def _resolve_toy_config(args: argparse.Namespace) -> ToyRunConfig:
 def cmd_toy(args: argparse.Namespace) -> int:
     cfg = _resolve_toy_config(args)
     mixture = load_mixture(cfg.mixture_path)
+    expect(mixture.dim == 2, "mixture_path",
+           f"the toy run needs a 2-D mixture, got a {mixture.dim}-D one")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sched = linear_beta_schedule()

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ConfigError, array, choice, get, items, known_fields, load_json, number
+from .fields import (ConfigError, array, choice, expect, get, items, known_fields, load_json,
+                     number)
 from .schedule import NoiseSchedule
 
 
@@ -65,94 +66,78 @@ ALL_CONDITIONS = (UNCONDITIONED, IMAGE_COND, TEXT_COND, FULL_COND)
 
 
 @dataclass(frozen=True)
-class GaussianComponent:
-    """One weighted Gaussian: weight >= 0, SPD covariance."""
-
-    weight: float
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.ndim == 0:
-            cov = float(cov) * np.eye(mean.size)
-        if not np.isfinite(self.weight) or self.weight < 0.0:
-            raise ValueError("component weight must be finite and >= 0")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("component mean must be finite")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError("covariance shape must match mean dimension")
-        with np.errstate(over="ignore"):  # entries near the float limit
-            symmetric = np.allclose(cov, cov.T, atol=1e-12)
-        if not symmetric:
-            raise ValueError("covariance must be symmetric")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as err:
-            raise ValueError("covariance must be positive definite") from err
-        mean = mean.copy()
-        cov = cov.copy()
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "weight", float(self.weight))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-
-    @property
-    def dim(self) -> int:
-        return int(self.mean.size)
-
-
-@dataclass(frozen=True)
 class ConditionedMixture:
-    """Gaussian mixture whose components carry condition labels."""
+    """Gaussian mixture whose components carry condition labels.
 
-    components: tuple[tuple[GaussianComponent, ConditionLabel], ...]
+    Component k has weight `weights[k]` >= 0, mean `means[k]`, SPD covariance
+    `covariances[k]` and label `labels[k]`; the arrays are read-only copies of
+    the caller's. A component that breaks a rule is named `components[k]`.
+    """
+
+    weights: np.ndarray        # (K,)
+    means: np.ndarray          # (K, d)
+    covariances: np.ndarray    # (K, d, d)
+    labels: tuple[ConditionLabel, ...]
 
     def __post_init__(self):
-        comps = tuple((c, lab) for c, lab in self.components)
-        if not comps:
-            raise ValueError("mixture must have at least one component")
-        dim = comps[0][0].dim
-        for c, lab in comps:
-            if not isinstance(lab, ConditionLabel):
-                raise ValueError("each component needs exactly one condition label")
-            if c.dim != dim:
-                raise ValueError("all components must share the same dimension")
-        if sum(c.weight for c, _ in comps) <= 0.0:
-            raise ValueError("total mixture weight must be positive")
-        object.__setattr__(self, "components", comps)
+        wts = np.array(self.weights, dtype=float)
+        means = np.array(self.means, dtype=float)
+        covs = np.array(self.covariances, dtype=float)
+        labels = tuple(self.labels)
+        size, dim = len(labels), means.shape[1] if means.ndim == 2 else -1
+        if (wts.shape, means.shape, covs.shape) != ((size,), (size, dim), (size, dim, dim)):
+            raise ValueError(f"{size} labels need weights (K,), means (K, d) and covariances "
+                             f"(K, d, d) with K = {size}; got {wts.shape}, {means.shape} "
+                             f"and {covs.shape}")
+        _first_bad(np.array([not isinstance(lab, ConditionLabel) for lab in labels], dtype=bool),
+                   "each component needs exactly one condition label")
+        _first_bad(~(np.isfinite(wts) & (wts >= 0.0)), "component weight must be finite and >= 0")
+        _first_bad(~np.isfinite(means).all(axis=1), "component mean must be finite")
+        with np.errstate(over="ignore"):  # entries near the float limit
+            close = np.isclose(covs, covs.swapaxes(1, 2), atol=1e-12)
+        _first_bad(~close.all(axis=(1, 2)), "covariance must be symmetric")
+        for k, cov in enumerate(covs):
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise ConfigError(f"components[{k}]",
+                                  "covariance must be positive definite") from None
+        expect(wts.sum() > 0.0, "components", "total mixture weight must be positive")
+        _set_fields(self, wts, means, covs, labels)
 
     @property
     def dim(self) -> int:
-        return self.components[0][0].dim
+        return self.means.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.components)
-
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c, _ in self.components])
-
-    def means(self) -> np.ndarray:
-        return np.stack([c.mean for c, _ in self.components])
-
-    def covariances(self) -> np.ndarray:
-        return np.stack([c.covariance for c, _ in self.components])
-
-    def labels(self) -> tuple[ConditionLabel, ...]:
-        return tuple(lab for _, lab in self.components)
+        return self.weights.size
 
     def mode_points(self, cond: Condition) -> np.ndarray:
         """Means of the components admitted by `cond` (the labeled modes)."""
-        return sub_mixture(self, cond).means()
+        return sub_mixture(self, cond).means
+
+
+def _first_bad(bad: np.ndarray, message: str) -> None:
+    """Refuse the first component flagged in `bad`, naming it."""
+    if bad.any():
+        raise ConfigError(f"components[{int(np.argmax(bad))}]", message)
+
+
+def _set_fields(mix, wts, means, covs, labels) -> ConditionedMixture:
+    """Store the arrays on `mix`, read-only. A mixture taken from a checked one
+    (`sub_mixture`, `noised_mixture`) keeps its rules, so it is stored unchecked."""
+    for name, value in (("weights", wts), ("means", means), ("covariances", covs)):
+        value.flags.writeable = False
+        object.__setattr__(mix, name, value)
+    object.__setattr__(mix, "labels", labels)
+    return mix
 
 
 def condition_support(mix: ConditionedMixture, cond: Condition) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the components admitted by `cond` and their renormalized log weights."""
-    idx = np.array([k for k, lab in enumerate(mix.labels()) if cond.admits(lab)], dtype=int)
-    wts = mix.weights()[idx]
+    idx = np.array([k for k, lab in enumerate(mix.labels) if cond.admits(lab)], dtype=int)
+    wts = mix.weights[idx]
     if idx.size == 0 or wts.sum() <= 0.0:
         raise ValueError(f"condition has no support: {cond}")
     return idx, _log_weights(wts)
@@ -161,7 +146,8 @@ def condition_support(mix: ConditionedMixture, cond: Condition) -> tuple[np.ndar
 def sub_mixture(mix: ConditionedMixture, cond: Condition) -> ConditionedMixture:
     """The components admitted by `cond`, weights as given (`_log_weights` normalizes)."""
     idx, _ = condition_support(mix, cond)
-    return ConditionedMixture(tuple(mix.components[k] for k in idx))
+    return _set_fields(object.__new__(ConditionedMixture), mix.weights[idx], mix.means[idx],
+                       mix.covariances[idx], tuple(mix.labels[k] for k in idx))
 
 
 def _pushforward(ab, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,10 +165,8 @@ def noised_mixture(mix: ConditionedMixture, sched: NoiseSchedule, t: int) -> Con
 
     Weights and labels are preserved.
     """
-    means, covs = _pushforward(sched.alpha_bar(t), mix.means(), mix.covariances())
-    return ConditionedMixture(tuple(
-        (GaussianComponent(c.weight, mean, cov), lab)
-        for (c, lab), mean, cov in zip(mix.components, means, covs)))
+    means, covs = _pushforward(sched.alpha_bar(t), mix.means, mix.covariances)
+    return _set_fields(object.__new__(ConditionedMixture), mix.weights, means, covs, mix.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +202,7 @@ class FrozenMixture:
                  "log_norms", "dim")
 
     def __init__(self, mix: ConditionedMixture):
-        self._freeze(mix.means(), mix.covariances(), _log_weights(mix.weights()))
+        self._freeze(mix.means, mix.covariances, _log_weights(mix.weights))
 
     def _freeze(self, means: np.ndarray, covs: np.ndarray, log_wts: np.ndarray) -> None:
         self.means, self.log_wts = means, log_wts
@@ -344,23 +328,29 @@ def mixture_score(mix: ConditionedMixture, z) -> np.ndarray:
 # Mixture definition files
 # ---------------------------------------------------------------------------
 
-def _component(entry: dict, path: str) -> tuple[GaussianComponent, ConditionLabel]:
+def _component(entry: dict, path: str) -> tuple:
     known_fields(entry, path, ("weight", "mean", "covariance", "label"))
     weight = get(entry, f"{path}.weight", number)
-    mean = get(entry, f"{path}.mean", array)
+    mean = np.atleast_1d(get(entry, f"{path}.mean", array))
+    expect(mean.ndim == 1 and mean.size > 0, f"{path}.mean",
+           "expected a non-empty list of numbers")
     covariance = get(entry, f"{path}.covariance", array)
-    try:
-        # a scalar covariance is isotropic: GaussianComponent expands it
-        comp = GaussianComponent(float(weight), mean, covariance)
-    except ValueError as err:
-        raise ConfigError(path, str(err)) from None
+    if covariance.ndim == 0:  # a scalar covariance is isotropic
+        covariance = float(covariance) * np.eye(mean.size)
+    expect(covariance.shape == (mean.size, mean.size), f"{path}.covariance",
+           "covariance shape must match mean dimension")
     labels = [lab.value for lab in ConditionLabel]
-    return comp, ConditionLabel(get(entry, f"{path}.label", choice, labels))
+    return weight, mean, covariance, ConditionLabel(get(entry, f"{path}.label", choice, labels))
 
 
 def mixture_from_dict(spec: dict) -> ConditionedMixture:
     known_fields(spec, "", ("components",))
-    return ConditionedMixture(tuple(get(spec, "components", items, _component)))
+    comps = get(spec, "components", items, _component)
+    dim = comps[0][1].size
+    for k, (_, mean, _, _) in enumerate(comps):
+        expect(mean.size == dim, f"components[{k}].mean",
+               f"expected {dim} numbers: all components must share the same dimension")
+    return ConditionedMixture(*zip(*comps))
 
 
 def load_mixture(path) -> ConditionedMixture:

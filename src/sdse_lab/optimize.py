@@ -125,6 +125,9 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta0 must be finite")
+    if theta.size != mix.dim:
+        raise ValueError(f"theta0 has dimension {theta.size} but the mixture has "
+                         f"dimension {mix.dim}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0 <= lr < np.inf:

@@ -106,9 +106,10 @@ def plot_trajectories_svg(mix: ConditionedMixture, trajectories: list[np.ndarray
                           labels: list[str] | None = None, title: str = "",
                           digest: str = "", resolution: int = 110) -> str:
     """SVG text: unconditional density contours, labeled modes, trajectory overlays."""
-    means = mix.means()  # the frame reaches 1.2 beyond every component mean
-    lo = means.min(axis=0) - 1.2
-    hi = means.max(axis=0) + 1.2
+    if mix.dim != 2:
+        raise ValueError(f"the plot draws a 2-D mixture, got a {mix.dim}-D one")
+    lo = mix.means.min(axis=0) - 1.2  # the frame reaches 1.2 beyond every component mean
+    hi = mix.means.max(axis=0) + 1.2
     bounds = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
     cv = _Canvas(bounds)
     xs, ys, grid = density_grid(mix, bounds, resolution)
@@ -140,9 +141,8 @@ def plot_trajectories_svg(mix: ConditionedMixture, trajectories: list[np.ndarray
                      ConditionLabel.TEXT_ONLY: "#2ca02c",
                      ConditionLabel.IMAGE_ONLY: "#e6b800",
                      ConditionLabel.BOTH: "#d62728"}
-    for comp, label in mix.components:
-        parts.append(_star(cv.px(comp.mean[0]), cv.py(comp.mean[1]), 7.0,
-                           marker_styles[label]))
+    for (x, y), label in zip(mix.means, mix.labels):
+        parts.append(_star(cv.px(x), cv.py(y), 7.0, marker_styles[label]))
 
     for idx, traj in enumerate(trajectories):
         color = _TRAJ_COLORS[idx % len(_TRAJ_COLORS)]

@@ -14,9 +14,8 @@ import numpy as np
 from .guidance import (GuidanceWeights, StageThresholds, cfg_combine, decompose_terms,
                        sdse_residual)
 from .mesh import LatentMesh, build_laplacian, smoothness_gradient, smoothness_loss
-from .mixtures import (ConditionLabel, ConditionedMixture, FULL_COND,
-                       GaussianComponent, IMAGE_COND, UNCONDITIONED,
-                       load_mixture, mixture_density, mixture_log_density,
+from .mixtures import (ConditionLabel, ConditionedMixture, FULL_COND, IMAGE_COND,
+                       UNCONDITIONED, load_mixture, mixture_density, mixture_log_density,
                        mixture_score, sub_mixture)
 from .oracle import NoiseOracle
 from .samplers import SamplerKind, TimestepSampler, timestep_sequence
@@ -51,16 +50,16 @@ def random_conditioned_mixture(rng: np.random.Generator, max_components: int = 5
     extra = rng.integers(0, max(1, max_components - len(labels) + 1))
     labels += [ConditionLabel(rng.choice([l.value for l in ConditionLabel]))
                for _ in range(extra)]
-    comps = []
-    for lab in labels:
-        mean = rng.uniform(-2.0, 2.0, size=2)
+    wts, means, covs = [], [], []
+    for _ in labels:
+        means.append(rng.uniform(-2.0, 2.0, size=2))
         if full_cov and rng.random() < 0.5:
             a = rng.standard_normal((2, 2)) * 0.3
-            cov = a @ a.T + (0.05 + 0.2 * rng.random()) * np.eye(2)
+            covs.append(a @ a.T + (0.05 + 0.2 * rng.random()) * np.eye(2))
         else:
-            cov = (0.05 + 0.45 * rng.random()) * np.eye(2)
-        comps.append((GaussianComponent(0.1 + rng.random(), mean, cov), lab))
-    return ConditionedMixture(tuple(comps))
+            covs.append((0.05 + 0.45 * rng.random()) * np.eye(2))
+        wts.append(0.1 + rng.random())
+    return ConditionedMixture(wts, means, covs, labels)
 
 
 def finite_difference_score(mix: ConditionedMixture, z: np.ndarray) -> np.ndarray:
@@ -208,7 +207,7 @@ def check_sampler_monotone() -> CheckResult:
 def check_mixture_file(mix: ConditionedMixture) -> CheckResult:
     for cond in (UNCONDITIONED, IMAGE_COND, FULL_COND):
         sub = sub_mixture(mix, cond)
-        z = sub.means()[0]
+        z = sub.means[0]
         if not np.isfinite(mixture_density(sub, z)):
             raise ValueError("non-finite density at a component mean")
     return CheckResult("mixture_file", True,

@@ -57,10 +57,10 @@ def test_a1_oracle_correctness():
     noised = noised_mixture(MIX, NoiseSchedule(np.array([ab, 0.1])), 1)
     n = 10**6
     rng = np.random.default_rng(0)
-    wts = MIX.weights()
+    wts = MIX.weights
     comp = rng.choice(MIX.size, size=n, p=wts / wts.sum())
-    stds = np.sqrt(np.array([c.covariance[0, 0] for c, _ in MIX.components]))
-    samples = MIX.means()[comp] + stds[comp][:, None] * rng.standard_normal((n, 2))
+    stds = np.sqrt(MIX.covariances[:, 0, 0])
+    samples = MIX.means[comp] + stds[comp][:, None] * rng.standard_normal((n, 2))
     scaled = np.sqrt(ab) * samples
     sig2 = 1.0 - ab
     grid = np.linspace(-1.0, 4.0, 50)

@@ -368,6 +368,9 @@ NAN = float("nan")
     pytest.param("mixture", {"mean": ["1", "2"]}, "components[0].mean[0]", id="mean-strings"),
     pytest.param("mixture", {"label": "neither"}, "components[0].label", id="label-unknown"),
     pytest.param("mixture", {"covariance": -1}, "components[0]", id="covariance-negative"),
+    pytest.param("mixture", {"weight": 0}, "components", id="weights-all-zero"),
+    pytest.param("second-component", {"mean": [1.5, 1.4, 0.0]}, "components[1].mean",
+                 id="mean-of-another-dimension"),
     pytest.param("mesh", {"regions": [0, 10**400, 2]}, "regions[1]",
                  id="region-beyond-float"),
     pytest.param("mesh", {"codes": [[0.5, 1.0], [NAN, 1.0], [0.5, 1.0]]}, "codes[1][0]",
@@ -389,15 +392,17 @@ NAN = float("nan")
 ])
 def test_bad_data_file_field_is_config_error_naming_it(tmp_path, capsys, kind, override,
                                                       field):
-    if kind == "mixture":
-        data = {"components": [{**GOOD_COMPONENT, **override}]}
-        command, base = "toy", {**TOY_CONFIG, "estimators": ["m4"]}
-    else:
+    if kind == "mesh":
         data = {key: value for key, value in {**GOOD_MESH, **override}.items()
                 if value is not None}
-        command, base = "mesh-edit", MESH_CONFIG
+        command, base, key = "mesh-edit", MESH_CONFIG, "mesh_path"
+    else:  # the overridden component, after a good one for "second-component"
+        data = {"components": [{**GOOD_COMPONENT, **override}]}
+        if kind == "second-component":
+            data["components"].insert(0, GOOD_COMPONENT)
+        command, base, key = "toy", {**TOY_CONFIG, "estimators": ["m4"]}, "mixture_path"
     path = write_config(tmp_path, data, name="data.json")
-    cfg = write_config(tmp_path, {**base, f"{kind}_path": path})
+    cfg = write_config(tmp_path, {**base, key: path})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ")
@@ -571,6 +576,32 @@ def test_emit_plot_from_trajectory(tmp_path):
     assert main(["emit-plot", "--trajectory", str(out / "m4_seed0.csv"),
                  "--out", str(svg_path)]) == 0
     assert svg_path.read_text().startswith('<?xml')
+
+
+@pytest.mark.parametrize("mean", [[1.5], [1.5, 1.4, 0.0]], ids=["1d", "3d"])
+def test_toy_on_a_mixture_that_is_not_2d_is_config_error(tmp_path, capsys, mean):
+    mix = write_config(tmp_path, {"components": [{**GOOD_COMPONENT, "mean": mean}]},
+                       name="mix.json")
+    cfg = write_config(tmp_path, {**TOY_CONFIG, "mixture_path": mix})
+    assert main(["toy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: mixture_path: the toy run needs a "
+                                       f"2-D mixture, got a {len(mean)}-D one\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mean", [[1.5], [1.5, 1.4, 0.0]], ids=["1d", "3d"])
+def test_emit_plot_on_a_mixture_that_is_not_2d_is_refused(tmp_path, capsys, mean):
+    mix = write_config(tmp_path, {"components": [{**GOOD_COMPONENT, "mean": mean}]},
+                       name="mix.json")
+    path = tmp_path / "run.csv"
+    path.write_text("step,t,theta_0,theta_1,res_0,res_1,p,p_img,p_full\n"
+                    "0,0,0.5,1.0,0.0,0.0,0.1,0.2,0.3\n")
+    svg_path = tmp_path / "plot.svg"
+    assert main(["emit-plot", "--trajectory", str(path), "--mixture", mix,
+                 "--out", str(svg_path)]) == 1
+    assert capsys.readouterr().err == (f"error: the plot draws a 2-D mixture, got a "
+                                       f"{len(mean)}-D one\n")
+    assert not svg_path.exists()
 
 
 @pytest.mark.parametrize("row,message", [

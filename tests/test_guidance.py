@@ -14,15 +14,15 @@ from sdse_lab.guidance import (
 )
 from sdse_lab.mixtures import (
     ConditionLabel,
-    ConditionedMixture,
     FULL_COND,
-    GaussianComponent,
     IMAGE_COND,
     UNCONDITIONED,
     toy_mixture,
 )
 from sdse_lab.oracle import NoiseOracle
 from sdse_lab.schedule import linear_beta_schedule
+
+from mixture_helper import mixture_of
 
 W_DEFAULT = GuidanceWeights(omega_t=7.5, omega_i=1.5)
 
@@ -242,11 +242,8 @@ def test_m4_only_zero_at_matching_epsilon(oracle):
 
 
 def test_m1_only_zero_for_identical_submixtures():
-    comps = tuple(
-        (GaussianComponent(w, m, 0.2), ConditionLabel.IMAGE_ONLY)
-        for w, m in [(0.5, [0.0, 0.0]), (0.5, [2.0, 1.0])]
-    )
-    mix = ConditionedMixture(comps)
+    mix = mixture_of(*((w, m, 0.2, ConditionLabel.IMAGE_ONLY)
+                       for w, m in [(0.5, [0.0, 0.0]), (0.5, [2.0, 1.0])]))
     oracle = NoiseOracle(mix, linear_beta_schedule())
     got = term_residual(EstimatorKind.M1_ONLY, oracle, np.array([1.0, 0.3]), 400,
                         np.zeros(2), W_DEFAULT)
@@ -256,11 +253,10 @@ def test_m1_only_zero_for_identical_submixtures():
 def test_m3_only_near_zero_at_shared_mode():
     # the image-only component is so remote that the image-conditional and
     # fully-conditional noised mixtures coincide near the shared mode
-    comps = (
-        (GaussianComponent(0.5, [0.0, 0.0], 0.05), ConditionLabel.BOTH),
-        (GaussianComponent(0.5, [40.0, 0.0], 0.05), ConditionLabel.IMAGE_ONLY),
+    mix = mixture_of(
+        (0.5, [0.0, 0.0], 0.05, ConditionLabel.BOTH),
+        (0.5, [40.0, 0.0], 0.05, ConditionLabel.IMAGE_ONLY),
     )
-    mix = ConditionedMixture(comps)
     sched = linear_beta_schedule()
     oracle = NoiseOracle(mix, sched)
     t = 50

@@ -13,7 +13,6 @@ from sdse_lab.mixtures import (
     ConditionedMixture,
     FULL_COND,
     FrozenMixture,
-    GaussianComponent,
     IMAGE_COND,
     TEXT_COND,
     UNCONDITIONED,
@@ -29,34 +28,93 @@ from sdse_lab.mixtures import (
 from sdse_lab.schedule import NoiseSchedule, linear_beta_schedule
 from sdse_lab.verify import finite_difference_score, random_conditioned_mixture
 
+from mixture_helper import mixture_of
+
 
 # ---------------------------------------------------------------------------
 # types and validation
 # ---------------------------------------------------------------------------
 
-def test_component_rejects_negative_weight():
-    with pytest.raises(ValueError):
-        GaussianComponent(-0.1, np.zeros(2), np.eye(2))
+GOOD = (1.0, [0.0, 0.0], 1.0, ConditionLabel.BOTH)
 
 
-def test_component_rejects_non_spd_covariance():
-    with pytest.raises(ValueError):
-        GaussianComponent(1.0, np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(ValueError):
-        GaussianComponent(1.0, np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
+def test_mixture_rejects_negative_weight():
+    with pytest.raises(ValueError, match=re.escape("components[0]: component weight")):
+        mixture_of((-0.1, np.zeros(2), np.eye(2), ConditionLabel.BOTH))
+
+
+def test_mixture_rejects_non_spd_covariance():
+    with pytest.raises(ValueError, match=re.escape("components[0]: covariance must be pos")):
+        mixture_of((1.0, np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]), ConditionLabel.BOTH))
+    with pytest.raises(ValueError, match=re.escape("components[0]: covariance must be sym")):
+        mixture_of((1.0, np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]), ConditionLabel.BOTH))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bad_component_is_named_by_its_index(k):
+    comps = [GOOD] * 3
+    comps[k] = (1.0, [0.0, 0.0], -1.0, ConditionLabel.BOTH)
+    with pytest.raises(ConfigError, match=re.escape(f"components[{k}]: covariance must be "
+                                                    f"positive definite")):
+        mixture_of(*comps)
 
 
 def test_mixture_rejects_mixed_dimensions():
-    a = GaussianComponent(1.0, [0.0, 0.0], 1.0)
-    b = GaussianComponent(1.0, [0.0, 0.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
-        ConditionedMixture(((a, ConditionLabel.BOTH), (b, ConditionLabel.BOTH)))
+    """Means of one dimension and covariances of another; in a file, the first
+    component whose mean differs from components[0]'s is named."""
+    with pytest.raises(ValueError, match=r"got \(2,\), \(2, 2\) and \(2, 3, 3\)"):
+        ConditionedMixture([1.0, 1.0], np.zeros((2, 2)), np.tile(np.eye(3), (2, 1, 1)),
+                           [ConditionLabel.BOTH] * 2)
+    entries = [{"weight": 1.0, "mean": mean, "covariance": 1.0, "label": "both"}
+               for mean in ([0.0, 0.0], [0.0, 0.0, 0.0])]
+    with pytest.raises(ConfigError, match=re.escape("components[1].mean: expected 2 numbers")):
+        mixture_from_dict({"components": entries})
 
 
 def test_mixture_rejects_zero_total_weight():
-    a = GaussianComponent(0.0, [0.0, 0.0], 1.0)
+    with pytest.raises(ConfigError, match="^components: total mixture weight must be positive"):
+        mixture_of((0.0, [0.0, 0.0], 1.0, ConditionLabel.BOTH))
+
+
+def test_mixture_rejects_a_label_that_is_not_a_condition_label():
+    with pytest.raises(ValueError, match=re.escape("components[1]: each component needs")):
+        mixture_of(GOOD, (*GOOD[:3], "both"))
+
+
+@pytest.mark.parametrize("weights, means, covs, labels", [
+    ([1.0], np.zeros((2, 2)), np.tile(np.eye(2), (2, 1, 1)), [ConditionLabel.BOTH] * 2),
+    ([1.0, 1.0], np.zeros((2, 2)), np.tile(np.eye(2), (2, 1, 1)), [ConditionLabel.BOTH]),
+    ([1.0, 1.0], np.zeros(2), np.tile(np.eye(2), (2, 1, 1)), [ConditionLabel.BOTH] * 2),
+    ([1.0, 1.0], np.zeros((2, 2)), np.eye(2), [ConditionLabel.BOTH] * 2),
+    ([1.0], np.zeros((1, 2)), np.eye(2)[None], []),
+], ids=["weights", "labels", "means", "covariances", "no-components"])
+def test_mixture_rejects_mismatched_shapes(weights, means, covs, labels):
     with pytest.raises(ValueError):
-        ConditionedMixture(((a, ConditionLabel.BOTH),))
+        ConditionedMixture(weights, means, covs, labels)
+
+
+def test_fields_are_read_only_copies_of_the_callers_arrays():
+    weights, means, covs = np.array([0.5, 1.0]), np.zeros((2, 2)), np.tile(np.eye(2), (2, 1, 1))
+    labels = [ConditionLabel.BOTH, ConditionLabel.IMAGE_ONLY]
+    mix = ConditionedMixture(weights, means, covs, labels)
+    for given, field in ((weights, mix.weights), (means, mix.means), (covs, mix.covariances)):
+        assert not field.flags.writeable
+        assert not np.shares_memory(given, field)
+        np.testing.assert_array_equal(field, given)
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 7.0
+    weights[0] = means[0, 0] = covs[0, 0, 0] = 7.0
+    labels[0] = ConditionLabel.TEXT_ONLY
+    assert mix.weights[0] == 0.5 and mix.means[0, 0] == 0.0 and mix.covariances[0, 0, 0] == 1.0
+    assert mix.labels == (ConditionLabel.BOTH, ConditionLabel.IMAGE_ONLY)
+
+
+def test_sub_and_noised_mixtures_are_read_only():
+    mix = toy_mixture()
+    for out in (sub_mixture(mix, FULL_COND), noised_mixture(mix, linear_beta_schedule(), 300)):
+        assert isinstance(out.labels, tuple)
+        for field in (out.weights, out.means, out.covariances):
+            assert not field.flags.writeable
 
 
 @pytest.mark.parametrize("cond,admitted", [
@@ -77,9 +135,9 @@ def test_condition_membership_table(cond, admitted):
 def test_toy_full_condition_selects_the_two_joint_modes():
     sub = sub_mixture(toy_mixture(), FULL_COND)
     assert sub.size == 2
-    means = sub.means()
+    means = sub.means
     assert sorted(map(tuple, means.tolist())) == [(1.5, 0.4), (1.5, 1.4)]
-    w = sub.weights()
+    w = sub.weights
     np.testing.assert_allclose(w / w.sum(), [0.5, 0.5])
 
 
@@ -87,23 +145,21 @@ def test_toy_unconditioned_is_the_full_mixture():
     mix = toy_mixture()
     sub = sub_mixture(mix, UNCONDITIONED)
     assert sub.size == 5
-    np.testing.assert_array_equal(sub.means(), mix.means())
-    w, w_mix = sub.weights(), mix.weights()
+    np.testing.assert_array_equal(sub.means, mix.means)
+    w, w_mix = sub.weights, mix.weights
     np.testing.assert_allclose(w / w.sum(), w_mix / w_mix.sum())
 
 
 def test_single_both_component_renormalizes_to_one():
-    comp = GaussianComponent(0.3, [1.0, 2.0], 0.5)
-    mix = ConditionedMixture(((comp, ConditionLabel.BOTH),))
+    mix = mixture_of((0.3, [1.0, 2.0], 0.5, ConditionLabel.BOTH))
     sub = sub_mixture(mix, IMAGE_COND)
     assert sub.size == 1
-    w = sub.weights()
+    w = sub.weights
     assert (w / w.sum())[0] == pytest.approx(1.0)
 
 
 def test_unsupported_condition_errors():
-    comp = GaussianComponent(1.0, [0.0, 0.0], 1.0)
-    mix = ConditionedMixture(((comp, ConditionLabel.TEXT_ONLY),))
+    mix = mixture_of((1.0, [0.0, 0.0], 1.0, ConditionLabel.TEXT_ONLY))
     with pytest.raises(ValueError, match="condition has no support"):
         sub_mixture(mix, IMAGE_COND)
 
@@ -114,9 +170,9 @@ def test_sub_mixture_idempotent(seed):
     for cond in ALL_CONDITIONS:
         once = sub_mixture(mix, cond)
         twice = sub_mixture(once, cond)
-        assert once.labels() == twice.labels()
-        np.testing.assert_allclose(twice.weights(), once.weights(), rtol=1e-15)
-        np.testing.assert_array_equal(twice.means(), once.means())
+        assert once.labels == twice.labels
+        np.testing.assert_allclose(twice.weights, once.weights, rtol=1e-15)
+        np.testing.assert_array_equal(twice.means, once.means)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +187,7 @@ def test_toy_density_at_origin():
 
 
 def test_single_gaussian_normalization():
-    mix = ConditionedMixture(((GaussianComponent(1.0, [0.0, 0.0], 1.0),
-                               ConditionLabel.BOTH),))
+    mix = mixture_of((1.0, [0.0, 0.0], 1.0, ConditionLabel.BOTH))
     assert mixture_density(mix, [0.0, 0.0]) == pytest.approx(1.0 / (2 * np.pi))
 
 
@@ -160,9 +215,7 @@ def test_log_density_survives_far_tail():
 # ---------------------------------------------------------------------------
 
 def _scaled(mix, var_scale):
-    return ConditionedMixture(tuple(
-        (GaussianComponent(c.weight, c.mean, var_scale * c.covariance), lab)
-        for c, lab in mix.components))
+    return ConditionedMixture(mix.weights, mix.means, var_scale * mix.covariances, mix.labels)
 
 
 def _assert_log_close(got, want):
@@ -241,15 +294,14 @@ def test_all_minus_inf_rows_give_zero_and_minus_inf_without_warnings():
 # ---------------------------------------------------------------------------
 
 def test_score_zero_at_isolated_mode():
-    mix = ConditionedMixture(((GaussianComponent(1.0, [1.0, -2.0], 0.3),
-                               ConditionLabel.BOTH),))
+    mix = mixture_of((1.0, [1.0, -2.0], 0.3, ConditionLabel.BOTH))
     np.testing.assert_allclose(mixture_score(mix, [1.0, -2.0]), [0.0, 0.0])
 
 
 def test_single_gaussian_score_formula():
     c = 0.4
     mu = np.array([1.0, 2.0])
-    mix = ConditionedMixture(((GaussianComponent(1.0, mu, c), ConditionLabel.BOTH),))
+    mix = mixture_of((1.0, mu, c, ConditionLabel.BOTH))
     z = np.array([0.3, -1.1])
     np.testing.assert_allclose(mixture_score(mix, z), (mu - z) / c, rtol=1e-12)
 
@@ -282,18 +334,17 @@ def test_noised_identity_at_unit_alpha_bar():
     mix = toy_mixture()
     sched = NoiseSchedule(np.array([1.0, 0.5]))
     out = noised_mixture(mix, sched, 1)
-    np.testing.assert_array_equal(out.means(), mix.means())
-    np.testing.assert_array_equal(out.covariances(), mix.covariances())
-    assert out.labels() == mix.labels()
+    np.testing.assert_array_equal(out.means, mix.means)
+    np.testing.assert_array_equal(out.covariances, mix.covariances)
+    assert out.labels == mix.labels
 
 
 def test_noised_component_substitution():
-    comp = GaussianComponent(1.0, [2.0, -4.0], 0.2)
-    mix = ConditionedMixture(((comp, ConditionLabel.BOTH),))
+    mix = mixture_of((1.0, [2.0, -4.0], 0.2, ConditionLabel.BOTH))
     sched = NoiseSchedule(np.array([0.25, 0.1]))
     out = noised_mixture(mix, sched, 1)
-    np.testing.assert_allclose(out.means()[0], [1.0, -2.0])
-    np.testing.assert_allclose(out.covariances()[0], (0.25 * 0.2 + 0.75) * np.eye(2))
+    np.testing.assert_allclose(out.means[0], [1.0, -2.0])
+    np.testing.assert_allclose(out.covariances[0], (0.25 * 0.2 + 0.75) * np.eye(2))
 
 
 def test_noised_preserves_weights_and_labels_exactly():
@@ -301,8 +352,8 @@ def test_noised_preserves_weights_and_labels_exactly():
     sched = NoiseSchedule(np.array([0.9, 0.5, 0.1]))
     out = noised_mixture(mix, sched, 2)
     assert out.size == mix.size
-    np.testing.assert_array_equal(out.weights(), mix.weights())
-    assert out.labels() == mix.labels()
+    np.testing.assert_array_equal(out.weights, mix.weights)
+    assert out.labels == mix.labels
 
 
 def test_noised_density_matches_quadrature_convolution():
@@ -365,8 +416,8 @@ def test_noised_out_of_range_timestep():
 def test_toy_file_encodes_the_benchmark_mixture():
     mix = toy_mixture()
     assert mix.size == 5
-    labels = mix.labels()
-    means = mix.means()
+    labels = mix.labels
+    means = mix.means
     by_label = {}
     for lab, mean in zip(labels, means):
         by_label.setdefault(lab, []).append(tuple(mean))
@@ -374,7 +425,7 @@ def test_toy_file_encodes_the_benchmark_mixture():
     assert by_label[ConditionLabel.TEXT_ONLY] == [(3.0, 1.0)]
     assert by_label[ConditionLabel.IMAGE_ONLY] == [(0.5, 1.0)]
     assert sorted(by_label[ConditionLabel.BOTH]) == [(1.5, 0.4), (1.5, 1.4)]
-    np.testing.assert_allclose(sorted(mix.weights()), [0.1, 0.15, 0.15, 0.3, 0.3])
+    np.testing.assert_allclose(sorted(mix.weights), [0.1, 0.15, 0.15, 0.3, 0.3])
 
 
 GOOD_ENTRY = {"weight": 1.0, "mean": [0, 0], "covariance": 0.1, "label": "both"}
@@ -386,6 +437,9 @@ GOOD_ENTRY = {"weight": 1.0, "mean": [0, 0], "covariance": 0.1, "label": "both"}
     ({**GOOD_ENTRY, "mean": {}}, "components[0].mean"),
     ({**GOOD_ENTRY, "covariance": {}}, "components[0].covariance"),
     ({**GOOD_ENTRY, "label": ["both"]}, "components[0].label"),
+    ({**GOOD_ENTRY, "mean": [[0, 0]]}, "components[0].mean"),
+    ({**GOOD_ENTRY, "mean": []}, "components[0].mean"),
+    ({**GOOD_ENTRY, "covariance": np.eye(3).tolist()}, "components[0].covariance"),
 ])
 def test_mixture_file_wrong_typed_field_is_named(entry, field):
     with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sdse_lab.guidance import EstimatorKind, StageThresholds
-from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED,
-                               mixture_density, sub_mixture, toy_mixture)
+from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED, ConditionedMixture,
+                               ConditionLabel, mixture_density, sub_mixture, toy_mixture)
 from sdse_lab.optimize import Trajectory, optimize_point, trajectory_from_csv
 from sdse_lab.oracle import NoiseOracle
 from sdse_lab.samplers import SamplerKind, TimestepSampler
@@ -89,6 +89,22 @@ def test_sampler_beyond_the_schedule_is_named(setup):
     with pytest.raises(ValueError, match=r"t_max = 1001 .* schedule's 1000 steps"):
         optimize_point([0.5, 1.0], EstimatorKind.SDS, uniform(1, 1001, 20),
                        mix, sched, lr=1e-2, steps=20, seed=0)
+
+
+LINE_MIXTURE = ConditionedMixture([1.0], [[0.0]], [[[1.0]]], [ConditionLabel.BOTH])
+
+
+@pytest.mark.parametrize("theta0, mix, dims", [
+    ([0.5, 1.0], LINE_MIXTURE, (2, 1)),
+    ([0.5, 1.0, 0.0], toy_mixture(), (3, 2)),
+], ids=["2d-start-1d-mixture", "3d-start-2d-mixture"])
+def test_start_point_of_another_dimension_is_refused(setup, theta0, mix, dims):
+    """Refused before the descent, rather than broadcast against the means."""
+    _, sched = setup
+    with pytest.raises(ValueError, match=rf"theta0 has dimension {dims[0]} but the mixture "
+                                         rf"has dimension {dims[1]}"):
+        optimize_point(theta0, EstimatorKind.SDS, uniform(1, 800, 10), mix, sched,
+                       lr=1e-2, steps=10, seed=0)
 
 
 @pytest.mark.parametrize("kind", [EstimatorKind.SDSE, EstimatorKind.SDSE_PRIME])

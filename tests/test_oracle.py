@@ -10,7 +10,6 @@ from sdse_lab.mixtures import (
     ConditionLabel,
     ConditionedMixture,
     FULL_COND,
-    GaussianComponent,
     IMAGE_COND,
     UNCONDITIONED,
     mixture_density,
@@ -20,6 +19,8 @@ from sdse_lab.mixtures import (
 from sdse_lab.oracle import NoiseOracle, forward_diffuse, predict_noise
 from sdse_lab.schedule import NoiseSchedule, linear_beta_schedule
 from sdse_lab.verify import finite_difference_score, random_conditioned_mixture
+
+from mixture_helper import mixture_of
 
 
 def test_forward_diffuse_identity_at_unit_alpha_bar():
@@ -54,8 +55,7 @@ def test_forward_diffuse_out_of_range():
 
 
 def test_predict_zero_at_noised_mode():
-    comp = GaussianComponent(1.0, [1.0, 1.0], 0.2)
-    mix = ConditionedMixture(((comp, ConditionLabel.BOTH),))
+    mix = mixture_of((1.0, [1.0, 1.0], 0.2, ConditionLabel.BOTH))
     sched = linear_beta_schedule()
     t = 300
     z_t = np.sqrt(sched.alpha_bar(t)) * np.array([1.0, 1.0])
@@ -89,10 +89,10 @@ def test_sigma_scaling_via_direct_construction():
     different noise scales give predictions in the exact sigma ratio."""
     mu = np.array([1.0, -0.5])
     ab1, ab2 = 0.8, 0.6
-    mix1 = ConditionedMixture(((GaussianComponent(1.0, mu, 1.0), ConditionLabel.BOTH),))
+    mix1 = mixture_of((1.0, mu, 1.0, ConditionLabel.BOTH))
     mu2 = mu * np.sqrt(ab1 / ab2)
     var2 = (ab1 * 1.0 + (1 - ab1) - (1 - ab2)) / ab2
-    mix2 = ConditionedMixture(((GaussianComponent(1.0, mu2, var2), ConditionLabel.BOTH),))
+    mix2 = mixture_of((1.0, mu2, var2, ConditionLabel.BOTH))
     s1 = NoiseSchedule(np.array([ab1]))
     s2 = NoiseSchedule(np.array([ab2]))
     z = np.array([0.4, 0.9])
@@ -186,9 +186,10 @@ def test_predict_rejects_a_timestep_outside_the_schedule(t, warm):
 
 def _joined(parts, var_scale):
     """One mixture holding every component of `parts`, covariances times var_scale."""
-    return ConditionedMixture(tuple(
-        (GaussianComponent(c.weight, c.mean, var_scale * c.covariance), lab)
-        for part in parts for c, lab in part.components))
+    return ConditionedMixture(np.concatenate([p.weights for p in parts]),
+                              np.concatenate([p.means for p in parts]),
+                              var_scale * np.concatenate([p.covariances for p in parts]),
+                              sum((p.labels for p in parts), ()))
 
 
 @settings(derandomize=True, max_examples=40)

@@ -137,7 +137,7 @@ def assert_contours_exact(xs, ys, grid, level):
 
 def toy_plot_grid(resolution=110):
     mix = toy_mixture()  # the frame plot_trajectories_svg draws
-    means = mix.means()
+    means = mix.means
     lo, hi = means.min(axis=0) - 1.2, means.max(axis=0) + 1.2
     return density_grid(mix, (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])),
                         resolution)
