@@ -9,10 +9,10 @@ __version__ = "0.1.0"
 
 from .guidance import (EstimatorKind, GuidanceWeights, StageThresholds, TermBundle,
                        cfg_combine, decompose_terms, sdse_residual, term_residual)
-from .mixtures import (ALL_CONDITIONS, Condition, ConditionLabel, ConditionedMixture,
-                       FULL_COND, IMAGE_COND, TEXT_COND, UNCONDITIONED, load_mixture,
-                       mixture_density, mixture_log_density, mixture_score,
-                       noised_mixture, sub_mixture, toy_mixture)
+from .mixtures import (ALL_CONDITIONS, Condition, ConditionedMixture, FULL_COND, IMAGE_COND,
+                       TEXT_COND, UNCONDITIONED, load_mixture, mixture_density,
+                       mixture_log_density, mixture_score, noised_mixture, sub_mixture,
+                       toy_mixture)
 from .mesh import (LatentMesh, build_laplacian, grid_mesh, icosphere_mesh, load_mesh,
                    smoothness_gradient, smoothness_loss)
 from .optimize import Trajectory, optimize_point, trajectory_from_csv

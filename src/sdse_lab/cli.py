@@ -23,7 +23,7 @@ from .experiments import (PROFILES, Phase, convergence_check, phase_band, profil
                           run_mesh_edit)
 from .fields import ConfigError, expect, load_json, number
 from .mesh import load_mesh
-from .mixtures import FULL_COND, load_mixture
+from .mixtures import FULL_COND, ConditionedMixture, condition_support, load_mixture
 from .optimize import optimize_point, trajectory_from_csv
 from .oracle import NoiseOracle
 from .plots import plot_trajectories_svg, write_svg
@@ -82,9 +82,22 @@ def _resolve_toy_config(args: argparse.Namespace) -> ToyRunConfig:
     return parse_toy_config(cfg)
 
 
+def _load_edit_mixture(path: str) -> ConditionedMixture:
+    """The mixture at `path`; both edits descend toward the joint condition's modes,
+    so it must reach a component of positive weight."""
+    mixture = load_mixture(path)
+    try:
+        condition_support(mixture, FULL_COND)
+    except ValueError:
+        raise ConfigError("mixture_path", f"the joint condition {FULL_COND} reaches no "
+                                          f"component of positive weight (label 'both')"
+                          ) from None
+    return mixture
+
+
 def cmd_toy(args: argparse.Namespace) -> int:
     cfg = _resolve_toy_config(args)
-    mixture = load_mixture(cfg.mixture_path)
+    mixture = _load_edit_mixture(cfg.mixture_path)
     expect(mixture.dim == 2, "mixture_path",
            f"the toy run needs a 2-D mixture, got a {mixture.dim}-D one")
     out_dir = Path(args.out)
@@ -156,7 +169,7 @@ def _write_step_report(reports, path: Path, digest: str) -> None:
 def cmd_mesh_edit(args: argparse.Namespace) -> int:
     cfg = _resolve_mesh_config(args)
     mesh = load_mesh(cfg.mesh_path)
-    mixture = load_mixture(cfg.mixture_path)
+    mixture = _load_edit_mixture(cfg.mixture_path)
     targets = profile_targets(mesh, cfg.profile)
     sched = linear_beta_schedule()
     # Every w1 runs before --out is made, so a run refused at any w1 writes nothing.

@@ -17,6 +17,7 @@ from .fields import boolean, choice, expect, get, items, known_fields, number, t
 from .fields import resolve_data_path  # noqa: F401  (imported from here by callers)
 from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds
 from .mixtures import START_POINT
+from .optimize import DIVERGENCE_GUARD, within_guard
 from .samplers import SamplerKind, TimestepSampler
 from .schedule import linear_beta_schedule
 
@@ -131,6 +132,8 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
     theta0 = get(cfg, "theta0", items, number, default=list(START_POINT))
     expect(len(theta0) == 2, "theta0", "expected a 2-element list")
     theta0 = tuple(float(v) for v in theta0)
+    expect(within_guard(theta0), "theta0",
+           f"lies beyond the divergence guard: its norm must be <= {DIVERGENCE_GUARD:g}")
     # accepted so that existing configs keep parsing; the oracle always noises
     expect(get(cfg, "noising", boolean, default=True), "noising", "must be true")
 

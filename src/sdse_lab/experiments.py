@@ -16,7 +16,7 @@ import numpy as np
 from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
 from .mesh import LatentMesh, _laplacian, squared_norms
 from .mixtures import START_POINT, Condition, ConditionedMixture, FULL_COND, IMAGE_COND
-from .optimize import Trajectory, optimize_point
+from .optimize import DIVERGENCE_GUARD, Trajectory, optimize_point
 from .oracle import NoiseOracle
 from .samplers import TimestepSampler
 from .schedule import NoiseSchedule
@@ -221,12 +221,17 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     uniformly-spread measuring batch only and stays fixed for the whole run;
     the measuring batch does not move the codes, so allocator on/off pairs
     start identically. A step that takes a code past the divergence guard
-    raises ValueError naming the seed and the step, and codes of another
-    dimension than the mixture's raise it before any step.
+    raises ValueError naming the seed and the step; codes of another dimension
+    than the mixture's, or start codes already past the guard, raise it before
+    any step.
     """
     if mesh.latent_dim != mix.dim:
         raise ValueError(f"mesh codes are {mesh.latent_dim}-D but the mixture is "
                          f"{mix.dim}-D; they must match")
+    largest = np.abs(mesh.codes).max()
+    if not largest <= DIVERGENCE_GUARD:
+        raise ValueError(f"mesh start codes lie beyond the divergence guard: largest |code| "
+                         f"is {largest:g}, beyond the guard {DIVERGENCE_GUARD:g}")
     profile = profile_targets(mesh, profile)
     oracle = NoiseOracle(mix, sched)
     modes = mix.mode_points(FULL_COND)

@@ -17,7 +17,7 @@ from .fields import ConfigError, array, choice, expect, get, known_fields, load_
 from .mixtures import START_POINT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatentMesh:
     """Connected vertex graph with per-vertex latent codes and region ids."""
 

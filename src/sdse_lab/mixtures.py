@@ -1,17 +1,17 @@
 """Conditioned Gaussian mixtures with exact densities and scores.
 
-A mixture's components carry condition labels describing which conditional
-distributions they belong to: the unconditional density uses every component,
-the image-conditional density uses components reachable with the image
-condition, and so on. Sub-mixture selection, densities, scores, and the
-forward-diffusion pushforward are all closed form. All density work happens
-in log space so far-tail queries stay well behaved: `FrozenMixture` holds the
-one log-sum-exp reduction over components that every density goes through.
+A mixture component's label is the most specific condition that reaches it: a
+condition reaches every component whose label holds all of its flags, so the
+unconditional density uses every component, the image-conditional density the
+image-only and joint ones, and so on. Sub-mixture selection, densities, scores,
+and the forward-diffusion pushforward are all closed form. All density work
+happens in log space so far-tail queries stay well behaved: `FrozenMixture`
+holds the one log-sum-exp reduction over components that every density goes
+through.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +21,6 @@ from .fields import (ConfigError, array, choice, expect, get, items, known_field
 from .schedule import NoiseSchedule
 
 
-class ConditionLabel(enum.Enum):
-    """Which conditional distributions a mixture component belongs to."""
-
-    UNCONDITIONAL = "unconditional"
-    IMAGE_ONLY = "image_only"
-    TEXT_ONLY = "text_only"
-    BOTH = "both"
-
-
 @dataclass(frozen=True)
 class Condition:
     """A (text?, image?) conditioning pair; both flags off means unconditioned."""
@@ -37,20 +28,10 @@ class Condition:
     text: bool = False
     image: bool = False
 
-    def admits(self, label: ConditionLabel) -> bool:
-        """Membership rule mapping a conditioning pair to admissible labels.
-
-        No conditions -> every component. Image only -> image-only and
-        dual-labeled components. Text only -> text-only and dual-labeled.
-        Both -> dual-labeled components only.
-        """
-        if self.text and self.image:
-            return label is ConditionLabel.BOTH
-        if self.image:
-            return label in (ConditionLabel.IMAGE_ONLY, ConditionLabel.BOTH)
-        if self.text:
-            return label in (ConditionLabel.TEXT_ONLY, ConditionLabel.BOTH)
-        return True
+    def admits(self, label: Condition) -> bool:
+        """Whether this condition reaches a component labeled `label`: the label
+        holds every flag this condition sets."""
+        return (label.text or not self.text) and (label.image or not self.image)
 
     def __str__(self) -> str:
         return {(False, False): "(-,-)", (False, True): "(-,I)",
@@ -64,20 +45,25 @@ FULL_COND = Condition(text=True, image=True)
 
 ALL_CONDITIONS = (UNCONDITIONED, IMAGE_COND, TEXT_COND, FULL_COND)
 
+# The label names of a mixture file and the conditions they stand for.
+LABELS = {"unconditional": UNCONDITIONED, "image_only": IMAGE_COND, "text_only": TEXT_COND,
+          "both": FULL_COND}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ConditionedMixture:
     """Gaussian mixture whose components carry condition labels.
 
     Component k has weight `weights[k]` >= 0, mean `means[k]`, SPD covariance
-    `covariances[k]` and label `labels[k]`; the arrays are read-only copies of
-    the caller's. A component that breaks a rule is named `components[k]`.
+    `covariances[k]` and label `labels[k]`, the most specific `Condition` that
+    reaches it; the arrays are read-only copies of the caller's. A component
+    that breaks a rule is named `components[k]`.
     """
 
     weights: np.ndarray        # (K,)
     means: np.ndarray          # (K, d)
     covariances: np.ndarray    # (K, d, d)
-    labels: tuple[ConditionLabel, ...]
+    labels: tuple[Condition, ...]
 
     def __post_init__(self):
         wts = np.array(self.weights, dtype=float)
@@ -89,7 +75,7 @@ class ConditionedMixture:
             raise ValueError(f"{size} labels need weights (K,), means (K, d) and covariances "
                              f"(K, d, d) with K = {size}; got {wts.shape}, {means.shape} "
                              f"and {covs.shape}")
-        _first_bad(np.array([not isinstance(lab, ConditionLabel) for lab in labels], dtype=bool),
+        _first_bad(np.array([not isinstance(lab, Condition) for lab in labels], dtype=bool),
                    "each component needs exactly one condition label")
         _first_bad(~(np.isfinite(wts) & (wts >= 0.0)), "component weight must be finite and >= 0")
         _first_bad(~np.isfinite(means).all(axis=1), "component mean must be finite")
@@ -339,8 +325,7 @@ def _component(entry: dict, path: str) -> tuple:
         covariance = float(covariance) * np.eye(mean.size)
     expect(covariance.shape == (mean.size, mean.size), f"{path}.covariance",
            "covariance shape must match mean dimension")
-    labels = [lab.value for lab in ConditionLabel]
-    return weight, mean, covariance, ConditionLabel(get(entry, f"{path}.label", choice, labels))
+    return weight, mean, covariance, LABELS[get(entry, f"{path}.label", choice, LABELS)]
 
 
 def mixture_from_dict(spec: dict) -> ConditionedMixture:

@@ -23,6 +23,15 @@ from .schedule import NoiseSchedule
 
 DIVERGENCE_GUARD = 1e3
 
+
+def within_guard(theta) -> bool:
+    """The descent's divergence test, which every iterate passes: theta @ theta <=
+    DIVERGENCE_GUARD**2 (never on NaN or inf)."""
+    theta = np.asarray(theta, dtype=float)
+    with np.errstate(over="ignore"):
+        return bool(theta @ theta <= DIVERGENCE_GUARD**2)
+
+
 TRAJECTORY_COLUMNS = ("step", "t", "theta_0", "theta_1", "res_0", "res_1",
                       "p", "p_img", "p_full")
 
@@ -120,7 +129,7 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
 
     Deterministic given the seed: the timestep sequence is drawn first, then
     one noise sample per step. Aborts with the guard flag set if the iterate
-    norm ever exceeds 1e3 or stops being finite.
+    norm ever exceeds 1e3 or stops being finite; a theta0 beyond it is refused.
     """
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if not np.all(np.isfinite(theta)):
@@ -128,6 +137,9 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
     if theta.size != mix.dim:
         raise ValueError(f"theta0 has dimension {theta.size} but the mixture has "
                          f"dimension {mix.dim}")
+    if not within_guard(theta):
+        raise ValueError(f"theta0 lies beyond the divergence guard: its norm must be "
+                         f"<= {DIVERGENCE_GUARD:g}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0 <= lr < np.inf:
@@ -173,7 +185,7 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
             out_ts[i + 1] = t
             densities[i + 1] = oracle.density_bundle(theta)
             used = i + 2
-            if not (theta @ theta <= DIVERGENCE_GUARD**2):  # also trips on NaN/inf
+            if not (theta @ theta <= DIVERGENCE_GUARD**2):  # within_guard; trips on NaN/inf
                 guard = True
                 break
 

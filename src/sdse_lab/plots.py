@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .mixtures import ConditionLabel, ConditionedMixture, FrozenMixture
+from .mixtures import (FULL_COND, IMAGE_COND, TEXT_COND, UNCONDITIONED, ConditionedMixture,
+                       FrozenMixture)
 
 _W, _H, _PAD = 560, 560, 42
 _LEVELS = 8  # contour levels, evenly spaced below the grid maximum
@@ -137,10 +138,8 @@ def plot_trajectories_svg(mix: ConditionedMixture, trajectories: list[np.ndarray
                          f'x2="{_fmt(cv.px(xb))}" y2="{_fmt(cv.py(yb))}" '
                          f'stroke="{color}" stroke-width="1"/>')
 
-    marker_styles = {ConditionLabel.UNCONDITIONAL: "#777777",
-                     ConditionLabel.TEXT_ONLY: "#2ca02c",
-                     ConditionLabel.IMAGE_ONLY: "#e6b800",
-                     ConditionLabel.BOTH: "#d62728"}
+    marker_styles = {UNCONDITIONED: "#777777", TEXT_COND: "#2ca02c", IMAGE_COND: "#e6b800",
+                     FULL_COND: "#d62728"}
     for (x, y), label in zip(mix.means, mix.labels):
         parts.append(_star(cv.px(x), cv.py(y), 7.0, marker_styles[label]))
 

@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Strictly decreasing alpha_bar sequence over timesteps 1..T, with read-only
     sqrt(alpha_bar_t) and noise scales sqrt(1 - alpha_bar_t) indexed alike (t - 1)."""
 
     alphas_bar: np.ndarray
-    sqrt_alphas_bar: np.ndarray = field(init=False, repr=False, compare=False)
-    sigmas: np.ndarray = field(init=False, repr=False, compare=False)
+    sqrt_alphas_bar: np.ndarray = field(init=False, repr=False)
+    sigmas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ab = np.asarray(self.alphas_bar, dtype=float)

@@ -14,7 +14,7 @@ import numpy as np
 from .guidance import (GuidanceWeights, StageThresholds, cfg_combine, decompose_terms,
                        sdse_residual)
 from .mesh import LatentMesh, build_laplacian, smoothness_gradient, smoothness_loss
-from .mixtures import (ConditionLabel, ConditionedMixture, FULL_COND, IMAGE_COND,
+from .mixtures import (ALL_CONDITIONS, LABELS, ConditionedMixture, FULL_COND, IMAGE_COND,
                        UNCONDITIONED, load_mixture, mixture_density, mixture_log_density,
                        mixture_score, sub_mixture)
 from .oracle import NoiseOracle
@@ -45,11 +45,9 @@ class CheckResult:
 def random_conditioned_mixture(rng: np.random.Generator, max_components: int = 5,
                                full_cov: bool = True) -> ConditionedMixture:
     """Random labeled planar mixture guaranteed to support all four condition pairs."""
-    labels = [ConditionLabel.UNCONDITIONAL, ConditionLabel.IMAGE_ONLY,
-              ConditionLabel.TEXT_ONLY, ConditionLabel.BOTH]
+    labels = list(ALL_CONDITIONS)
     extra = rng.integers(0, max(1, max_components - len(labels) + 1))
-    labels += [ConditionLabel(rng.choice([l.value for l in ConditionLabel]))
-               for _ in range(extra)]
+    labels += [LABELS[rng.choice(list(LABELS))] for _ in range(extra)]
     wts, means, covs = [], [], []
     for _ in labels:
         means.append(rng.uniform(-2.0, 2.0, size=2))

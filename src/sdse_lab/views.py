@@ -101,8 +101,11 @@ def allocate_views(weights: dict[int, float], total: int) -> RegionAllocation:
         raise ValueError("total must be >= 0")
     regions = sorted(weights)
     w = np.array([weights[r] for r in regions], dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be >= 0")
+    bad = ~(np.isfinite(w) & (w >= 0))
+    if bad.any():
+        region = regions[int(np.argmax(bad))]
+        raise ValueError(f"weights must be finite and >= 0; region {region} has "
+                         f"{weights[region]!r}")
     if w.sum() <= 0.0:
         warnings.warn("all-zero region weights; falling back to uniform allocation")
         w = np.ones_like(w)
@@ -210,7 +213,7 @@ def edit_step(mesh: LatentMesh, batch: list[tuple[ViewSpec, int]], oracle: Noise
     per-view gradients), `view_counts` (views per region, every region in id
     order) and `smooth_loss`.
 
-    Raises ValueError if a new code leaves the descent's divergence guard
+    Raises ValueError if a new code leaves the divergence guard
     (|code| > optimize.DIVERGENCE_GUARD, or not finite).
     """
     if not batch:

@@ -589,6 +589,50 @@ def test_toy_on_a_mixture_that_is_not_2d_is_config_error(tmp_path, capsys, mean)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, config", [("toy", TOY_CONFIG), ("mesh-edit", MESH_CONFIG)])
+@pytest.mark.parametrize("components", [
+    [{**GOOD_COMPONENT, "label": "text_only"}, {**GOOD_COMPONENT, "label": "unconditional"}],
+    [{**GOOD_COMPONENT, "weight": 0.0}, {**GOOD_COMPONENT, "label": "image_only"}],
+], ids=["no-joint-label", "joint-weight-zero"])
+def test_mixture_the_joint_condition_does_not_reach_is_config_error(tmp_path, capsys,
+                                                                    command, config,
+                                                                    components):
+    """Both edits descend toward the joint condition's modes: refused before any run."""
+    mix = write_config(tmp_path, {"components": components}, name="mix.json")
+    cfg = write_config(tmp_path, {**config, "mixture_path": mix})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("config error: mixture_path: the joint condition "
+                                       "(y,I) reaches no component of positive weight "
+                                       "(label 'both')\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("theta0", [[1e200, 0.0], [2000.0, 0.0]], ids=["overflowing", "past"])
+def test_toy_start_point_beyond_the_guard_is_config_error(tmp_path, capsys, theta0):
+    cfg = write_config(tmp_path, {**TOY_CONFIG, "theta0": theta0})
+    assert main(["toy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("config error: theta0: lies beyond the divergence "
+                                       "guard: its norm must be <= 1000\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mesh_override, largest", [
+    ({"codes": None, "init": {"mode": "constant", "params": {"value": [1e200, 0.0]}}}, "1e+200"),
+    ({"codes": [[0.5, 1.0], [2000.0, 0.0], [0.5, 1.0]]}, "2000"),
+], ids=["init-value-overflowing", "codes-past"])
+def test_mesh_edit_start_codes_beyond_the_guard_are_refused(tmp_path, capsys, mesh_override,
+                                                             largest):
+    mesh = {**GOOD_MESH, **mesh_override}
+    mesh = write_config(tmp_path, {k: v for k, v in mesh.items() if v is not None},
+                        name="mesh.json")
+    cfg = write_config(tmp_path, {**MESH_CONFIG, "mesh_path": mesh})
+    assert main(["mesh-edit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: mesh start codes lie beyond the divergence "
+                                       f"guard: largest |code| is {largest}, beyond the "
+                                       f"guard 1000\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("mean", [[1.5], [1.5, 1.4, 0.0]], ids=["1d", "3d"])
 def test_emit_plot_on_a_mixture_that_is_not_2d_is_refused(tmp_path, capsys, mean):
     mix = write_config(tmp_path, {"components": [{**GOOD_COMPONENT, "mean": mean}]},

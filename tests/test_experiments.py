@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -291,6 +292,29 @@ def test_mesh_edit_requires_complete_profile():
     with pytest.raises(ValueError, match="profile missing"):
         run_mesh_edit(mesh, {0: FULL_COND}, MIX, SCHED, seeds=[0],
                       config=MeshEditConfig(steps=1))
+
+
+@pytest.mark.parametrize("code", [2000.0, -1000.5, 1e200])
+def test_mesh_edit_refuses_start_codes_beyond_the_guard(code):
+    """The edit step's guard bounds each |code|; start codes past it are refused
+    before the measuring pass, not reported as diverging at step 1."""
+    mesh = grid_mesh(rows=5, cols=5, num_regions=5)
+    codes = np.array(mesh.codes)
+    codes[7, 1] = code
+    message = (f"mesh start codes lie beyond the divergence guard: largest |code| is "
+               f"{abs(code):g}, beyond the guard 1000")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_mesh_edit(mesh.with_codes(codes), "head_dominant", MIX, SCHED, seeds=[0],
+                      config=MeshEditConfig(steps=1))
+
+
+def test_mesh_edit_starts_from_codes_on_the_guard():
+    mesh = grid_mesh(rows=5, cols=5, num_regions=5)
+    codes = np.array(mesh.codes)
+    codes[7, 1] = -1000.0
+    report, = run_mesh_edit(mesh.with_codes(codes), "head_dominant", MIX, SCHED, seeds=[0],
+                            config=MeshEditConfig(steps=1, w1=300.0, lr=0.0))
+    assert report.final_mesh.codes[7, 1] == -1000.0
 
 
 def test_region_dispersion_zero_for_constant_codes():

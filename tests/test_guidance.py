@@ -13,7 +13,6 @@ from sdse_lab.guidance import (
     term_residual,
 )
 from sdse_lab.mixtures import (
-    ConditionLabel,
     FULL_COND,
     IMAGE_COND,
     UNCONDITIONED,
@@ -242,7 +241,7 @@ def test_m4_only_zero_at_matching_epsilon(oracle):
 
 
 def test_m1_only_zero_for_identical_submixtures():
-    mix = mixture_of(*((w, m, 0.2, ConditionLabel.IMAGE_ONLY)
+    mix = mixture_of(*((w, m, 0.2, IMAGE_COND)
                        for w, m in [(0.5, [0.0, 0.0]), (0.5, [2.0, 1.0])]))
     oracle = NoiseOracle(mix, linear_beta_schedule())
     got = term_residual(EstimatorKind.M1_ONLY, oracle, np.array([1.0, 0.3]), 400,
@@ -254,8 +253,8 @@ def test_m3_only_near_zero_at_shared_mode():
     # the image-only component is so remote that the image-conditional and
     # fully-conditional noised mixtures coincide near the shared mode
     mix = mixture_of(
-        (0.5, [0.0, 0.0], 0.05, ConditionLabel.BOTH),
-        (0.5, [40.0, 0.0], 0.05, ConditionLabel.IMAGE_ONLY),
+        (0.5, [0.0, 0.0], 0.05, FULL_COND),
+        (0.5, [40.0, 0.0], 0.05, IMAGE_COND),
     )
     sched = linear_beta_schedule()
     oracle = NoiseOracle(mix, sched)

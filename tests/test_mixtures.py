@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp  # reference only; the package does not import it
 
 from sdse_lab.fields import ConfigError
+from sdse_lab.mesh import grid_mesh
 from sdse_lab.mixtures import (
     ALL_CONDITIONS,
-    ConditionLabel,
     ConditionedMixture,
     FULL_COND,
     FrozenMixture,
@@ -35,25 +35,25 @@ from mixture_helper import mixture_of
 # types and validation
 # ---------------------------------------------------------------------------
 
-GOOD = (1.0, [0.0, 0.0], 1.0, ConditionLabel.BOTH)
+GOOD = (1.0, [0.0, 0.0], 1.0, FULL_COND)
 
 
 def test_mixture_rejects_negative_weight():
     with pytest.raises(ValueError, match=re.escape("components[0]: component weight")):
-        mixture_of((-0.1, np.zeros(2), np.eye(2), ConditionLabel.BOTH))
+        mixture_of((-0.1, np.zeros(2), np.eye(2), FULL_COND))
 
 
 def test_mixture_rejects_non_spd_covariance():
     with pytest.raises(ValueError, match=re.escape("components[0]: covariance must be pos")):
-        mixture_of((1.0, np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]), ConditionLabel.BOTH))
+        mixture_of((1.0, np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]), FULL_COND))
     with pytest.raises(ValueError, match=re.escape("components[0]: covariance must be sym")):
-        mixture_of((1.0, np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]), ConditionLabel.BOTH))
+        mixture_of((1.0, np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]), FULL_COND))
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_bad_component_is_named_by_its_index(k):
     comps = [GOOD] * 3
-    comps[k] = (1.0, [0.0, 0.0], -1.0, ConditionLabel.BOTH)
+    comps[k] = (1.0, [0.0, 0.0], -1.0, FULL_COND)
     with pytest.raises(ConfigError, match=re.escape(f"components[{k}]: covariance must be "
                                                     f"positive definite")):
         mixture_of(*comps)
@@ -64,7 +64,7 @@ def test_mixture_rejects_mixed_dimensions():
     component whose mean differs from components[0]'s is named."""
     with pytest.raises(ValueError, match=r"got \(2,\), \(2, 2\) and \(2, 3, 3\)"):
         ConditionedMixture([1.0, 1.0], np.zeros((2, 2)), np.tile(np.eye(3), (2, 1, 1)),
-                           [ConditionLabel.BOTH] * 2)
+                           [FULL_COND] * 2)
     entries = [{"weight": 1.0, "mean": mean, "covariance": 1.0, "label": "both"}
                for mean in ([0.0, 0.0], [0.0, 0.0, 0.0])]
     with pytest.raises(ConfigError, match=re.escape("components[1].mean: expected 2 numbers")):
@@ -73,7 +73,7 @@ def test_mixture_rejects_mixed_dimensions():
 
 def test_mixture_rejects_zero_total_weight():
     with pytest.raises(ConfigError, match="^components: total mixture weight must be positive"):
-        mixture_of((0.0, [0.0, 0.0], 1.0, ConditionLabel.BOTH))
+        mixture_of((0.0, [0.0, 0.0], 1.0, FULL_COND))
 
 
 def test_mixture_rejects_a_label_that_is_not_a_condition_label():
@@ -82,10 +82,10 @@ def test_mixture_rejects_a_label_that_is_not_a_condition_label():
 
 
 @pytest.mark.parametrize("weights, means, covs, labels", [
-    ([1.0], np.zeros((2, 2)), np.tile(np.eye(2), (2, 1, 1)), [ConditionLabel.BOTH] * 2),
-    ([1.0, 1.0], np.zeros((2, 2)), np.tile(np.eye(2), (2, 1, 1)), [ConditionLabel.BOTH]),
-    ([1.0, 1.0], np.zeros(2), np.tile(np.eye(2), (2, 1, 1)), [ConditionLabel.BOTH] * 2),
-    ([1.0, 1.0], np.zeros((2, 2)), np.eye(2), [ConditionLabel.BOTH] * 2),
+    ([1.0], np.zeros((2, 2)), np.tile(np.eye(2), (2, 1, 1)), [FULL_COND] * 2),
+    ([1.0, 1.0], np.zeros((2, 2)), np.tile(np.eye(2), (2, 1, 1)), [FULL_COND]),
+    ([1.0, 1.0], np.zeros(2), np.tile(np.eye(2), (2, 1, 1)), [FULL_COND] * 2),
+    ([1.0, 1.0], np.zeros((2, 2)), np.eye(2), [FULL_COND] * 2),
     ([1.0], np.zeros((1, 2)), np.eye(2)[None], []),
 ], ids=["weights", "labels", "means", "covariances", "no-components"])
 def test_mixture_rejects_mismatched_shapes(weights, means, covs, labels):
@@ -95,7 +95,7 @@ def test_mixture_rejects_mismatched_shapes(weights, means, covs, labels):
 
 def test_fields_are_read_only_copies_of_the_callers_arrays():
     weights, means, covs = np.array([0.5, 1.0]), np.zeros((2, 2)), np.tile(np.eye(2), (2, 1, 1))
-    labels = [ConditionLabel.BOTH, ConditionLabel.IMAGE_ONLY]
+    labels = [FULL_COND, IMAGE_COND]
     mix = ConditionedMixture(weights, means, covs, labels)
     for given, field in ((weights, mix.weights), (means, mix.means), (covs, mix.covariances)):
         assert not field.flags.writeable
@@ -104,9 +104,9 @@ def test_fields_are_read_only_copies_of_the_callers_arrays():
         with pytest.raises(ValueError, match="read-only"):
             field[0] = 7.0
     weights[0] = means[0, 0] = covs[0, 0, 0] = 7.0
-    labels[0] = ConditionLabel.TEXT_ONLY
+    labels[0] = TEXT_COND
     assert mix.weights[0] == 0.5 and mix.means[0, 0] == 0.0 and mix.covariances[0, 0, 0] == 1.0
-    assert mix.labels == (ConditionLabel.BOTH, ConditionLabel.IMAGE_ONLY)
+    assert mix.labels == (FULL_COND, IMAGE_COND)
 
 
 def test_sub_and_noised_mixtures_are_read_only():
@@ -117,14 +117,24 @@ def test_sub_and_noised_mixtures_are_read_only():
             assert not field.flags.writeable
 
 
+@pytest.mark.parametrize("build", [toy_mixture, grid_mesh, linear_beta_schedule],
+                         ids=["mixture", "mesh", "schedule"])
+def test_array_records_compare_and_hash_by_identity(build):
+    """Records of read-only arrays have no field-wise equality (numpy's would be
+    ambiguous); two builds are two records, as the oracle's identity check has it."""
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 @pytest.mark.parametrize("cond,admitted", [
-    (UNCONDITIONED, set(ConditionLabel)),
-    (IMAGE_COND, {ConditionLabel.IMAGE_ONLY, ConditionLabel.BOTH}),
-    (TEXT_COND, {ConditionLabel.TEXT_ONLY, ConditionLabel.BOTH}),
-    (FULL_COND, {ConditionLabel.BOTH}),
+    (UNCONDITIONED, set(ALL_CONDITIONS)),
+    (IMAGE_COND, {IMAGE_COND, FULL_COND}),
+    (TEXT_COND, {TEXT_COND, FULL_COND}),
+    (FULL_COND, {FULL_COND}),
 ])
 def test_condition_membership_table(cond, admitted):
-    for label in ConditionLabel:
+    for label in ALL_CONDITIONS:
         assert cond.admits(label) == (label in admitted)
 
 
@@ -151,7 +161,7 @@ def test_toy_unconditioned_is_the_full_mixture():
 
 
 def test_single_both_component_renormalizes_to_one():
-    mix = mixture_of((0.3, [1.0, 2.0], 0.5, ConditionLabel.BOTH))
+    mix = mixture_of((0.3, [1.0, 2.0], 0.5, FULL_COND))
     sub = sub_mixture(mix, IMAGE_COND)
     assert sub.size == 1
     w = sub.weights
@@ -159,7 +169,7 @@ def test_single_both_component_renormalizes_to_one():
 
 
 def test_unsupported_condition_errors():
-    mix = mixture_of((1.0, [0.0, 0.0], 1.0, ConditionLabel.TEXT_ONLY))
+    mix = mixture_of((1.0, [0.0, 0.0], 1.0, TEXT_COND))
     with pytest.raises(ValueError, match="condition has no support"):
         sub_mixture(mix, IMAGE_COND)
 
@@ -187,7 +197,7 @@ def test_toy_density_at_origin():
 
 
 def test_single_gaussian_normalization():
-    mix = mixture_of((1.0, [0.0, 0.0], 1.0, ConditionLabel.BOTH))
+    mix = mixture_of((1.0, [0.0, 0.0], 1.0, FULL_COND))
     assert mixture_density(mix, [0.0, 0.0]) == pytest.approx(1.0 / (2 * np.pi))
 
 
@@ -294,14 +304,14 @@ def test_all_minus_inf_rows_give_zero_and_minus_inf_without_warnings():
 # ---------------------------------------------------------------------------
 
 def test_score_zero_at_isolated_mode():
-    mix = mixture_of((1.0, [1.0, -2.0], 0.3, ConditionLabel.BOTH))
+    mix = mixture_of((1.0, [1.0, -2.0], 0.3, FULL_COND))
     np.testing.assert_allclose(mixture_score(mix, [1.0, -2.0]), [0.0, 0.0])
 
 
 def test_single_gaussian_score_formula():
     c = 0.4
     mu = np.array([1.0, 2.0])
-    mix = mixture_of((1.0, mu, c, ConditionLabel.BOTH))
+    mix = mixture_of((1.0, mu, c, FULL_COND))
     z = np.array([0.3, -1.1])
     np.testing.assert_allclose(mixture_score(mix, z), (mu - z) / c, rtol=1e-12)
 
@@ -340,7 +350,7 @@ def test_noised_identity_at_unit_alpha_bar():
 
 
 def test_noised_component_substitution():
-    mix = mixture_of((1.0, [2.0, -4.0], 0.2, ConditionLabel.BOTH))
+    mix = mixture_of((1.0, [2.0, -4.0], 0.2, FULL_COND))
     sched = NoiseSchedule(np.array([0.25, 0.1]))
     out = noised_mixture(mix, sched, 1)
     np.testing.assert_allclose(out.means[0], [1.0, -2.0])
@@ -421,10 +431,10 @@ def test_toy_file_encodes_the_benchmark_mixture():
     by_label = {}
     for lab, mean in zip(labels, means):
         by_label.setdefault(lab, []).append(tuple(mean))
-    assert by_label[ConditionLabel.UNCONDITIONAL] == [(0.0, 0.0)]
-    assert by_label[ConditionLabel.TEXT_ONLY] == [(3.0, 1.0)]
-    assert by_label[ConditionLabel.IMAGE_ONLY] == [(0.5, 1.0)]
-    assert sorted(by_label[ConditionLabel.BOTH]) == [(1.5, 0.4), (1.5, 1.4)]
+    assert by_label[UNCONDITIONED] == [(0.0, 0.0)]
+    assert by_label[TEXT_COND] == [(3.0, 1.0)]
+    assert by_label[IMAGE_COND] == [(0.5, 1.0)]
+    assert sorted(by_label[FULL_COND]) == [(1.5, 0.4), (1.5, 1.4)]
     np.testing.assert_allclose(sorted(mix.weights), [0.1, 0.15, 0.15, 0.3, 0.3])
 
 

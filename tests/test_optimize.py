@@ -5,7 +5,7 @@ import pytest
 
 from sdse_lab.guidance import EstimatorKind, StageThresholds
 from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED, ConditionedMixture,
-                               ConditionLabel, mixture_density, sub_mixture, toy_mixture)
+                               mixture_density, sub_mixture, toy_mixture)
 from sdse_lab.optimize import Trajectory, optimize_point, trajectory_from_csv
 from sdse_lab.oracle import NoiseOracle
 from sdse_lab.samplers import SamplerKind, TimestepSampler
@@ -91,7 +91,7 @@ def test_sampler_beyond_the_schedule_is_named(setup):
                        mix, sched, lr=1e-2, steps=20, seed=0)
 
 
-LINE_MIXTURE = ConditionedMixture([1.0], [[0.0]], [[[1.0]]], [ConditionLabel.BOTH])
+LINE_MIXTURE = ConditionedMixture([1.0], [[0.0]], [[[1.0]]], [FULL_COND])
 
 
 @pytest.mark.parametrize("theta0, mix, dims", [
@@ -105,6 +105,25 @@ def test_start_point_of_another_dimension_is_refused(setup, theta0, mix, dims):
                                          rf"has dimension {dims[1]}"):
         optimize_point(theta0, EstimatorKind.SDS, uniform(1, 800, 10), mix, sched,
                        lr=1e-2, steps=10, seed=0)
+
+
+@pytest.mark.parametrize("theta0", [[1e200, 0.0], [1000.001, 0.0], [600.0, 800.001]],
+                         ids=["overflowing-norm", "just-past-the-axis", "just-past-the-circle"])
+def test_start_point_beyond_the_guard_is_refused(setup, theta0):
+    """Row 0 is an iterate, so theta0 passes the guard's own test or the descent
+    does not start (it would otherwise run into NaNs and warnings)."""
+    mix, sched = setup
+    with pytest.raises(ValueError, match=r"theta0 lies beyond the divergence guard: its "
+                                         r"norm must be <= 1000"):
+        optimize_point(theta0, EstimatorKind.SDS, uniform(1, 800, 10), mix, sched,
+                       lr=1e-2, steps=10, seed=0)
+
+
+def test_start_point_on_the_guard_runs(setup):
+    mix, sched = setup
+    traj = optimize_point([600.0, 800.0], EstimatorKind.SDS, uniform(1, 800, 10), mix,
+                          sched, lr=0.0, steps=10, seed=0)
+    assert traj.num_rows == 11 and not traj.guard_tripped
 
 
 @pytest.mark.parametrize("kind", [EstimatorKind.SDSE, EstimatorKind.SDSE_PRIME])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from sdse_lab.mixtures import (
     ALL_CONDITIONS,
     Condition,
-    ConditionLabel,
     ConditionedMixture,
     FULL_COND,
     IMAGE_COND,
@@ -55,7 +54,7 @@ def test_forward_diffuse_out_of_range():
 
 
 def test_predict_zero_at_noised_mode():
-    mix = mixture_of((1.0, [1.0, 1.0], 0.2, ConditionLabel.BOTH))
+    mix = mixture_of((1.0, [1.0, 1.0], 0.2, FULL_COND))
     sched = linear_beta_schedule()
     t = 300
     z_t = np.sqrt(sched.alpha_bar(t)) * np.array([1.0, 1.0])
@@ -89,10 +88,10 @@ def test_sigma_scaling_via_direct_construction():
     different noise scales give predictions in the exact sigma ratio."""
     mu = np.array([1.0, -0.5])
     ab1, ab2 = 0.8, 0.6
-    mix1 = mixture_of((1.0, mu, 1.0, ConditionLabel.BOTH))
+    mix1 = mixture_of((1.0, mu, 1.0, FULL_COND))
     mu2 = mu * np.sqrt(ab1 / ab2)
     var2 = (ab1 * 1.0 + (1 - ab1) - (1 - ab2)) / ab2
-    mix2 = mixture_of((1.0, mu2, var2, ConditionLabel.BOTH))
+    mix2 = mixture_of((1.0, mu2, var2, FULL_COND))
     s1 = NoiseSchedule(np.array([ab1]))
     s2 = NoiseSchedule(np.array([ab2]))
     z = np.array([0.4, 0.9])

@@ -249,6 +249,14 @@ def test_allocation_monotone_in_weights(weights, total):
                 assert alloc.counts[a] >= alloc.counts[b]
 
 
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_weight_that_is_not_finite_and_non_negative_is_refused_naming_its_region(bad):
+    """A NaN or infinite weight would round to a negative view count."""
+    with pytest.raises(ValueError, match=rf"^weights must be finite and >= 0; region 3 has "
+                                         rf"{bad!r}$"):
+        allocate_views({0: 1.0, 3: bad, 1: 2.0}, 10)
+
+
 def test_all_zero_weights_fall_back_to_uniform():
     with pytest.warns(UserWarning, match="uniform"):
         alloc = allocate_views({r: 0.0 for r in range(5)}, 10)
