@@ -222,8 +222,9 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     the measuring batch does not move the codes, so allocator on/off pairs
     start identically. A step that takes a code past the divergence guard
     raises ValueError naming the seed and the step; codes of another dimension
-    than the mixture's, or start codes already past the guard, raise it before
-    any step.
+    than the mixture's, start codes already past the guard, or a timestep range
+    outside [1, T] (outside [1, middle_max] when a region targets FULL_COND,
+    whose staged estimator refuses larger t) raise it before any step.
     """
     if mesh.latent_dim != mix.dim:
         raise ValueError(f"mesh codes are {mesh.latent_dim}-D but the mixture is "
@@ -233,9 +234,15 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
         raise ValueError(f"mesh start codes lie beyond the divergence guard: largest |code| "
                          f"is {largest:g}, beyond the guard {DIVERGENCE_GUARD:g}")
     profile = profile_targets(mesh, profile)
+    edited = [r for r, c in profile.items() if c == FULL_COND]
+    t_cap, cap = sched.num_steps, "the schedule's steps"
+    if edited and config.thresholds.middle_max < t_cap:
+        t_cap, cap = config.thresholds.middle_max, "middle_max, as a region targets FULL_COND"
+    if not 1 <= config.t_min <= config.t_max <= t_cap:
+        raise ValueError(f"need 1 <= t_min <= t_max <= {t_cap} ({cap}); got t_min = "
+                         f"{config.t_min}, t_max = {config.t_max}")
     oracle = NoiseOracle(mix, sched)
     modes = mix.mode_points(FULL_COND)
-    edited = [r for r, c in profile.items() if c == FULL_COND]
     uniform = dict.fromkeys(profile, 1.0)
     solver = SmoothedStepSolver(mesh, config.w1, config.lr)
     reports = []

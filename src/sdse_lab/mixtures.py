@@ -174,9 +174,10 @@ def _log_weights(wts: np.ndarray) -> np.ndarray:
 class FrozenMixture:
     """Precomputed arrays for fast repeated density/score evaluation.
 
-    Isotropic components take a diagonal path and keep one variance per
-    component (`variances`); any other covariance keeps the stack (`covs`) and
-    stored inverses. Evaluation accepts one point (d,) or a stack (..., d).
+    Every table keeps its covariance stack (`covs`) and one inverse array
+    (`inv`): 1/sigma^2 (..., K) when every covariance is sigma^2 I (`iso`),
+    the inverse covariances (..., K, d, d) otherwise. Evaluation accepts one
+    point (d,) or a stack (..., d).
 
     `pushforward` stacks the tables of many noise levels: every array but
     `log_wts` gains a leading level axis, and `evaluate` reads one level
@@ -184,54 +185,40 @@ class FrozenMixture:
     which is what an unstacked table needs.
     """
 
-    __slots__ = ("means", "covs", "variances", "log_wts", "iso", "inv_vars", "inv_covs",
-                 "log_norms", "dim")
+    __slots__ = ("means", "covs", "log_wts", "iso", "inv", "log_norms")
 
     def __init__(self, mix: ConditionedMixture):
         self._freeze(mix.means, mix.covariances, _log_weights(mix.weights))
 
     def _freeze(self, means: np.ndarray, covs: np.ndarray, log_wts: np.ndarray) -> None:
-        self.means, self.log_wts = means, log_wts
-        self.dim = means.shape[-1]
-        diag = covs[..., np.arange(self.dim), np.arange(self.dim)]
-        off = covs - diag[..., None] * np.eye(self.dim)
-        self.iso = bool(not off.any() and np.all(diag == diag[..., :1]))
+        """Store a table, (K, ...) or stacked (T, K, ...), with its inverses and log
+        normalizers; it is isotropic when each covariance equals its first diagonal
+        entry times the identity."""
+        self.means, self.covs, self.log_wts = means, covs, log_wts
+        dim = means.shape[-1]
+        var = covs[..., 0, 0]
+        self.iso = np.array_equal(covs, var[..., None, None] * np.eye(dim))
         if self.iso:
-            self._isotropic(diag[..., 0])
+            self.inv = 1.0 / var
+            self.log_norms = -0.5 * dim * (_LOG_2PI + np.log(var))
         else:
             sign, logdet = np.linalg.slogdet(covs)
             if np.any(sign <= 0):
                 raise ValueError("covariance must be positive definite")
-            self.covs, self.variances = covs, None
-            self.inv_vars, self.inv_covs = None, np.linalg.inv(covs)
-            self.log_norms = -0.5 * (self.dim * _LOG_2PI + logdet)
-
-    def _isotropic(self, variances: np.ndarray) -> None:
-        self.covs, self.variances = None, variances
-        self.inv_vars, self.inv_covs = 1.0 / variances, None
-        self.log_norms = -0.5 * self.dim * (_LOG_2PI + np.log(variances))
+            self.inv = np.linalg.inv(covs)
+            self.log_norms = -0.5 * (dim * _LOG_2PI + logdet)
 
     def pushforward(self, alphas_bar: np.ndarray) -> "FrozenMixture":
         """The tables forward-diffused to each signal level of alphas_bar (T,), stacked
-        along a leading axis: row i is the table at alphas_bar[i] (weights kept).
-
-        An isotropic table stays isotropic: its variances are ab s_k + (1 - ab)
-        in closed form, the diagonal that _pushforward's covariance stack holds.
-        """
+        along a leading axis: row i is the table at alphas_bar[i] (weights kept)."""
         out = object.__new__(FrozenMixture)
-        if self.iso:
-            ab = np.asarray(alphas_bar)[:, None]
-            out.means, out.log_wts = np.sqrt(ab)[..., None] * self.means, self.log_wts
-            out.dim, out.iso = self.dim, True
-            out._isotropic(ab * self.variances + (1.0 - ab))
-        else:
-            out._freeze(*_pushforward(alphas_bar, self.means, self.covs), self.log_wts)
+        out._freeze(*_pushforward(alphas_bar, self.means, self.covs), self.log_wts)
         return out
 
     def evaluate(self, z: np.ndarray, row=...) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-component (log N_k(z), mean_k - z) for every component at once, and
         the inverse variances or covariances they used."""
-        inv = (self.inv_vars if self.iso else self.inv_covs)[row]
+        inv = self.inv[row]
         d = self.means[row] - z[..., None, :]
         if self.iso:
             maha = np.add.reduce(d * d, -1) * inv

@@ -53,15 +53,16 @@ class NoiseOracle:
 
     The oracle builds the forward-diffused component tables of every timestep
     once, as one `FrozenMixture.pushforward` stack over the schedule's
-    alphas_bar (closed form for an isotropic mixture): means (T, K, d),
-    inverse variances (T, K) or inverse covariances (T, K, d, d), and log
-    normalizers (T, K). A prediction at t reads row t - 1. It evaluates the
-    components once per (t, z_t), shared by every condition queried there,
-    and hands each condition's support indices and renormalized log weights
-    to `FrozenMixture.masked_score`. Raw densities of the unconditional, image
-    and full conditions come from one `FrozenMixture.density` call on a
-    (3, K) log-weight matrix, -inf outside each condition's support, built on
-    first use (a mixture may lack a condition it is never asked about).
+    alphas_bar: means (T, K, d), covariances (T, K, d, d), inverse variances
+    (T, K) for an isotropic mixture or inverse covariances (T, K, d, d) for
+    any other, and log normalizers (T, K). A prediction at t reads row t - 1.
+    It evaluates the components once per (t, z_t), shared by every condition
+    queried there, and hands each condition's support indices and
+    renormalized log weights to `FrozenMixture.masked_score`. Raw densities
+    of the unconditional, image and full conditions come from one
+    `FrozenMixture.density` call on a (3, K) log-weight matrix, -inf outside
+    each condition's support, built on first use (a mixture may lack a
+    condition it is never asked about).
     """
 
     def __init__(self, mix: ConditionedMixture, sched: NoiseSchedule):

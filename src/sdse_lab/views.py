@@ -13,6 +13,7 @@ remainder, so the counts always sum to the total exactly.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -95,10 +96,24 @@ class RegionAllocation:
     counts: dict[int, int]
 
 
+# Largest view total allocate_views takes. The float quotas must sum to the total
+# within one view for largest remainder to fill it exactly; their rounding error
+# is a few ulps of the total, so at 2**53 two regions already miss it, while at
+# 2**40 it stays below 1/100 of a view for any region count.
+MAX_VIEW_TOTAL = 2**40
+
+
 def allocate_views(weights: dict[int, float], total: int) -> RegionAllocation:
-    """Proportional quotas rounded by largest remainder (ties broken by region id)."""
-    if total < 0:
-        raise ValueError("total must be >= 0")
+    """Proportional quotas rounded by largest remainder (ties broken by region id).
+
+    `total` is an integer in [0, MAX_VIEW_TOTAL] and `weights` names at least
+    one region; anything else is a ValueError naming the argument.
+    """
+    if (isinstance(total, bool) or not isinstance(total, numbers.Integral)
+            or not 0 <= total <= MAX_VIEW_TOTAL):
+        raise ValueError(f"total must be an integer in [0, {MAX_VIEW_TOTAL}], got {total!r}")
+    if not weights:
+        raise ValueError("weights must name at least one region")
     regions = sorted(weights)
     w = np.array([weights[r] for r in regions], dtype=float)
     bad = ~(np.isfinite(w) & (w >= 0))

@@ -294,6 +294,34 @@ def test_mesh_edit_requires_complete_profile():
                       config=MeshEditConfig(steps=1))
 
 
+@pytest.mark.parametrize("t_min, t_max", [(9, 3), (1, 1200), (700, 1000), (0, 5)],
+                         ids=["reversed", "beyond-schedule", "beyond-middle-max", "zero"])
+def test_mesh_edit_refuses_a_bad_timestep_range_before_any_step(t_min, t_max):
+    """Without the check these fail inside numpy's integer draw, or mid-run
+    naming a drawn timestep rather than the range."""
+    mesh = grid_mesh(rows=5, cols=5, num_regions=5)
+    message = (f"need 1 <= t_min <= t_max <= 800 (middle_max, as a region targets "
+               f"FULL_COND); got t_min = {t_min}, t_max = {t_max}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_mesh_edit(mesh, "head_dominant", MIX, SCHED, seeds=[0],
+                      config=MeshEditConfig(steps=1, t_min=t_min, t_max=t_max))
+
+
+def test_mesh_edit_caps_timesteps_at_middle_max_only_for_a_full_cond_region():
+    """Image-anchored targets take any t in the schedule; past its T the range
+    is refused naming the schedule."""
+    mesh = grid_mesh(rows=5, cols=5, num_regions=5)
+    anchored = dict.fromkeys(range(5), IMAGE_COND)
+    config = MeshEditConfig(steps=2, first_batch=20, t_min=700, t_max=1000)
+    report, = run_mesh_edit(mesh, anchored, MIX, SCHED, seeds=[0], config=config)
+    assert report.steps_to_threshold is None
+    message = ("need 1 <= t_min <= t_max <= 1000 (the schedule's steps); got t_min = 1, "
+               "t_max = 1001")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_mesh_edit(mesh, anchored, MIX, SCHED, seeds=[0],
+                      config=MeshEditConfig(steps=1, t_max=1001))
+
+
 @pytest.mark.parametrize("code", [2000.0, -1000.5, 1e200])
 def test_mesh_edit_refuses_start_codes_beyond_the_guard(code):
     """The edit step's guard bounds each |code|; start codes past it are refused

@@ -390,11 +390,14 @@ def test_noised_density_matches_quadrature_convolution():
 @pytest.mark.parametrize("mix, iso", [
     (toy_mixture(), True),
     (random_conditioned_mixture(np.random.default_rng(4)), False),
-], ids=["isotropic", "full_covariance"])
+    (mixture_of((0.2, [0.0, 1.0, -1.0], 0.3, UNCONDITIONED),
+                (0.5, [1.0, 0.5, 2.0], 1.7, FULL_COND),
+                (0.3, [-2.0, 0.0, 0.5], 0.05, IMAGE_COND)), True),
+], ids=["isotropic", "full_covariance", "isotropic_3d_unequal_variances"])
 def test_pushforward_table_equals_frozen_noised_mixture_bitwise(mix, iso):
-    """Row t - 1 of the stacked table, closed form for an isotropic table and a
-    covariance stack for any other, is the table of the noised mixture at t,
-    field for field."""
+    """Row t - 1 of the stacked table, inverse variances for an isotropic table
+    and inverse covariances for any other, is the table of the noised mixture
+    at t, field for field."""
     sched = linear_beta_schedule()
     base = FrozenMixture(mix)
     assert base.iso is iso

@@ -8,7 +8,7 @@ from sdse_lab.mesh import LatentMesh, build_laplacian, grid_mesh, icosphere_mesh
 from sdse_lab.mixtures import FULL_COND, IMAGE_COND, toy_mixture
 from sdse_lab.oracle import NoiseOracle
 from sdse_lab.schedule import linear_beta_schedule
-from sdse_lab.views import (SOLVE_TOLERANCE, SmoothedStepSolver, ViewSpec,
+from sdse_lab.views import (MAX_VIEW_TOTAL, SOLVE_TOLERANCE, SmoothedStepSolver, ViewSpec,
                             allocate_views, backprop_view, edit_step, make_view,
                             region_weights, render_view)
 
@@ -255,6 +255,29 @@ def test_weight_that_is_not_finite_and_non_negative_is_refused_naming_its_region
     with pytest.raises(ValueError, match=rf"^weights must be finite and >= 0; region 3 has "
                                          rf"{bad!r}$"):
         allocate_views({0: 1.0, 3: bad, 1: 2.0}, 10)
+
+
+@pytest.mark.parametrize("weights, total, message", [
+    ({0: 1.0}, 10**20, "total must be an integer in"),
+    ({0: 1.0}, MAX_VIEW_TOTAL + 1, "total must be an integer in"),
+    ({0: 1.0}, -1, "total must be an integer in"),
+    ({0: 1.0}, 2.5, "total must be an integer in"),
+    ({0: 1.0}, True, "total must be an integer in"),
+    ({}, 3, "weights must name at least one region"),
+], ids=["beyond-int64", "beyond-bound", "negative", "fractional", "bool", "no-regions"])
+def test_bad_total_or_empty_weights_is_refused_naming_it(weights, total, message):
+    """Without the check 10**20 wraps to a negative count, 2.5 fails inside
+    numpy and no regions drops the views."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        allocate_views(weights, total)
+
+
+def test_allocation_at_the_bound_sums_to_total():
+    """Two regions whose float quotas overshoot 2**53 by one view still fill
+    the largest total taken exactly."""
+    alloc = allocate_views({0: 0.3, 1: 0.6}, np.int64(MAX_VIEW_TOTAL))
+    assert sum(alloc.counts.values()) == MAX_VIEW_TOTAL
+    assert alloc.counts[1] - 2 * alloc.counts[0] in (-2, -1, 0, 1)
 
 
 def test_all_zero_weights_fall_back_to_uniform():
