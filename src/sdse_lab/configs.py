@@ -20,6 +20,7 @@ from .mixtures import START_POINT
 from .optimize import DIVERGENCE_GUARD, within_guard
 from .samplers import SamplerKind, TimestepSampler
 from .schedule import linear_beta_schedule
+from .views import MAX_VIEW_TOTAL
 
 
 def parse_thresholds(cfg: dict) -> StageThresholds:
@@ -187,9 +188,9 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
     edit = MeshEditConfig(
         steps=get(cfg, "steps", number, default=default.steps, integer=True, minimum=1),
         views_per_step=get(cfg, "views_per_step", number, default=default.views_per_step,
-                           integer=True, minimum=1),
+                           integer=True, minimum=1, maximum=MAX_VIEW_TOTAL),
         first_batch=get(cfg, "first_batch", number, default=default.first_batch,
-                        integer=True, minimum=1),
+                        integer=True, minimum=1, maximum=MAX_VIEW_TOTAL),
         lr=get(cfg, "lr", number, default=default.lr, minimum=0.0),
         w1=w1_values[0], allocator=get(cfg, "allocator", boolean, default=default.allocator),
         t_min=t_min, t_max=t_max,

@@ -232,7 +232,27 @@ class FrozenMixture:
         The shift is clamped at -float max, so a row that is -inf throughout
         (an infinite point, or a mask over no reachable component) gives
         m = -inf and s = 0 rather than NaN.
+
+        An isotropic table under one weight row is evaluated components first,
+        into a (K, ...) array built one coordinate column at a time and reduced
+        over its leading axis, so no pass over a stack of points reduces a
+        narrow last axis. Below 8 coordinates and 8 components it adds in
+        numpy's order for the (..., K, d) form, so the two agree bitwise; from 8
+        components up numpy sums pairwise and they may differ in the last bits.
         """
+        if self.iso and log_wts.ndim == 1:
+            shape = (-1,) + (1,) * (z.ndim - 1)
+            logp = np.zeros((log_wts.size,) + z.shape[:-1])
+            for c in range(z.shape[-1]):
+                diff = self.means[:, c].reshape(shape) - z[..., c]
+                logp += diff * diff
+            logp *= self.inv.reshape(shape)
+            logp *= 0.5
+            np.subtract(self.log_norms.reshape(shape), logp, out=logp)
+            logp += log_wts.reshape(shape)
+            m = np.maximum.reduce(logp)
+            logp -= np.maximum(m, -_FLOAT_MAX)
+            return m, np.add.reduce(np.exp(logp, out=logp))
         logp = log_wts + self.evaluate(z)[0]
         m = np.maximum.reduce(logp, axis=-1)
         terms = np.exp(logp - np.maximum(m, -_FLOAT_MAX)[..., None])

@@ -10,6 +10,7 @@ polylines; labeled modes are drawn as markers.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -25,6 +26,18 @@ _TRAJ_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
+
+
+# Characters an XML 1.0 document cannot hold, escaped or not.
+_NON_XML = re.compile("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _xml_text(value: str, name: str) -> str:
+    """`value` as the text of an SVG element, with &, < and > escaped; a
+    character XML cannot hold is a ValueError naming `name`."""
+    if _NON_XML.search(value):
+        raise ValueError(f"{name}: {value!r} holds a character XML cannot hold")
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def density_grid(mix: ConditionedMixture, bounds: tuple[float, float, float, float],
@@ -49,11 +62,17 @@ _CASE_SEGMENTS = {
 # The saddles' segments, indexed by whether the cell's centre value is <= the level.
 _SADDLE_SEGMENTS = {5: {True: ((3, 0), (1, 2)), False: ((3, 2), (1, 0))},
                     10: {True: ((0, 1), (2, 3)), False: ((0, 3), (2, 1))}}
+# Both as one table [case, centre <= level, slot] -> (edge, edge); (-1, -1) is no segment.
+_SEGMENT_TABLE = np.array(
+    [[_SADDLE_SEGMENTS[case][low] if case in _SADDLE_SEGMENTS
+      else (_CASE_SEGMENTS.get(case, ((-1, -1),))[0], (-1, -1))
+      for low in (False, True)] for case in range(16)], dtype=np.intp)
 
 
 def marching_squares(xs: np.ndarray, ys: np.ndarray, grid: np.ndarray,
-                     level: float) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Line segments of the iso-contour at `level` (linear edge interpolation).
+                     level: float) -> np.ndarray:
+    """Line segments of the iso-contour at `level` (linear edge interpolation), as
+    an (n, 2, 2) array: segment s runs from (x, y) point [s, 0] to [s, 1].
 
     Cells are visited i-major, j-minor; only those the level crosses are interpolated.
     """
@@ -73,13 +92,9 @@ def marching_squares(xs: np.ndarray, ys: np.ndarray, grid: np.ndarray,
         edges.append(np.stack([xa + t * (xb - xa), ya + t * (yb - ya)], axis=-1))
     centre_low = (((vals[0] + vals[1]) + vals[2]) + vals[3]) / 4.0 <= level
 
-    segments = []
-    for case, low, points in zip(cases[i, j].tolist(), centre_low.tolist(),
-                                 np.stack(edges, axis=1).tolist()):
-        pairs = (_SADDLE_SEGMENTS[case][low] if case in _SADDLE_SEGMENTS
-                 else _CASE_SEGMENTS[case])
-        segments.extend((tuple(points[a]), tuple(points[b])) for a, b in pairs)
-    return segments
+    pairs = _SEGMENT_TABLE[cases[i, j], centre_low.astype(np.intp)]  # (cells, slot, end)
+    cell, slot = np.nonzero(pairs[..., 0] >= 0)  # cell order, then slot order
+    return np.stack(edges, axis=1)[cell[:, None], pairs[cell, slot]]
 
 
 class _Canvas:
@@ -121,22 +136,25 @@ def plot_trajectories_svg(mix: ConditionedMixture, trajectories: list[np.ndarray
         f'viewBox="0 0 {_W} {_H}">',
     ]
     if digest:
+        if "--" in digest or _NON_XML.search(digest):
+            raise ValueError(f"digest: {digest!r} cannot go in an XML comment "
+                             "(it holds '--' or a character XML cannot hold)")
         parts.append(f"<!-- digest={digest} -->")
     parts.append(f'<rect width="{_W}" height="{_H}" fill="#ffffff"/>')
     parts.append(f'<rect x="{_PAD}" y="{_PAD}" width="{_W - 2 * _PAD}" '
                  f'height="{_H - 2 * _PAD}" fill="none" stroke="#888888"/>')
     if title:
         parts.append(f'<text x="{_W // 2}" y="24" text-anchor="middle" '
-                     f'font-family="monospace" font-size="13">{title}</text>')
+                     f'font-family="monospace" font-size="13">{_xml_text(title, "title")}</text>')
 
     for k in range(1, _LEVELS + 1):
         level = gmax * k / (_LEVELS + 1)
         shade = 230 - int(120 * k / _LEVELS)
-        color = f"#{shade:02x}{shade:02x}f0"
-        for (xa, ya), (xb, yb) in marching_squares(xs, ys, grid, level):
-            parts.append(f'<line x1="{_fmt(cv.px(xa))}" y1="{_fmt(cv.py(ya))}" '
-                         f'x2="{_fmt(cv.px(xb))}" y2="{_fmt(cv.py(yb))}" '
-                         f'stroke="{color}" stroke-width="1"/>')
+        style = f'stroke="#{shade:02x}{shade:02x}f0" stroke-width="1"'
+        ends = marching_squares(xs, ys, grid, level)
+        parts.extend(f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" {style}/>'
+                     for (xa, xb), (ya, yb) in zip(cv.px(ends[..., 0]).tolist(),
+                                                   cv.py(ends[..., 1]).tolist()))
 
     marker_styles = {UNCONDITIONED: "#777777", TEXT_COND: "#2ca02c", IMAGE_COND: "#e6b800",
                      FULL_COND: "#d62728"}
@@ -161,7 +179,7 @@ def plot_trajectories_svg(mix: ConditionedMixture, trajectories: list[np.ndarray
         if labels and idx < len(labels):
             parts.append(f'<text x="{_W - _PAD - 120}" y="{_PAD + 16 + 14 * idx}" '
                          f'font-family="monospace" font-size="11" fill="{color}">'
-                         f'{labels[idx]}</text>')
+                         f'{_xml_text(labels[idx], f"labels[{idx}]")}</text>')
 
     for tick in range(5):
         fx = bounds[0] + tick * (bounds[1] - bounds[0]) / 4

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -316,6 +317,10 @@ INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
     pytest.param("mesh-edit", {}, "-1", "SDSE_SEED", id="mesh-env-seed-negative"),
     pytest.param("mesh-edit", {"w1": 10**400}, None, "w1", id="mesh-w1-beyond-float"),
     pytest.param("mesh-edit", {"t_max": 1000}, None, "t_max", id="mesh-t-beyond-threshold"),
+    pytest.param("mesh-edit", {"views_per_step": 1e20}, None, "views_per_step",
+                 id="mesh-views-per-step-beyond-view-total"),
+    pytest.param("mesh-edit", {"first_batch": 2**40 + 1}, None, "first_batch",
+                 id="mesh-first-batch-beyond-view-total"),
     pytest.param("toy", {"stpes": 3}, None, "stpes", id="toy-unknown-key"),
     pytest.param("toy", {"sampler": {"kind": "uniform", "tmax": 5}}, None, "sampler.tmax",
                  id="toy-sampler-unknown-key"),
@@ -576,6 +581,31 @@ def test_emit_plot_from_trajectory(tmp_path):
     assert main(["emit-plot", "--trajectory", str(out / "m4_seed0.csv"),
                  "--out", str(svg_path)]) == 0
     assert svg_path.read_text().startswith('<?xml')
+
+
+def test_emit_plot_escapes_title_and_file_names(tmp_path):
+    cfg = write_config(tmp_path, {**TOY_CONFIG, "estimators": ["m4"], "seeds": [0]})
+    out = tmp_path / "out"
+    assert main(["toy", "--config", cfg, "--out", str(out), "--no-svg"]) == 0
+    csv_path = tmp_path / "a&b<1>.csv"
+    csv_path.write_bytes((out / "m4_seed0.csv").read_bytes())
+    svg_path = tmp_path / "plot.svg"
+    assert main(["emit-plot", "--trajectory", str(csv_path), "--title", "x < y & z",
+                 "--out", str(svg_path)]) == 0
+    texts = minidom.parse(str(svg_path)).getElementsByTagName("text")
+    assert [node.firstChild.data for node in texts[:2]] == ["x < y & z", "a&b<1>"]
+
+
+def test_emit_plot_refuses_a_digest_an_xml_comment_cannot_hold(tmp_path, capsys):
+    path = tmp_path / "run.csv"
+    path.write_text("# digest=ab--cd\n"
+                    "step,t,theta_0,theta_1,res_0,res_1,p,p_img,p_full\n"
+                    "0,0,0.5,1.0,0.0,0.0,0.1,0.2,0.3\n")
+    svg_path = tmp_path / "plot.svg"
+    assert main(["emit-plot", "--trajectory", str(path), "--out", str(svg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: digest: 'ab--cd' cannot go in an XML "
+                                              "comment")
+    assert not svg_path.exists()
 
 
 @pytest.mark.parametrize("mean", [[1.5], [1.5, 1.4, 0.0]], ids=["1d", "3d"])
