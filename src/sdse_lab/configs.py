@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
-from .experiments import PROFILES, MeshEditConfig
+from .experiments import MAX_VIEWS_PER_STEP, PROFILES, MeshEditConfig
 from .fields import boolean, choice, expect, get, items, known_fields, number, text
 from .fields import resolve_data_path  # noqa: F401  (imported from here by callers)
 from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds
@@ -20,7 +20,6 @@ from .mixtures import START_POINT
 from .optimize import DIVERGENCE_GUARD, within_guard
 from .samplers import SamplerKind, TimestepSampler
 from .schedule import linear_beta_schedule
-from .views import MAX_VIEW_TOTAL
 
 
 def parse_thresholds(cfg: dict) -> StageThresholds:
@@ -188,9 +187,9 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
     edit = MeshEditConfig(
         steps=get(cfg, "steps", number, default=default.steps, integer=True, minimum=1),
         views_per_step=get(cfg, "views_per_step", number, default=default.views_per_step,
-                           integer=True, minimum=1, maximum=MAX_VIEW_TOTAL),
+                           integer=True, minimum=1, maximum=MAX_VIEWS_PER_STEP),
         first_batch=get(cfg, "first_batch", number, default=default.first_batch,
-                        integer=True, minimum=1, maximum=MAX_VIEW_TOTAL),
+                        integer=True, minimum=1, maximum=MAX_VIEWS_PER_STEP),
         lr=get(cfg, "lr", number, default=default.lr, minimum=0.0),
         w1=w1_values[0], allocator=get(cfg, "allocator", boolean, default=default.allocator),
         t_min=t_min, t_max=t_max,

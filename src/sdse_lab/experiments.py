@@ -129,6 +129,12 @@ BODY_DOMINANT = {0: IMAGE_COND, 1: IMAGE_COND, 2: FULL_COND, 3: FULL_COND, 4: FU
 PROFILES = {"head_dominant": HEAD_DOMINANT, "body_dominant": BODY_DOMINANT}
 
 
+# Most views one edit step, or the measuring batch, holds at once. A view with its
+# t and gradient takes about 1.3 kB (support 8, 2-D codes, measured with
+# tracemalloc), so a batch at the limit holds about 100 MB.
+MAX_VIEWS_PER_STEP = 75_000
+
+
 @dataclass(frozen=True)
 class MeshEditConfig:
     steps: int = 400
@@ -224,8 +230,13 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     raises ValueError naming the seed and the step; codes of another dimension
     than the mixture's, start codes already past the guard, or a timestep range
     outside [1, T] (outside [1, middle_max] when a region targets FULL_COND,
-    whose staged estimator refuses larger t) raise it before any step.
+    whose staged estimator refuses larger t) raise it before any step, as do
+    views_per_step or first_batch above MAX_VIEWS_PER_STEP.
     """
+    for name in ("views_per_step", "first_batch"):
+        if getattr(config, name) > MAX_VIEWS_PER_STEP:
+            raise ValueError(f"{name} = {getattr(config, name)} exceeds the "
+                             f"{MAX_VIEWS_PER_STEP} views one step may hold")
     if mesh.latent_dim != mix.dim:
         raise ValueError(f"mesh codes are {mesh.latent_dim}-D but the mixture is "
                          f"{mix.dim}-D; they must match")

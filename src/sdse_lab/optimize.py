@@ -154,42 +154,30 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
         oracle = NoiseOracle(mix, sched)
     elif oracle.mixture is not mix or oracle.schedule is not sched:
         raise ValueError("oracle must be built on the same mixture and schedule")
-    dim = theta.size
 
     rng = np.random.default_rng(seed)
     ts = timestep_sequence(sampler, rng, steps)
-    epsilons = rng.standard_normal((steps, dim))
-    sqrt_ab, sigma = sched.sqrt_alphas_bar, sched.sigmas
+    epsilons = rng.standard_normal((steps, theta.size))
+    scales = sched.sqrt_alphas_bar[ts - 1]
+    noise = sched.sigmas[ts - 1][:, None] * epsilons
 
-    n = steps + 1
-    out_steps = np.arange(n)
-    out_ts = np.zeros(n, dtype=int)
-    thetas = np.zeros((n, dim))
-    residuals = np.zeros((n, dim))
-    densities = np.zeros((n, 3))
-
+    thetas = np.zeros((steps + 1, theta.size))
+    residuals = np.zeros_like(thetas)
+    densities = np.zeros((steps + 1, 3))
     thetas[0] = theta
     densities[0] = oracle.density_bundle(theta)
-    guard = False
-    used = 1
     # A step that overflows leaves the guard, which ends the run and names it.
     with np.errstate(over="ignore"):
-        for i in range(steps):
-            t = int(ts[i])
-            epsilon = epsilons[i]
-            z_t = sqrt_ab[t - 1] * theta + sigma[t - 1] * epsilon
-            res = term_residual(kind, oracle, z_t, t, epsilon, weights, thresholds)
+        for i, (t, scale, noise_t, epsilon) in enumerate(
+                zip(ts.tolist(), scales, noise, epsilons), start=1):
+            res = term_residual(kind, oracle, scale * theta + noise_t, t, epsilon, weights,
+                                thresholds)
             theta = theta - lr * res
-            thetas[i + 1] = theta
-            residuals[i + 1] = res
-            out_ts[i + 1] = t
-            densities[i + 1] = oracle.density_bundle(theta)
-            used = i + 2
+            thetas[i], residuals[i] = theta, res
+            densities[i] = oracle.density_bundle(theta)
             if not (theta @ theta <= DIVERGENCE_GUARD**2):  # within_guard; trips on NaN/inf
-                guard = True
                 break
-
-    return Trajectory(steps=out_steps[:used], timesteps=out_ts[:used],
-                      thetas=thetas[:used], residuals=residuals[:used],
-                      densities=densities[:used], seed=seed,
-                      config_digest=config_digest, guard_tripped=guard)
+    return Trajectory(steps=np.arange(i + 1), timesteps=np.concatenate(([0], ts[:i])),
+                      thetas=thetas[:i + 1], residuals=residuals[:i + 1],
+                      densities=densities[:i + 1], seed=seed,
+                      config_digest=config_digest, guard_tripped=not within_guard(theta))

@@ -9,7 +9,6 @@ polylines; labeled modes are drawn as markers.
 
 from __future__ import annotations
 
-import math
 import re
 
 import numpy as np
@@ -163,10 +162,11 @@ def plot_trajectories_svg(mix: ConditionedMixture, trajectories: list[np.ndarray
 
     for idx, traj in enumerate(trajectories):
         color = _TRAJ_COLORS[idx % len(_TRAJ_COLORS)]
-        # Python floats overflow to inf without a warning; such points are left out.
-        canvas = [(cv.px(x), cv.py(y)) for x, y in np.asarray(traj)[:, :2].tolist()]
-        drawn = [(_fmt(x), _fmt(y)) if math.isfinite(x) and math.isfinite(y) else None
-                 for x, y in canvas]
+        xy = np.asarray(traj, dtype=float)[:, :2]
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite points are left out
+            xs_px, ys_px = cv.px(xy[:, 0]), cv.py(xy[:, 1])
+        drawn = [(_fmt(x), _fmt(y)) if finite else None for x, y, finite in zip(
+            xs_px.tolist(), ys_px.tolist(), (np.isfinite(xs_px) & np.isfinite(ys_px)).tolist())]
         pts = " ".join(f"{x},{y}" for x, y in filter(None, drawn))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2" opacity="0.85"/>')

@@ -6,8 +6,12 @@ reproducible run to run.
 """
 
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from importlib.resources import files
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from sdse_lab.samplers import SamplerKind, TimestepSampler
 from sdse_lab.schedule import NoiseSchedule, linear_beta_schedule
 from sdse_lab.verify import (_random_connected_graph, decomposition_worst_error,
                              laplacian_fd_rel_error, score_fd_worst_error)
+
+from acceptance_helper import staged_distance
 
 CALIBRATION = json.loads(
     files("sdse_lab.data").joinpath("acceptance_calibration.json").read_text())
@@ -132,19 +138,13 @@ def test_a3_allocation_table():
 
 @pytest.fixture(scope="module")
 def staged_runs():
-    """Calibrated staged-schedule runs, shared by A4(ii)-(iv)."""
+    """Calibrated staged-schedule runs, shared by A4(ii)-(iv): the seeds are
+    independent, so each runs in a worker process, one worker per usable CPU."""
     cal = CALIBRATION["staged_schedule"]
-    sampler = TimestepSampler(SamplerKind.NON_INCREASING,
-                              cal["sampler"]["t_min"], cal["sampler"]["t_max"],
-                              cal["steps"], jitter=cal["sampler"]["jitter"])
-    oracle = NoiseOracle(MIX, SCHED)
-    dists = {}
-    for seed in SEEDS:
-        traj = optimize_point([0.5, 1.0], EstimatorKind.SDSE, sampler, MIX, SCHED,
-                              lr=cal["lr"], steps=cal["steps"], seed=seed,
-                              oracle=oracle)
-        dists[seed] = float(np.min(np.linalg.norm(MODES - traj.final_theta, axis=1)))
-    return dists
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ProcessPoolExecutor(min(cpus or 1, len(SEEDS)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return dict(zip(SEEDS, pool.map(staged_distance, SEEDS, repeat(cal))))
 
 
 def test_a4_toy_phase_reproduction(staged_runs):

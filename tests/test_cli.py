@@ -10,7 +10,7 @@ import pytest
 
 import sdse_lab
 from sdse_lab.cli import main
-from sdse_lab.experiments import run_full_schedule
+from sdse_lab.experiments import MAX_VIEWS_PER_STEP, run_full_schedule
 from sdse_lab.guidance import EstimatorKind
 from sdse_lab.mixtures import toy_mixture
 from sdse_lab.optimize import trajectory_from_csv
@@ -321,6 +321,10 @@ INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
                  id="mesh-views-per-step-beyond-view-total"),
     pytest.param("mesh-edit", {"first_batch": 2**40 + 1}, None, "first_batch",
                  id="mesh-first-batch-beyond-view-total"),
+    pytest.param("mesh-edit", {"views_per_step": MAX_VIEWS_PER_STEP + 1}, None,
+                 "views_per_step", id="mesh-views-per-step-beyond-step-limit"),
+    pytest.param("mesh-edit", {"first_batch": MAX_VIEWS_PER_STEP + 1}, None, "first_batch",
+                 id="mesh-first-batch-beyond-step-limit"),
     pytest.param("toy", {"stpes": 3}, None, "stpes", id="toy-unknown-key"),
     pytest.param("toy", {"sampler": {"kind": "uniform", "tmax": 5}}, None, "sampler.tmax",
                  id="toy-sampler-unknown-key"),

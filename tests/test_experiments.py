@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sdse_lab.experiments import (Classification, MeshEditConfig, Phase, PROFILES,
-                                  convergence_check, mode_distance_of_regions,
+from sdse_lab import experiments
+from sdse_lab.experiments import (MAX_VIEWS_PER_STEP, Classification, MeshEditConfig, Phase,
+                                  PROFILES, convergence_check, mode_distance_of_regions,
                                   phase_band, region_dispersion, residual_ema_norm,
                                   run_full_schedule, run_mesh_edit)
 from sdse_lab.guidance import EstimatorKind, StageThresholds
@@ -320,6 +321,21 @@ def test_mesh_edit_caps_timesteps_at_middle_max_only_for_a_full_cond_region():
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_mesh_edit(mesh, anchored, MIX, SCHED, seeds=[0],
                       config=MeshEditConfig(steps=1, t_max=1001))
+
+
+@pytest.mark.parametrize("field", ["views_per_step", "first_batch"])
+def test_mesh_edit_refuses_more_views_than_a_step_may_hold(monkeypatch, field):
+    """Refused before any view is drawn: a step holds all of its views at once."""
+    def no_draw(*args):
+        raise AssertionError("a view was drawn")
+
+    monkeypatch.setattr(experiments, "_draw_views", no_draw)
+    config = MeshEditConfig(steps=1, **{field: MAX_VIEWS_PER_STEP + 1})
+    message = (f"{field} = {MAX_VIEWS_PER_STEP + 1} exceeds the {MAX_VIEWS_PER_STEP} "
+               f"views one step may hold")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_mesh_edit(grid_mesh(rows=5, cols=5, num_regions=5), "head_dominant", MIX, SCHED,
+                      seeds=[0], config=config)
 
 
 @pytest.mark.parametrize("code", [2000.0, -1000.5, 1e200])

@@ -3,13 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from sdse_lab.guidance import EstimatorKind, StageThresholds
+from sdse_lab.guidance import (STAGED, EstimatorKind, GuidanceWeights, StageThresholds,
+                               term_residual)
 from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED, ConditionedMixture,
                                mixture_density, sub_mixture, toy_mixture)
-from sdse_lab.optimize import Trajectory, optimize_point, trajectory_from_csv
+from sdse_lab.optimize import DIVERGENCE_GUARD, Trajectory, optimize_point, trajectory_from_csv
 from sdse_lab.oracle import NoiseOracle
-from sdse_lab.samplers import SamplerKind, TimestepSampler
+from sdse_lab.samplers import SamplerKind, TimestepSampler, timestep_sequence
 from sdse_lab.schedule import linear_beta_schedule
+from sdse_lab.verify import random_conditioned_mixture
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,63 @@ def test_non_finite_lr_rejected(setup, lr):
     with pytest.raises(ValueError, match="lr"):
         optimize_point([0.5, 1.0], EstimatorKind.SDSE, uniform(1, 800, 20),
                        mix, sched, lr=lr, steps=20, seed=0)
+
+
+def _reference_descent(theta0, kind, sampler, mix, sched, lr, steps, seed):
+    """The descent written out step by step: diffuse with sqrt_ab[t-1] and sigma[t-1],
+    take the residual, step, log the densities, stop once the guard trips."""
+    oracle = NoiseOracle(mix, sched)
+    rng = np.random.default_rng(seed)
+    ts = timestep_sequence(sampler, rng, steps)
+    eps = rng.standard_normal((steps, mix.dim))
+    theta = np.asarray(theta0, dtype=float)
+    thetas, residuals, timesteps = [theta], [np.zeros(mix.dim)], [0]
+    densities = [oracle.density_bundle(theta)]
+    tripped = False
+    with np.errstate(over="ignore"):
+        for t, epsilon in zip(ts.tolist(), eps):
+            z_t = sched.sqrt_alphas_bar[t - 1] * theta + sched.sigmas[t - 1] * epsilon
+            res = term_residual(kind, oracle, z_t, t, epsilon, GuidanceWeights(),
+                                StageThresholds())
+            theta = theta - lr * res
+            thetas.append(theta)
+            residuals.append(res)
+            timesteps.append(t)
+            densities.append(oracle.density_bundle(theta))
+            if not theta @ theta <= DIVERGENCE_GUARD**2:
+                tripped = True
+                break
+    return np.array(thetas), np.array(residuals), np.array(densities), timesteps, tripped
+
+
+FULL_COV_MIXTURE = random_conditioned_mixture(np.random.default_rng(4), full_cov=True)
+
+
+@pytest.mark.parametrize("lr", [1e-2, 3.0], ids=["settles", "trips-the-guard"])
+@pytest.mark.parametrize("sampler_kind", list(SamplerKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("mixture", ["isotropic", "full_covariance"])
+@pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+def test_descent_matches_the_stepwise_reference(setup, kind, mixture, sampler_kind, lr):
+    """Every logged array is bit for bit the reference loop's, on every estimator;
+    at lr = 3 most runs leave the guard part-way."""
+    mix, sched = setup
+    if mixture == "full_covariance":
+        mix = FULL_COV_MIXTURE
+    steps = 60
+    sampler = TimestepSampler(sampler_kind, 1, 800 if kind in STAGED else 1000, steps,
+                              jitter=3.0 if sampler_kind is SamplerKind.NON_INCREASING else 0.0)
+    traj = optimize_point([0.5, 1.0], kind, sampler, mix, sched, lr=lr, steps=steps, seed=5)
+    thetas, residuals, densities, timesteps, tripped = _reference_descent(
+        [0.5, 1.0], kind, sampler, mix, sched, lr, steps, seed=5)
+    assert traj.num_rows == len(timesteps)
+    assert traj.guard_tripped == tripped
+    assert traj.steps.tolist() == list(range(len(timesteps)))
+    assert traj.timesteps.tolist() == timesteps
+    for got, want in ((traj.thetas, thetas), (traj.residuals, residuals),
+                      (traj.densities, densities)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if lr == 3.0 and kind is EstimatorKind.SDS:
+        assert tripped and 2 < len(timesteps) < steps + 1
 
 
 class _NaNOracle(NoiseOracle):

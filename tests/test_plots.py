@@ -66,6 +66,34 @@ def test_svg_leaves_out_points_whose_canvas_coordinates_are_not_finite():
         assert svg.count("<circle") == 1  # the start marker; the end is not finite
 
 
+def test_trajectory_points_map_as_they_do_one_python_float_at_a_time():
+    """The overlay's text is the per-point Python-float mapping's, overflowing and
+    NaN rows included: they are left out of the polyline and the markers."""
+    mix = toy_mixture()
+    rng = np.random.default_rng(3)
+    traj = np.vstack([rng.normal(1.0, 1.5, (40, 2)), [[1e308, 0.5]], rng.normal(size=(5, 2)),
+                      [[np.nan, 1.0]]])
+    lines = plot_trajectories_svg(mix, [traj, traj[::-1]], resolution=20).splitlines()
+    cv = plots._Canvas((float(mix.means[:, 0].min() - 1.2), float(mix.means[:, 0].max() + 1.2),
+                        float(mix.means[:, 1].min() - 1.2), float(mix.means[:, 1].max() + 1.2)))
+    for idx, rows in enumerate((traj, traj[::-1])):
+        drawn = []
+        for x, y in rows.tolist():
+            px, py = cv.px(x), cv.py(y)  # Python floats: an overflow is inf, silently
+            drawn.append((f"{px:.2f}", f"{py:.2f}") if np.isfinite([px, py]).all() else None)
+        color = plots._TRAJ_COLORS[idx]
+        start, end = drawn[0], drawn[-1]
+        want = [f'<polyline points="{" ".join(map(",".join, filter(None, drawn)))}" '
+                f'fill="none" stroke="{color}" stroke-width="1.2" opacity="0.85"/>']
+        if start:
+            want.append(f'<circle cx="{start[0]}" cy="{start[1]}" r="3" fill="none" '
+                        f'stroke="{color}"/>')
+        if end:
+            want.append(f'<circle cx="{end[0]}" cy="{end[1]}" r="3" fill="{color}"/>')
+        at = lines.index(want[0])
+        assert lines[at:at + len(want)] == want
+        assert (start is None) != (end is None)
+
 def test_svg_escapes_title_and_labels():
     traj = np.array([[0.5, 1.0], [1.0, 1.1]])
     svg = plot_trajectories_svg(toy_mixture(), [traj], labels=["a&b<1>"], title="x < y & z",
