@@ -13,8 +13,8 @@ from .mixtures import (ALL_CONDITIONS, Condition, ConditionedMixture, FULL_COND,
                        TEXT_COND, UNCONDITIONED, load_mixture, mixture_density,
                        mixture_log_density, mixture_score, noised_mixture, sub_mixture,
                        toy_mixture)
-from .mesh import (LatentMesh, build_laplacian, grid_mesh, icosphere_mesh, load_mesh,
-                   smoothness_gradient, smoothness_loss)
+from .mesh import (LatentMesh, build_laplacian, grid_mesh, load_mesh, smoothness_gradient,
+                   smoothness_loss)
 from .optimize import Trajectory, optimize_point, trajectory_from_csv
 from .oracle import NoiseOracle, forward_diffuse, predict_noise
 from .samplers import SamplerKind, TimestepSampler, timestep_sequence

@@ -285,60 +285,3 @@ def grid_mesh(rows: int = 10, cols: int = 10, num_regions: int = 5,
     codes = np.tile(np.asarray(init_code, dtype=float), (n, 1))
     return LatentMesh(edges=pairs[has], codes=codes, regions=regions)
 
-
-def icosahedron_edges() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """Vertices and the 30 shortest-distance edges of the unit icosahedron."""
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
-    verts = []
-    for a in (-1.0, 1.0):
-        for b in (-phi, phi):
-            verts += [(0.0, a, b), (a, b, 0.0), (b, 0.0, a)]
-    verts = np.asarray(verts)
-    d2 = ((verts[:, None, :] - verts[None, :, :]) ** 2).sum(-1)
-    min_d2 = d2[d2 > 1e-9].min()
-    edges = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if abs(d2[i, j] - min_d2) < 1e-9:
-                edges.append((i, j))
-    return verts, tuple(edges)
-
-
-def icosphere_mesh(num_regions: int = 5) -> LatentMesh:
-    """Once-subdivided icosahedron graph (42 vertices) with latitude-band regions,
-    every code at START_POINT."""
-    verts, edges = icosahedron_edges()
-    verts = [v / np.linalg.norm(v) for v in verts]
-    midpoint: dict[tuple[int, int], int] = {}
-
-    def mid(i: int, j: int) -> int:
-        key = (min(i, j), max(i, j))
-        if key not in midpoint:
-            v = verts[i] + verts[j]
-            verts.append(v / np.linalg.norm(v))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    # faces of the icosahedron: triangles among mutually adjacent vertices
-    adj = {tuple(sorted(e)) for e in edges}
-    faces = []
-    n0 = 12
-    for i in range(n0):
-        for j in range(i + 1, n0):
-            if (i, j) not in adj:
-                continue
-            for k in range(j + 1, n0):
-                if (i, k) in adj and (j, k) in adj:
-                    faces.append((i, j, k))
-    new_edges = set()
-    for i, j, k in faces:
-        a, b, c = mid(i, j), mid(j, k), mid(i, k)
-        for e in ((i, a), (a, j), (j, b), (b, k), (k, c), (c, i), (a, b), (b, c), (a, c)):
-            new_edges.add((min(e), max(e)))
-    pts = np.asarray(verts)
-    n = len(pts)
-    order = np.argsort(np.argsort(pts[:, 2]))  # rank by latitude
-    band = np.ceil((order + 1) / (n / num_regions)).astype(int) - 1
-    regions = np.clip(band, 0, num_regions - 1)
-    codes = np.tile(np.asarray(START_POINT, dtype=float), (n, 1))
-    return LatentMesh(edges=sorted(new_edges), codes=codes, regions=regions)

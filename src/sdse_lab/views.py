@@ -39,7 +39,12 @@ class ViewSpec:
 
 def make_view(mesh: LatentMesh, region: int, rng: np.random.Generator,
               support: int) -> ViewSpec:
-    """Draw a view: a symmetric-Dirichlet blend over a random subset of the region."""
+    """Draw a view: a symmetric-Dirichlet blend over a random subset of the region.
+
+    `support` is an integer >= 1, or a ValueError naming it is raised before any draw.
+    """
+    if isinstance(support, bool) or not isinstance(support, numbers.Integral) or support < 1:
+        raise ValueError(f"support must be an integer >= 1, got {support!r}")
     verts = mesh.region_vertices(region)
     if verts.size == 0:
         raise ValueError(f"region {region} has no vertices")
@@ -168,10 +173,14 @@ class SmoothedStepSolver:
     the largest degree). A system with eps * kappa_bound > SOLVE_TOLERANCE is
     rejected with a ValueError: on grid_mesh(10, 10) that is lr * w1 > 3.5e9.
     At the edge of the range an all-ones solve is off by at most 5e-8 on
-    grids up to 100 x 100 and on the icosphere.
+    grids up to 100 x 100 and on the icosphere. A negative or non-finite lr or
+    w1 is a ValueError naming it: for s < 0 the system is indefinite.
     """
 
     def __init__(self, mesh: LatentMesh, w1: float, lr: float):
+        for name, value in (("lr", lr), ("w1", w1)):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
         self.lap = build_laplacian(mesh)
         self.lr = float(lr)
         n = mesh.num_vertices

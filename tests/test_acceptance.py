@@ -16,28 +16,24 @@ from itertools import repeat
 import numpy as np
 import pytest
 
-from sdse_lab.experiments import (Classification, MeshEditConfig, PROFILES,
-                                  convergence_check, run_mesh_edit)
-from sdse_lab.guidance import (EstimatorKind, GuidanceWeights, StageThresholds,
-                               cfg_combine, decompose_terms, sdse_residual)
+from sdse_lab.experiments import MeshEditConfig, PROFILES, run_mesh_edit
+from sdse_lab.guidance import GuidanceWeights, cfg_combine, decompose_terms, sdse_residual
 from sdse_lab.mesh import LatentMesh, build_laplacian, load_mesh, smoothness_loss
 from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED, noised_mixture,
                                toy_mixture)
-from sdse_lab.optimize import optimize_point
 from sdse_lab.oracle import NoiseOracle
-from sdse_lab.samplers import SamplerKind, TimestepSampler
 from sdse_lab.schedule import NoiseSchedule, linear_beta_schedule
 from sdse_lab.verify import (_random_connected_graph, decomposition_worst_error,
                              laplacian_fd_rel_error, score_fd_worst_error)
 
-from acceptance_helper import staged_distance
+from acceptance_helper import (middle_trap, plain_guidance_distance, small_shift_decreased,
+                               staged_distance)
 
 CALIBRATION = json.loads(
     files("sdse_lab.data").joinpath("acceptance_calibration.json").read_text())
 
 MIX = toy_mixture()
 SCHED = linear_beta_schedule()
-MODES = MIX.mode_points(FULL_COND)
 SEEDS = list(range(CALIBRATION["seeds"]))
 TOL = CALIBRATION["tol"]
 
@@ -137,50 +133,40 @@ def test_a3_allocation_table():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def staged_runs():
-    """Calibrated staged-schedule runs, shared by A4(ii)-(iv): the seeds are
-    independent, so each runs in a worker process, one worker per usable CPU."""
-    cal = CALIBRATION["staged_schedule"]
+def pool():
+    """Worker processes for A4's per-seed descents, one per usable CPU: the seeds
+    are independent, so each runs in a worker."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ProcessPoolExecutor(min(cpus or 1, len(SEEDS)),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        return dict(zip(SEEDS, pool.map(staged_distance, SEEDS, repeat(cal))))
+                             mp_context=multiprocessing.get_context("spawn")) as workers:
+        yield workers
 
 
-def test_a4_toy_phase_reproduction(staged_runs):
+@pytest.fixture(scope="module")
+def staged_runs(pool):
+    """Calibrated staged-schedule runs, shared by A4(ii)-(iv)."""
+    cal = CALIBRATION["staged_schedule"]
+    return dict(zip(SEEDS, pool.map(staged_distance, SEEDS, repeat(cal))))
+
+
+def test_a4_toy_phase_reproduction(pool, staged_runs):
     start = time.time()
-    oracle = NoiseOracle(MIX, SCHED)
+    # the three loops' seeds are queued at once; each result list is in seed order
+    cal_i = CALIBRATION["phase_small_shift"]
+    cal_ii = CALIBRATION["phase_middle_trap"]
+    cal_iv = CALIBRATION["plain_guidance"]
+    decreased = pool.map(small_shift_decreased, SEEDS, repeat(cal_i))
+    traps = pool.map(middle_trap, SEEDS, repeat(cal_ii), repeat(TOL))
+    sds_dists = pool.map(plain_guidance_distance, SEEDS, repeat(cal_iv))
 
     # (i) baseline-shift term at small timesteps pushes off the image mode
-    cal_i = CALIBRATION["phase_small_shift"]
-    sampler = TimestepSampler(SamplerKind.UNIFORM, cal_i["sampler"]["t_min"],
-                              cal_i["sampler"]["t_max"], cal_i["steps"])
-    decreased = 0
-    for seed in SEEDS:
-        traj = optimize_point([0.5, 1.0], EstimatorKind.M1_ONLY, sampler, MIX,
-                              SCHED, lr=cal_i["lr"], steps=cal_i["steps"],
-                              seed=seed, oracle=oracle)
-        decreased += traj.densities[-10:, 1].mean() < traj.densities[0, 1]
-    frac_i = decreased / len(SEEDS)
+    frac_i = sum(decreased) / len(SEEDS)
     assert frac_i >= cal_i["min_fraction_decreasing"]
 
     # (ii) full-condition term at a fixed middle timestep stalls between the
     # joint modes; the staged estimator on the same seeds lands closer
-    cal_ii = CALIBRATION["phase_middle_trap"]
-    sampler = TimestepSampler(SamplerKind.UNIFORM, cal_ii["fixed_t"],
-                              cal_ii["fixed_t"], cal_ii["steps"])
-    trapped = 0
-    m4_dists = []
-    for seed in SEEDS:
-        traj = optimize_point([0.5, 1.0], EstimatorKind.M4_ONLY, sampler, MIX,
-                              SCHED, lr=cal_ii["lr"], steps=cal_ii["steps"],
-                              seed=seed, oracle=oracle)
-        rep = convergence_check(traj, MODES, tol=TOL,
-                                grad_tol=cal_ii["trap_grad_tol"],
-                                window=cal_ii["ema_window"])
-        trapped += rep.classification is Classification.INTERMEDIATE_TRAP
-        m4_dists.append(rep.distance)
-    frac_ii = trapped / len(SEEDS)
+    trapped, m4_dists = zip(*traps)
+    frac_ii = sum(trapped) / len(SEEDS)
     assert frac_ii >= cal_ii["min_fraction_trapped"]
     mean_m4 = float(np.mean(m4_dists))
     mean_sdse = float(np.mean([staged_runs[s] for s in SEEDS]))
@@ -192,20 +178,7 @@ def test_a4_toy_phase_reproduction(staged_runs):
     assert frac_iii >= cal_iii["min_fraction_converged"]
 
     # (iv) plain guided residual with uniform sampling over every timestep
-    cal_iv = CALIBRATION["plain_guidance"]
-    sampler = TimestepSampler(SamplerKind.UNIFORM, cal_iv["sampler"]["t_min"],
-                              cal_iv["sampler"]["t_max"], cal_iv["steps"])
-    sds_dists = []
-    for seed in SEEDS:
-        traj = optimize_point([0.5, 1.0], EstimatorKind.SDS, sampler, MIX, SCHED,
-                              lr=cal_iv["lr"], steps=cal_iv["steps"], seed=seed,
-                              thresholds=StageThresholds(
-                                  cal_iv["thresholds"]["M"],
-                                  cal_iv["thresholds"]["L"]),
-                              oracle=oracle)
-        sds_dists.append(float(np.min(np.linalg.norm(MODES - traj.final_theta,
-                                                     axis=1))))
-    mean_sds = float(np.mean(sds_dists))
+    mean_sds = float(np.mean(list(sds_dists)))
     assert mean_sds > mean_sdse
 
     elapsed = time.time() - start

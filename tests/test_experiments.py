@@ -308,6 +308,18 @@ def test_mesh_edit_refuses_a_bad_timestep_range_before_any_step(t_min, t_max):
                       config=MeshEditConfig(steps=1, t_min=t_min, t_max=t_max))
 
 
+@pytest.mark.parametrize("field, value", [("w1", -300.0), ("lr", -0.02)])
+def test_mesh_edit_refuses_a_negative_step_setting_before_any_view(monkeypatch, field, value):
+    def no_view(*args):
+        raise AssertionError("a view was drawn")
+
+    monkeypatch.setattr(experiments, "make_view", no_view)
+    mesh = grid_mesh(rows=5, cols=5, num_regions=5)
+    config = MeshEditConfig(steps=1, **{field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must be a finite number >= 0, got {value}$"):
+        run_mesh_edit(mesh, "head_dominant", MIX, SCHED, seeds=[0], config=config)
+
+
 def test_mesh_edit_caps_timesteps_at_middle_max_only_for_a_full_cond_region():
     """Image-anchored targets take any t in the schedule; past its T the range
     is refused naming the schedule."""

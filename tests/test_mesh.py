@@ -12,9 +12,9 @@ from sdse_lab.experiments import region_dispersion
 from sdse_lab.fields import ConfigError
 from sdse_lab import mesh as mesh_module
 from sdse_lab.mesh import (LatentMesh, _exact_sum, _laplacian, build_laplacian, grid_mesh,
-                           icosahedron_edges, icosphere_mesh, load_mesh,
-                           mesh_from_dict, mesh_to_dict, smoothness_gradient,
+                           load_mesh, mesh_from_dict, mesh_to_dict, smoothness_gradient,
                            smoothness_loss, squared_norms)
+from sdse_lab.mixtures import START_POINT
 from sdse_lab.verify import _random_connected_graph
 
 
@@ -47,15 +47,6 @@ def test_laplacian_annihilates_constants(seed):
     mesh, _ = random_mesh(seed, 15)
     lap = build_laplacian(mesh)
     np.testing.assert_array_equal(lap @ np.ones(15), np.zeros(15))
-
-
-def test_icosahedron_diagonal_is_five():
-    _, edges = icosahedron_edges()
-    assert len(edges) == 30
-    mesh = LatentMesh(edges=edges, codes=np.zeros((12, 1)),
-                      regions=np.zeros(12, dtype=int))
-    lap = build_laplacian(mesh)
-    np.testing.assert_array_equal(lap.diagonal(), np.full(12, 5.0))
 
 
 def test_disconnected_graph_rejected():
@@ -154,7 +145,7 @@ LAPLACIAN_MESHES = {
     "random": lambda: random_region_mesh(7, 40),
     "repeated_edge": lambda: random_region_mesh(8, 25, repeat_edge=True),
     "grid": lambda: grid_mesh(rows=6, cols=7),
-    "icosphere": icosphere_mesh,
+    "icosphere": lambda: load_mesh("pkg:icosphere_mesh.json"),
 }
 
 
@@ -554,13 +545,24 @@ def test_mesh_file_wrong_typed_field_is_named(override, field):
         mesh_from_dict(spec)
 
 
-def test_shipped_fixtures_load():
-    from sdse_lab.configs import resolve_data_path
+# The shipped mesh files are the one source of each mesh; these two tests pin them.
 
-    grid = load_mesh(resolve_data_path("pkg:grid_mesh.json"))
-    assert grid.num_vertices == 100
-    assert len(grid.region_ids()) == 5
-    ico = load_mesh(resolve_data_path("pkg:icosphere_mesh.json"))
+def test_shipped_grid_is_grid_mesh_bitwise():
+    shipped, built = load_mesh("pkg:grid_mesh.json"), grid_mesh(10, 10, 5)
+    for name in ("edges", "codes", "regions"):
+        got, want = getattr(shipped, name), getattr(built, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_shipped_icosphere_degrees_and_regions():
+    """The once-subdivided icosahedron: the 12 original vertices keep degree 5,
+    the 30 edge midpoints have degree 6, in five latitude bands."""
+    ico = load_mesh("pkg:icosphere_mesh.json")
     assert ico.num_vertices == 42
     assert len(ico.edges) == 120
-    assert len(ico.region_ids()) == 5
+    degrees = np.bincount(ico.edges.ravel(), minlength=42)
+    assert np.count_nonzero(degrees == 5) == 12
+    assert np.count_nonzero(degrees == 6) == 30
+    assert [ico.region_vertices(r).size for r in ico.region_ids().tolist()] == [8, 8, 9, 8, 9]
+    np.testing.assert_array_equal(ico.codes, np.tile(START_POINT, (42, 1)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sdse_lab.mesh import LatentMesh, build_laplacian, grid_mesh, icosphere_mesh
+from sdse_lab.mesh import LatentMesh, build_laplacian, grid_mesh, load_mesh
 from sdse_lab.mixtures import FULL_COND, IMAGE_COND, toy_mixture
 from sdse_lab.oracle import NoiseOracle
 from sdse_lab.schedule import linear_beta_schedule
@@ -31,7 +31,8 @@ def test_make_view_stays_inside_region(mesh):
     # make_view is the only producer of views and ViewSpec does not check them,
     # so every property a view promises is checked here
     rng = np.random.default_rng(0)
-    for m in (mesh, grid_mesh(rows=10, cols=10, num_regions=5), icosphere_mesh(num_regions=5)):
+    for m in (mesh, grid_mesh(rows=10, cols=10, num_regions=5),
+              load_mesh("pkg:icosphere_mesh.json")):
         largest = max(m.region_vertices(r).size for r in m.region_ids().tolist())
         for support in (1, 8, largest + 1):
             for region in m.region_ids().tolist():
@@ -65,6 +66,15 @@ def test_make_view_draws_match_choice_and_dirichlet_bitwise():
                 np.testing.assert_array_equal(view.vertices, chosen)
                 assert view.blend.tobytes() == blend.tobytes()
             assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("support", [0, -2, 2.5, True], ids=["zero", "negative", "float", "bool"])
+def test_make_view_refuses_a_bad_support_before_any_draw(mesh, support):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"^support must be an integer >= 1, got {support!r}$"):
+        make_view(mesh, 0, rng, support)
+    assert rng.bit_generator.state == state
 
 
 def test_render_single_vertex(mesh):
@@ -333,7 +343,7 @@ def test_step_delta_matches_colamd_ordered_solve(name):
 
     big = {"grid-10x10": lambda: grid_mesh(rows=10, cols=10),
            "grid-100x100": lambda: grid_mesh(rows=100, cols=100),
-           "icosphere": icosphere_mesh}[name]()
+           "icosphere": lambda: load_mesh("pkg:icosphere_mesh.json")}[name]()
     lr, w1, n = 0.02, 300.0, big.num_vertices
     solver = SmoothedStepSolver(big, w1=w1, lr=lr)
     lu = splu((identity(n, format="csc")
@@ -379,13 +389,24 @@ def test_all_ones_solve_is_accurate_at_the_edge_of_the_range(name):
     big = {"grid-5x4": lambda: grid_mesh(rows=5, cols=4),
            "grid-10x10": lambda: grid_mesh(rows=10, cols=10),
            "grid-100x100": lambda: grid_mesh(rows=100, cols=100),
-           "icosphere": icosphere_mesh}[name]()
+           "icosphere": lambda: load_mesh("pkg:icosphere_mesh.json")}[name]()
     edge = edge_of_range(big)
     solver = SmoothedStepSolver(big, w1=edge * (1.0 - 1e-9), lr=1.0)
     ones = np.ones((big.num_vertices, 2))
     assert np.abs(solver.step_delta(-ones) - 1.0).max() <= SOLVE_TOLERANCE
     with pytest.raises(ValueError, match=OUT_OF_RANGE):
         SmoothedStepSolver(big, w1=edge * (1.0 + 1e-9), lr=1.0)
+
+
+@pytest.mark.parametrize("lr, w1, name", [
+    (0.02, -300.0, "w1"), (-0.02, 300.0, "lr"), (np.nan, 0.0, "lr"), (np.inf, 0.0, "lr"),
+    (0.02, np.nan, "w1"), (0.02, np.inf, "w1"),
+], ids=["w1-negative", "lr-negative", "lr-nan", "lr-inf", "w1-nan", "w1-inf"])
+def test_solver_refuses_a_negative_or_non_finite_lr_or_w1(mesh, lr, w1, name):
+    """For s < 0 the system is indefinite and its condition bound does not hold;
+    a non-finite lr at w1 = 0 would only show as diverged codes at step 1."""
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number >= 0, got "):
+        SmoothedStepSolver(mesh, w1=w1, lr=lr)
 
 
 def test_huge_smoothing_projects_onto_constants(mesh):
