@@ -15,7 +15,7 @@ from .mixtures import (ALL_CONDITIONS, Condition, ConditionedMixture, FULL_COND,
                        toy_mixture)
 from .mesh import (LatentMesh, build_laplacian, grid_mesh, load_mesh, smoothness_gradient,
                    smoothness_loss)
-from .optimize import Trajectory, optimize_point, trajectory_from_csv
+from .optimize import Trajectory, optimize_point, optimize_seeds, trajectory_from_csv
 from .oracle import NoiseOracle, forward_diffuse, predict_noise
 from .samplers import SamplerKind, TimestepSampler, timestep_sequence
 from .schedule import NoiseSchedule, linear_beta_schedule

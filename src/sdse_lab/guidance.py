@@ -121,18 +121,34 @@ def decompose_terms(eps_uncond, eps_img, eps_full, epsilon,
     return TermBundle(m1=m1, m2=m2, m3=m3, m4=m4, cfg_residual=cfg_residual)
 
 
-def sdse_residual(oracle: NoiseOracle, z_t, t: int, epsilon, w: GuidanceWeights,
+def _refuse_large(t, th: StageThresholds) -> None:
+    """The staged estimators' cap: ValueError if t, or any row of a timestep stack,
+    lies above middle_max."""
+    top = t.max() if isinstance(t, np.ndarray) else t
+    if top > th.middle_max:
+        raise ValueError(f"large timesteps excluded: t={top} > {th.middle_max}")
+
+
+def _rows_above(t, bound: int):
+    """Which rows lie above bound: True for every row (one timestep is one row),
+    False for none, else the (S,) mask of a timestep stack."""
+    if not isinstance(t, np.ndarray):
+        return bool(t > bound)
+    above = t > bound
+    return True if above.all() else (above if above.any() else False)
+
+
+def sdse_residual(oracle: NoiseOracle, z_t, t, epsilon, w: GuidanceWeights,
                   th: StageThresholds = StageThresholds()) -> np.ndarray:
     """Staged editing residual: the condition-integration term m2, middle cap enforced."""
-    if t > th.middle_max:
-        raise ValueError(f"large timesteps excluded: t={t} > {th.middle_max}")
+    _refuse_large(t, th)
     epsilon = np.asarray(epsilon, dtype=float)
     eps_i = oracle.predict(z_t, t, IMAGE_COND)
     eps_f = oracle.predict(z_t, t, FULL_COND)
     return _integration_term(eps_i, eps_f, epsilon, w.omega_t)
 
 
-def term_residual(kind: EstimatorKind, oracle: NoiseOracle, z_t, t: int, epsilon,
+def term_residual(kind: EstimatorKind, oracle: NoiseOracle, z_t, t, epsilon,
                   w: GuidanceWeights, th: StageThresholds = StageThresholds()) -> np.ndarray:
     """The residual of an estimator, or of a single decomposition term, at (z_t, t).
 
@@ -145,23 +161,38 @@ def term_residual(kind: EstimatorKind, oracle: NoiseOracle, z_t, t: int, epsilon
     - SDSE': SDSE with the divergence term dropped at small timesteps, where
       it is the full-condition pull m4.
     - M1, M3, M4: the decomposition term alone.
+
+    At a stack of points (S, d) with timesteps (S,), each row takes its own
+    timestep's branch: np.where picks it, and the prediction that only rows
+    above small_max need is made only if some row is.
     """
-    if kind is EstimatorKind.SDSE or (kind is EstimatorKind.SDSE_PRIME and t > th.small_max):
+    epsilon = np.asarray(epsilon, dtype=float)
+    if kind is EstimatorKind.SDSE:
         return sdse_residual(oracle, z_t, t, epsilon, w, th)
-    if kind is EstimatorKind.M4_ONLY or kind is EstimatorKind.SDSE_PRIME:
-        return oracle.predict(z_t, t, FULL_COND) - np.asarray(epsilon, dtype=float)
+    if kind is EstimatorKind.SDSE_PRIME:
+        above = _rows_above(t, th.small_max)
+        if above is True:
+            return sdse_residual(oracle, z_t, t, epsilon, w, th)
+        eps_f = oracle.predict(z_t, t, FULL_COND)
+        if above is False:
+            return eps_f - epsilon
+        _refuse_large(t, th)
+        m2 = _integration_term(oracle.predict(z_t, t, IMAGE_COND), eps_f, epsilon, w.omega_t)
+        return np.where(above[:, None], m2, eps_f - epsilon)
+    if kind is EstimatorKind.M4_ONLY:
+        return oracle.predict(z_t, t, FULL_COND) - epsilon
     if kind is EstimatorKind.SDS:
-        epsilon = np.asarray(epsilon, dtype=float)
         eps_u = oracle.predict(z_t, t, UNCONDITIONED)
         eps_i = oracle.predict(z_t, t, IMAGE_COND)
         eps_f = oracle.predict(z_t, t, FULL_COND)
         return cfg_combine(eps_u, eps_i, eps_f, w) - epsilon
     if kind is EstimatorKind.SSD:
-        epsilon = np.asarray(epsilon, dtype=float)
         eps_f = oracle.predict(z_t, t, FULL_COND)
         res = eps_f - epsilon
-        if t > th.small_max and w.omega_t != 0.0:
-            res = res + w.omega_t * (eps_f - oracle.predict(z_t, t, UNCONDITIONED))
+        above = _rows_above(t, th.small_max)
+        if above is not False and w.omega_t != 0.0:
+            wide = res + w.omega_t * (eps_f - oracle.predict(z_t, t, UNCONDITIONED))
+            res = wide if above is True else np.where(above[:, None], wide, res)
         return res
     if kind is EstimatorKind.M1_ONLY:
         return oracle.predict(z_t, t, IMAGE_COND) - oracle.predict(z_t, t, UNCONDITIONED)

@@ -264,13 +264,6 @@ def load_mesh(path) -> LatentMesh:
     return mesh_from_dict(load_json(path))
 
 
-def mesh_to_dict(mesh: LatentMesh) -> dict:
-    return {"vertices": mesh.num_vertices,
-            "edges": mesh.edges.tolist(),
-            "regions": mesh.regions.tolist(),
-            "codes": mesh.codes.tolist()}
-
-
 def grid_mesh(rows: int = 10, cols: int = 10, num_regions: int = 5,
               init_code=START_POINT) -> LatentMesh:
     """Banded grid graph: 4-connected lattice split into horizontal region bands."""

@@ -181,7 +181,8 @@ class FrozenMixture:
 
     `pushforward` stacks the tables of many noise levels: every array but
     `log_wts` gains a leading level axis, and `evaluate` reads one level
-    through its `row` argument. Its default, `...`, reads the whole table,
+    through its `row` argument, or one level per point of a stack (S, d)
+    through an (S,) array of rows. Its default, `...`, reads the whole table,
     which is what an unstacked table needs.
     """
 
@@ -222,8 +223,13 @@ class FrozenMixture:
         d = self.means[row] - z[..., None, :]
         if self.iso:
             maha = np.add.reduce(d * d, -1) * inv
-        else:
+        elif d.ndim > 2 and d.shape[-2:] == (1, 2):
+            # einsum sums one point's lone 2x2 form pairwise, so each point of a stack is too
+            maha = np.add.reduce(np.add.reduce(d[..., :, None] * inv * d[..., None, :], -1), -1)
+        elif inv.ndim == 3:  # one table, or one level of a stack
             maha = np.einsum("...kd,kde,...ke->...k", d, inv, d)
+        else:  # a level per point
+            maha = np.einsum("skd,skde,ske->sk", d, inv, d)
         return self.log_norms[row] - 0.5 * maha, d, inv
 
     def _shifted_sum(self, z: np.ndarray, log_wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +259,10 @@ class FrozenMixture:
             m = np.maximum.reduce(logp)
             logp -= np.maximum(m, -_FLOAT_MAX)
             return m, np.add.reduce(np.exp(logp, out=logp))
-        logp = log_wts + self.evaluate(z)[0]
+        log_n = self.evaluate(z)[0]
+        if log_wts.ndim == 2 and z.ndim == 2:  # every weight row at every point: (S, R, K)
+            log_n = log_n[:, None, :]
+        logp = log_wts + log_n
         m = np.maximum.reduce(logp, axis=-1)
         terms = np.exp(logp - np.maximum(m, -_FLOAT_MAX)[..., None])
         return m, np.add.reduce(terms, axis=-1)
@@ -269,7 +278,7 @@ class FrozenMixture:
 
         `log_wts` defaults to the mixture's own weights; masked rows (R, K),
         -inf outside each sub-mixture's support, give R sub-mixture densities
-        at one point z.
+        at one point z, or (S, R) at a stack of points (S, d).
         """
         m, s = self._shifted_sum(z, self.log_wts if log_wts is None else log_wts)
         return np.exp(m) * s
@@ -279,15 +288,24 @@ class FrozenMixture:
         """Score of the sub-mixture (idx, log_wts) at the point `evaluated` came from.
 
         The gradient of the log density is the responsibility-weighted pull
-        toward the component means.
+        toward the component means. At a stack of points (S, d) each row is
+        contracted on its own, in the same order as one point's.
         """
         log_n, d, inv = evaluated
-        logp = log_wts + log_n[idx]
-        resp = np.exp(logp - np.maximum.reduce(logp))
-        resp /= np.add.reduce(resp)
+        if log_n.ndim == 1:
+            logp = log_wts + log_n[idx]
+            resp = np.exp(logp - np.maximum.reduce(logp))
+            resp /= np.add.reduce(resp)
+            if self.iso:
+                return np.dot(resp * inv[idx], d.take(idx, 0))
+            return np.einsum("k,kde,ke->d", resp, inv[idx], d.take(idx, 0))
+        # take() keeps the gathered rows C-ordered, as BLAS sees one point's
+        logp = log_wts + log_n.take(idx, 1)
+        resp = np.exp(logp - np.maximum.reduce(logp, -1, keepdims=True))
+        resp /= np.add.reduce(resp, -1, keepdims=True)
         if self.iso:
-            return np.dot(resp * inv[idx], d.take(idx, 0))
-        return np.einsum("k,kde,ke->d", resp, inv[idx], d.take(idx, 0))
+            return ((resp * inv.take(idx, 1))[:, None, :] @ d.take(idx, 1))[:, 0]
+        return np.einsum("sk,skde,ske->sd", resp, inv.take(idx, 1), d.take(idx, 1))
 
     def score(self, z: np.ndarray) -> np.ndarray:
         every = np.arange(self.log_wts.size)

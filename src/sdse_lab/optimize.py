@@ -1,10 +1,15 @@
-"""Single-point descent driven by guidance residuals, with full trajectory logs.
+"""Point descent driven by guidance residuals, with full trajectory logs.
 
 Each step draws a timestep and a fresh noise sample, forward-diffuses the
 current point with that same sample, evaluates the chosen estimator's
 residual, and takes a plain gradient step. The noise used to diffuse is the
 noise subtracted inside the residual, which is what cancels most of the
 injected variance at heavily noised timesteps.
+
+One loop runs every descent. `optimize_seeds` steps a stack of seeds together,
+one row of an (S, d) iterate per seed with its own timestep and noise, so each
+step costs one residual and one density call whatever S is. `optimize_point`
+is its one-seed call, which keeps a (d,) iterate and scalar timesteps.
 """
 
 from __future__ import annotations
@@ -125,11 +130,26 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
                    thresholds: StageThresholds = StageThresholds(),
                    config_digest: str = "",
                    oracle: NoiseOracle | None = None) -> Trajectory:
-    """Run the descent and log every state.
+    """Run the descent for one seed and log every state: `optimize_seeds` on [seed]."""
+    return optimize_seeds(theta0, kind, sampler, mix, sched, lr, steps, [seed], weights,
+                          thresholds, config_digest, oracle)[0]
 
-    Deterministic given the seed: the timestep sequence is drawn first, then
-    one noise sample per step. Aborts with the guard flag set if the iterate
-    norm ever exceeds 1e3 or stops being finite; a theta0 beyond it is refused.
+
+def optimize_seeds(theta0, kind: EstimatorKind, sampler: TimestepSampler,
+                   mix: ConditionedMixture, sched: NoiseSchedule, lr: float,
+                   steps: int, seeds: list[int],
+                   weights: GuidanceWeights = GuidanceWeights(),
+                   thresholds: StageThresholds = StageThresholds(),
+                   config_digest: str = "",
+                   oracle: NoiseOracle | None = None) -> list[Trajectory]:
+    """Run the descent from theta0 once per seed and log every state.
+
+    Deterministic given the seed: its generator draws the timestep sequence
+    first, then one noise sample per step. A run aborts with the guard flag
+    set if the iterate norm ever exceeds 1e3 or stops being finite; a theta0
+    beyond it is refused. Several seeds step as the rows of one (S, d) iterate,
+    and a row leaves it when it trips the guard; each seed's trajectory is bit
+    for bit the one it gets alone.
     """
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if not np.all(np.isfinite(theta)):
@@ -142,6 +162,8 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
                          f"<= {DIVERGENCE_GUARD:g}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not seeds:
+        raise ValueError("seeds must hold at least one seed")
     if not 0 <= lr < np.inf:
         raise ValueError(f"lr must be a finite number >= 0, got {lr}")
     if sampler.t_max > sched.num_steps:
@@ -155,29 +177,54 @@ def optimize_point(theta0, kind: EstimatorKind, sampler: TimestepSampler,
     elif oracle.mixture is not mix or oracle.schedule is not sched:
         raise ValueError("oracle must be built on the same mixture and schedule")
 
-    rng = np.random.default_rng(seed)
-    ts = timestep_sequence(sampler, rng, steps)
-    epsilons = rng.standard_normal((steps, theta.size))
+    count = len(seeds)
+    ts = np.empty((count, steps), dtype=int)
+    epsilons = np.empty((count, steps, theta.size))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        ts[row] = timestep_sequence(sampler, rng, steps)
+        epsilons[row] = rng.standard_normal((steps, theta.size))
     scales = sched.sqrt_alphas_bar[ts - 1]
-    noise = sched.sigmas[ts - 1][:, None] * epsilons
+    noise = sched.sigmas[ts - 1][..., None] * epsilons
 
-    thetas = np.zeros((steps + 1, theta.size))
+    thetas = np.zeros((count, steps + 1, theta.size))
     residuals = np.zeros_like(thetas)
-    densities = np.zeros((steps + 1, 3))
-    thetas[0] = theta
-    densities[0] = oracle.density_bundle(theta)
+    densities = np.zeros((count, steps + 1, 3))
+    thetas[:, 0] = theta
+    densities[:, 0] = oracle.density_bundle(theta)
+    ends = np.full(count, steps)
+    tseq, logs = ts, (thetas, residuals, densities)
+    if count == 1:  # one seed: a (d,) iterate, int timesteps, 1-D rows and int indices
+        tseq, scales, noise, epsilons = ts[0].tolist(), scales[0], noise[0], epsilons[0]
+        logs = [log[0] for log in logs]
+    else:  # the rows still inside the guard
+        live, theta, scales = np.arange(count), np.tile(theta, (count, 1)), scales[..., None]
+    log_thetas, log_residuals, log_densities = logs
     # A step that overflows leaves the guard, which ends the run and names it.
     with np.errstate(over="ignore"):
-        for i, (t, scale, noise_t, epsilon) in enumerate(
-                zip(ts.tolist(), scales, noise, epsilons), start=1):
-            res = term_residual(kind, oracle, scale * theta + noise_t, t, epsilon, weights,
-                                thresholds)
+        for i in range(1, steps + 1):
+            at = i - 1 if count == 1 else (live, i - 1)
+            res = term_residual(kind, oracle, scales[at] * theta + noise[at], tseq[at],
+                                epsilons[at], weights, thresholds)
             theta = theta - lr * res
-            thetas[i], residuals[i] = theta, res
-            densities[i] = oracle.density_bundle(theta)
-            if not (theta @ theta <= DIVERGENCE_GUARD**2):  # within_guard; trips on NaN/inf
-                break
-    return Trajectory(steps=np.arange(i + 1), timesteps=np.concatenate(([0], ts[:i])),
-                      thetas=thetas[:i + 1], residuals=residuals[:i + 1],
-                      densities=densities[:i + 1], seed=seed,
-                      config_digest=config_digest, guard_tripped=not within_guard(theta))
+            at = i if count == 1 else (live, i)
+            log_thetas[at], log_residuals[at] = theta, res
+            log_densities[at] = oracle.density_bundle(theta)
+            if count == 1:
+                if not (theta @ theta <= DIVERGENCE_GUARD**2):  # within_guard; trips on NaN/inf
+                    ends[0] = i
+                    break
+                continue
+            # each row's theta @ theta, by the same dot as one seed's
+            inside = (theta[:, None, :] @ theta[:, :, None])[:, 0, 0] <= DIVERGENCE_GUARD**2
+            if not inside.all():
+                ends[live[~inside]] = i
+                live, theta = live[inside], theta[inside]
+                if not live.size:
+                    break
+    return [Trajectory(steps=np.arange(n + 1), timesteps=np.concatenate(([0], ts[row, :n])),
+                       thetas=thetas[row, :n + 1], residuals=residuals[row, :n + 1],
+                       densities=densities[row, :n + 1], seed=seed,
+                       config_digest=config_digest,
+                       guard_tripped=not within_guard(thetas[row, n]))
+            for row, (seed, n) in enumerate(zip(seeds, ends.tolist()))]

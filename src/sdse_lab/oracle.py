@@ -55,7 +55,9 @@ class NoiseOracle:
     once, as one `FrozenMixture.pushforward` stack over the schedule's
     alphas_bar: means (T, K, d), covariances (T, K, d, d), inverse variances
     (T, K) for an isotropic mixture or inverse covariances (T, K, d, d) for
-    any other, and log normalizers (T, K). A prediction at t reads row t - 1.
+    any other, and log normalizers (T, K). A prediction at t reads row t - 1;
+    one at a stack of points (S, d) with timesteps (S,) reads row t_s - 1 for
+    point s, and each of its rows equals that point's own prediction bitwise.
     It evaluates the components once per (t, z_t), shared by every condition
     queried there, and hands each condition's support indices and
     renormalized log weights to `FrozenMixture.masked_score`. Raw densities
@@ -83,20 +85,32 @@ class NoiseOracle:
             hit = self._supports[key] = condition_support(self.mixture, cond)
         return hit
 
-    def predict(self, z_t, t: int, cond: Condition) -> np.ndarray:
-        """eps_hat(z_t, t, cond); ValueError naming t outside [1, T]."""
+    def predict(self, z_t, t, cond: Condition) -> np.ndarray:
+        """eps_hat(z_t, t, cond) at a point (d,), or row by row at a stack of points
+        (S, d) with timesteps t (S,); ValueError naming a t outside [1, T]."""
         z_t = np.asarray(z_t, dtype=float)
-        key = (t, z_t.tobytes())
-        if key != self._eval_key:
+        if z_t.ndim == 1:
+            key = (t, z_t.tobytes())
+        else:
+            t = np.asarray(t)
+            if t.shape != z_t.shape[:1]:
+                raise ValueError(f"a stack of {len(z_t)} points needs {len(z_t)} timesteps, "
+                                 f"got shape {t.shape}")
+            key = (t.dtype, t.tobytes(), z_t.tobytes())
+        # a bool equals 0 or 1, so it must not hit a cached row
+        if key != self._eval_key or (type(t) is not int and isinstance(t, (bool, np.bool_))):
             row = self.schedule.index(t)  # before the read: row -1 would wrap silently
-            self._eval_val = -self.schedule.sigmas.item(row), self._stack.evaluate(z_t, row)
+            neg_sigma = (-self.schedule.sigmas.item(row) if z_t.ndim == 1
+                         else -self.schedule.sigmas[row][:, None])
+            self._eval_val = neg_sigma, self._stack.evaluate(z_t, row)
             self._eval_key = key
         neg_sigma, evaluated = self._eval_val
         idx, log_wts = self._support(cond)
         return neg_sigma * self._stack.masked_score(evaluated, idx, log_wts)
 
-    def density_bundle(self, z: np.ndarray) -> tuple[float, float, float]:
-        """Raw densities (p, p_img, p_full) at z from one component evaluation."""
+    def density_bundle(self, z: np.ndarray):
+        """Raw densities (p, p_img, p_full) at a point z (d,) from one component
+        evaluation, or an (S, 3) array of them at a stack of points (S, d)."""
         log_wts = self._density_log_wts
         if log_wts is None:
             log_wts = np.full((3, self.mixture.size), -np.inf)
@@ -104,4 +118,6 @@ class NoiseOracle:
                 idx, sub_log_wts = self._support(cond)
                 log_wts[row, idx] = sub_log_wts
             self._density_log_wts = log_wts
-        return tuple(self._base.density(np.asarray(z, dtype=float), log_wts).tolist())
+        z = np.asarray(z, dtype=float)
+        densities = self._base.density(z, log_wts)
+        return tuple(densities.tolist()) if z.ndim == 1 else densities

@@ -9,6 +9,7 @@ sequence never increases.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,10 @@ class TimestepSampler:
     jitter: float = 0.0
 
     def __post_init__(self):
+        for name in ("t_min", "t_max", "total_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.t_min <= self.t_max:
             raise ValueError("need 1 <= t_min <= t_max")
         if self.total_steps < 1:

@@ -40,9 +40,21 @@ class NoiseSchedule:
     def num_steps(self) -> int:
         return int(self.alphas_bar.size)
 
-    def index(self, t: int) -> int:
-        """Array index t - 1 of timestep t; ValueError outside [1, T]."""
-        t = int(t)
+    def index(self, t):
+        """Array index t - 1 of timestep t, or of each entry of an integer array of
+        timesteps (all checked before any is used); ValueError for a bool, a t that
+        is not integral or one outside [1, T]."""
+        if type(t) is not int:  # a plain int needs only the range check
+            if isinstance(t, np.ndarray):
+                if t.dtype.kind not in "iu":
+                    raise ValueError(f"timesteps must be an integer array, got {t!r}")
+                outside = t[(t < 1) | (t > self.alphas_bar.size)]
+                if outside.size:
+                    raise ValueError(f"timestep {outside[0]} out of range [1, {self.num_steps}]")
+                return t - 1
+            if isinstance(t, (bool, np.bool_)) or not float(t).is_integer():
+                raise ValueError(f"timestep {t!r} is not an integer")
+            t = int(t)
         if not 1 <= t <= self.alphas_bar.size:
             raise ValueError(f"timestep {t} out of range [1, {self.num_steps}]")
         return t - 1

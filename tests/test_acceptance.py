@@ -6,28 +6,25 @@ reproducible run to run.
 """
 
 import json
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib.resources import files
-from itertools import repeat
 
 import numpy as np
 import pytest
 
-from sdse_lab.experiments import MeshEditConfig, PROFILES, run_mesh_edit
-from sdse_lab.guidance import GuidanceWeights, cfg_combine, decompose_terms, sdse_residual
+from sdse_lab.experiments import (Classification, MeshEditConfig, PROFILES, convergence_check,
+                                  run_mesh_edit)
+from sdse_lab.guidance import (EstimatorKind, GuidanceWeights, StageThresholds, cfg_combine,
+                               decompose_terms, sdse_residual)
 from sdse_lab.mesh import LatentMesh, build_laplacian, load_mesh, smoothness_loss
 from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED, noised_mixture,
                                toy_mixture)
+from sdse_lab.optimize import optimize_seeds
 from sdse_lab.oracle import NoiseOracle
+from sdse_lab.samplers import SamplerKind, TimestepSampler
 from sdse_lab.schedule import NoiseSchedule, linear_beta_schedule
 from sdse_lab.verify import (_random_connected_graph, decomposition_worst_error,
                              laplacian_fd_rel_error, score_fd_worst_error)
-
-from acceptance_helper import (middle_trap, plain_guidance_distance, small_shift_decreased,
-                               staged_distance)
 
 CALIBRATION = json.loads(
     files("sdse_lab.data").joinpath("acceptance_calibration.json").read_text())
@@ -132,40 +129,57 @@ def test_a3_allocation_table():
 # A4  toy-phase reproduction (paired, 50 seeds, frozen calibration)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def pool():
-    """Worker processes for A4's per-seed descents, one per usable CPU: the seeds
-    are independent, so each runs in a worker."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ProcessPoolExecutor(min(cpus or 1, len(SEEDS)),
-                             mp_context=multiprocessing.get_context("spawn")) as workers:
-        yield workers
+MODES = MIX.mode_points(FULL_COND)
+
+
+def descend_seeds(kind: EstimatorKind, sampler: TimestepSampler, cal: dict, **kwargs):
+    """One stacked descent over SEEDS on the toy mixture from its image-only mode,
+    at the calibration's lr and steps; one trajectory per seed, in seed order."""
+    return optimize_seeds([0.5, 1.0], kind, sampler, MIX, SCHED, lr=cal["lr"],
+                          steps=cal["steps"], seeds=SEEDS, **kwargs)
+
+
+def mode_distance(traj) -> float:
+    """Distance from the final iterate to the nearest joint mode."""
+    return float(np.min(np.linalg.norm(MODES - traj.final_theta, axis=1)))
 
 
 @pytest.fixture(scope="module")
-def staged_runs(pool):
-    """Calibrated staged-schedule runs, shared by A4(ii)-(iv)."""
+def staged_runs():
+    """Distance to the nearest joint mode per seed after the calibrated
+    staged-schedule SDSE run, shared by A4(ii)-(iv)."""
     cal = CALIBRATION["staged_schedule"]
-    return dict(zip(SEEDS, pool.map(staged_distance, SEEDS, repeat(cal))))
+    sampler = TimestepSampler(SamplerKind.NON_INCREASING,
+                              cal["sampler"]["t_min"], cal["sampler"]["t_max"],
+                              cal["steps"], jitter=cal["sampler"]["jitter"])
+    return {traj.seed: mode_distance(traj)
+            for traj in descend_seeds(EstimatorKind.SDSE, sampler, cal)}
 
 
-def test_a4_toy_phase_reproduction(pool, staged_runs):
+def test_a4_toy_phase_reproduction(staged_runs):
     start = time.time()
-    # the three loops' seeds are queued at once; each result list is in seed order
-    cal_i = CALIBRATION["phase_small_shift"]
-    cal_ii = CALIBRATION["phase_middle_trap"]
-    cal_iv = CALIBRATION["plain_guidance"]
-    decreased = pool.map(small_shift_decreased, SEEDS, repeat(cal_i))
-    traps = pool.map(middle_trap, SEEDS, repeat(cal_ii), repeat(TOL))
-    sds_dists = pool.map(plain_guidance_distance, SEEDS, repeat(cal_iv))
 
-    # (i) baseline-shift term at small timesteps pushes off the image mode
+    # (i) baseline-shift term at small timesteps pushes off the image mode: the
+    # M1-only descent ends, over its last 10 rows, below its starting
+    # image-condition density
+    cal_i = CALIBRATION["phase_small_shift"]
+    sampler = TimestepSampler(SamplerKind.UNIFORM, cal_i["sampler"]["t_min"],
+                              cal_i["sampler"]["t_max"], cal_i["steps"])
+    decreased = [traj.densities[-10:, 1].mean() < traj.densities[0, 1]
+                 for traj in descend_seeds(EstimatorKind.M1_ONLY, sampler, cal_i)]
     frac_i = sum(decreased) / len(SEEDS)
     assert frac_i >= cal_i["min_fraction_decreasing"]
 
     # (ii) full-condition term at a fixed middle timestep stalls between the
     # joint modes; the staged estimator on the same seeds lands closer
-    trapped, m4_dists = zip(*traps)
+    cal_ii = CALIBRATION["phase_middle_trap"]
+    sampler = TimestepSampler(SamplerKind.UNIFORM, cal_ii["fixed_t"], cal_ii["fixed_t"],
+                              cal_ii["steps"])
+    reports = [convergence_check(traj, MODES, tol=TOL, grad_tol=cal_ii["trap_grad_tol"],
+                                 window=cal_ii["ema_window"])
+               for traj in descend_seeds(EstimatorKind.M4_ONLY, sampler, cal_ii)]
+    trapped = [rep.classification is Classification.INTERMEDIATE_TRAP for rep in reports]
+    m4_dists = [rep.distance for rep in reports]
     frac_ii = sum(trapped) / len(SEEDS)
     assert frac_ii >= cal_ii["min_fraction_trapped"]
     mean_m4 = float(np.mean(m4_dists))
@@ -178,7 +192,13 @@ def test_a4_toy_phase_reproduction(pool, staged_runs):
     assert frac_iii >= cal_iii["min_fraction_converged"]
 
     # (iv) plain guided residual with uniform sampling over every timestep
-    mean_sds = float(np.mean(list(sds_dists)))
+    cal_iv = CALIBRATION["plain_guidance"]
+    sampler = TimestepSampler(SamplerKind.UNIFORM, cal_iv["sampler"]["t_min"],
+                              cal_iv["sampler"]["t_max"], cal_iv["steps"])
+    thresholds = StageThresholds(cal_iv["thresholds"]["M"], cal_iv["thresholds"]["L"])
+    sds_dists = [mode_distance(traj) for traj in
+                 descend_seeds(EstimatorKind.SDS, sampler, cal_iv, thresholds=thresholds)]
+    mean_sds = float(np.mean(sds_dists))
     assert mean_sds > mean_sdse
 
     elapsed = time.time() - start

@@ -12,7 +12,7 @@ from sdse_lab.experiments import (MAX_VIEWS_PER_STEP, Classification, MeshEditCo
 from sdse_lab.guidance import EstimatorKind, StageThresholds
 from sdse_lab.mesh import LatentMesh, grid_mesh, smoothness_loss
 from sdse_lab.mixtures import FULL_COND, IMAGE_COND, toy_mixture
-from sdse_lab.optimize import Trajectory, optimize_point
+from sdse_lab.optimize import Trajectory, optimize_point, optimize_seeds
 from sdse_lab.oracle import NoiseOracle, forward_diffuse
 from sdse_lab.samplers import SamplerKind, TimestepSampler
 from sdse_lab.schedule import linear_beta_schedule
@@ -420,19 +420,13 @@ def test_middle_band_trap_versus_staged_schedule():
     """Uniform sampling restricted to the middle band stalls the full-condition
     term between the joint modes; the staged estimator under its own schedule
     ends closer on every matched seed (averaged over 20)."""
-    from sdse_lab.oracle import NoiseOracle
-
-    oracle = NoiseOracle(MIX, SCHED)
     seeds = list(range(20))
     trap_sampler = TimestepSampler(SamplerKind.UNIFORM, 150, 800, 800)
     staged_sampler = TimestepSampler(SamplerKind.NON_INCREASING, 1, 800, 1500)
-    trap_d, staged_d = [], []
-    for seed in seeds:
-        m4 = optimize_point([0.5, 1.0], EstimatorKind.M4_ONLY, trap_sampler, MIX,
-                            SCHED, lr=1e-2, steps=800, seed=seed, oracle=oracle)
-        staged = optimize_point([0.5, 1.0], EstimatorKind.SDSE, staged_sampler,
-                                MIX, SCHED, lr=1e-2, steps=1500, seed=seed,
-                                oracle=oracle)
-        trap_d.append(np.min(np.linalg.norm(MODES - m4.final_theta, axis=1)))
-        staged_d.append(np.min(np.linalg.norm(MODES - staged.final_theta, axis=1)))
+    m4 = optimize_seeds([0.5, 1.0], EstimatorKind.M4_ONLY, trap_sampler, MIX, SCHED,
+                        lr=1e-2, steps=800, seeds=seeds)
+    staged = optimize_seeds([0.5, 1.0], EstimatorKind.SDSE, staged_sampler, MIX, SCHED,
+                            lr=1e-2, steps=1500, seeds=seeds)
+    trap_d = [np.min(np.linalg.norm(MODES - traj.final_theta, axis=1)) for traj in m4]
+    staged_d = [np.min(np.linalg.norm(MODES - traj.final_theta, axis=1)) for traj in staged]
     assert np.mean(trap_d) > np.mean(staged_d)

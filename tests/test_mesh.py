@@ -12,7 +12,7 @@ from sdse_lab.experiments import region_dispersion
 from sdse_lab.fields import ConfigError
 from sdse_lab import mesh as mesh_module
 from sdse_lab.mesh import (LatentMesh, _exact_sum, _laplacian, build_laplacian, grid_mesh,
-                           load_mesh, mesh_from_dict, mesh_to_dict, smoothness_gradient,
+                           load_mesh, mesh_from_dict, smoothness_gradient,
                            smoothness_loss, squared_norms)
 from sdse_lab.mixtures import START_POINT
 from sdse_lab.verify import _random_connected_graph
@@ -461,6 +461,14 @@ def test_squared_norms_of_an_empty_last_axis_are_zero():
 # ---------------------------------------------------------------------------
 # files and fixtures
 # ---------------------------------------------------------------------------
+
+def mesh_to_dict(mesh: LatentMesh) -> dict:
+    """The mesh-file form that `load_mesh` reads."""
+    return {"vertices": mesh.num_vertices,
+            "edges": mesh.edges.tolist(),
+            "regions": mesh.regions.tolist(),
+            "codes": mesh.codes.tolist()}
+
 
 def test_mesh_round_trip(tmp_path):
     mesh = grid_mesh(rows=4, cols=5)

@@ -7,7 +7,8 @@ from sdse_lab.guidance import (STAGED, EstimatorKind, GuidanceWeights, StageThre
                                term_residual)
 from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED, ConditionedMixture,
                                mixture_density, sub_mixture, toy_mixture)
-from sdse_lab.optimize import DIVERGENCE_GUARD, Trajectory, optimize_point, trajectory_from_csv
+from sdse_lab.optimize import (DIVERGENCE_GUARD, Trajectory, optimize_point, optimize_seeds,
+                               trajectory_from_csv)
 from sdse_lab.oracle import NoiseOracle
 from sdse_lab.samplers import SamplerKind, TimestepSampler, timestep_sequence
 from sdse_lab.schedule import linear_beta_schedule
@@ -106,8 +107,9 @@ FULL_COV_MIXTURE = random_conditioned_mixture(np.random.default_rng(4), full_cov
 @pytest.mark.parametrize("mixture", ["isotropic", "full_covariance"])
 @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
 def test_descent_matches_the_stepwise_reference(setup, kind, mixture, sampler_kind, lr):
-    """Every logged array is bit for bit the reference loop's, on every estimator;
-    at lr = 3 most runs leave the guard part-way."""
+    """Every logged array is bit for bit the reference loop's, on every estimator,
+    for one seed and for each row of a stack of seeds; at lr = 3 most runs leave
+    the guard part-way, and some stacked rows leave it while others run on."""
     mix, sched = setup
     if mixture == "full_covariance":
         mix = FULL_COV_MIXTURE
@@ -115,17 +117,23 @@ def test_descent_matches_the_stepwise_reference(setup, kind, mixture, sampler_ki
     sampler = TimestepSampler(sampler_kind, 1, 800 if kind in STAGED else 1000, steps,
                               jitter=3.0 if sampler_kind is SamplerKind.NON_INCREASING else 0.0)
     traj = optimize_point([0.5, 1.0], kind, sampler, mix, sched, lr=lr, steps=steps, seed=5)
-    thetas, residuals, densities, timesteps, tripped = _reference_descent(
-        [0.5, 1.0], kind, sampler, mix, sched, lr, steps, seed=5)
-    assert traj.num_rows == len(timesteps)
-    assert traj.guard_tripped == tripped
-    assert traj.steps.tolist() == list(range(len(timesteps)))
-    assert traj.timesteps.tolist() == timesteps
-    for got, want in ((traj.thetas, thetas), (traj.residuals, residuals),
-                      (traj.densities, densities)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    if lr == 3.0 and kind is EstimatorKind.SDS:
-        assert tripped and 2 < len(timesteps) < steps + 1
+    stacked = optimize_seeds([0.5, 1.0], kind, sampler, mix, sched, lr=lr, steps=steps,
+                             seeds=[5, 6, 7])
+    assert [t.seed for t in stacked] == [5, 6, 7]
+    for traj in [traj, *stacked]:
+        thetas, residuals, densities, timesteps, tripped = _reference_descent(
+            [0.5, 1.0], kind, sampler, mix, sched, lr, steps, seed=traj.seed)
+        assert traj.num_rows == len(timesteps)
+        assert traj.guard_tripped == tripped
+        assert traj.steps.tolist() == list(range(len(timesteps)))
+        assert traj.timesteps.tolist() == timesteps
+        for got, want in ((traj.thetas, thetas), (traj.residuals, residuals),
+                          (traj.densities, densities)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if lr == 3.0 and kind is EstimatorKind.SDS and traj.seed == 5:
+            assert tripped and 2 < len(timesteps) < steps + 1
+    if lr == 3.0 and kind is EstimatorKind.SDS and sampler_kind is SamplerKind.UNIFORM:
+        assert len({t.num_rows for t in stacked}) > 1  # rows leave the stack at their own step
 
 
 class _NaNOracle(NoiseOracle):

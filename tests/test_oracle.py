@@ -51,6 +51,8 @@ def test_forward_diffuse_out_of_range():
     sched = NoiseSchedule(np.array([0.5]))
     with pytest.raises(ValueError):
         forward_diffuse(np.zeros(2), 2, np.zeros(2), sched)
+    with pytest.raises(ValueError, match="timestep 0.99 is not an integer"):
+        forward_diffuse(np.zeros(2), 0.99, np.zeros(2), sched)
 
 
 def test_predict_zero_at_noised_mode():
@@ -169,17 +171,30 @@ def test_predict_keys_conditions_by_value():
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warmed"])
-@pytest.mark.parametrize("t", [0, 1001])
+@pytest.mark.parametrize("t", [
+    0, 1001, pytest.param(500.5, id="500.5"), pytest.param(True, id="bool"),
+    pytest.param(np.array([500, 0, 7]), id="rows-with-0"),
+    pytest.param(np.array([500, 7, 1001]), id="rows-with-1001"),
+])
 def test_predict_rejects_a_timestep_outside_the_schedule(t, warm):
+    """Refused before any table row is read (row t - 1 = -1 would wrap silently),
+    also when the cache holds the same point at t = 1, which a bool equals."""
     oracle = NoiseOracle(toy_mixture(), linear_beta_schedule())
-    z = np.array([0.5, 1.0])
+    stacked = isinstance(t, np.ndarray)
+    z = np.tile([0.5, 1.0], (3, 1)) if stacked else np.array([0.5, 1.0])
     if warm:
-        for s in (1, 500, 1000):
+        for s in (500, 1000, 1):
             for cond in ALL_CONDITIONS:
-                oracle.predict(z, s, cond)
+                oracle.predict(z, np.full(3, s) if stacked else s, cond)
         oracle.density_bundle(z)
+    if stacked:
+        message = rf"timestep {t[(t < 1) | (t > 1000)][0]} out of range \[1, 1000\]"
+    elif t in (0, 1001) and not isinstance(t, bool):
+        message = rf"timestep {t} out of range \[1, 1000\]"
+    else:
+        message = rf"timestep {t!r} is not an integer"
     for cond in ALL_CONDITIONS:
-        with pytest.raises(ValueError, match=rf"timestep {t} out of range \[1, 1000\]"):
+        with pytest.raises(ValueError, match=message):
             oracle.predict(z, t, cond)
 
 
@@ -215,3 +230,51 @@ def test_fast_paths_match_pure_path(seed, parts, full_cov, var_scale, offset):
             pure = predict_noise(mix, sched, z_t, t, cond)
             scale = max(1.0, float(np.max(np.abs(pure))))
             assert np.max(np.abs(fast - pure)) <= 1e-9 * scale, (t, cond, fast, pure)
+
+
+def _many_components(full_cov):
+    rng = np.random.default_rng(8)
+    return _joined([random_conditioned_mixture(rng, max_components=8, full_cov=full_cov)
+                    for _ in range(3)], 1.0)
+
+
+STACK_MIXTURES = {
+    "isotropic": toy_mixture(),
+    "full_covariance": random_conditioned_mixture(np.random.default_rng(4), full_cov=True),
+    "many_isotropic": _many_components(False),
+    "many_full_covariance": _many_components(True),
+    # numpy's einsum sums a lone 2x2 quadratic form in its own order
+    "one_full_planar_component": ConditionedMixture([1.0], [[0.3, -0.2]],
+                                                    [[[1.0, 0.3], [0.3, 0.5]]], [FULL_COND]),
+}
+
+
+@pytest.mark.parametrize("name", list(STACK_MIXTURES))
+def test_stacked_rows_equal_one_point_calls_bitwise(name):
+    """Row s of predict(Z, ts, cond) is predict(Z[s], ts[s], cond), and row s of
+    density_bundle(Z) is density_bundle(Z[s]), bit for bit."""
+    mix = STACK_MIXTURES[name]
+    if name.startswith("many"):
+        assert mix.size >= 8
+    sched = linear_beta_schedule()
+    rng = np.random.default_rng(17)
+    zs = rng.uniform(-3.0, 3.0, size=(40, mix.dim))
+    zs[::7] *= 20.0  # far-off points
+    ts = rng.integers(1, 1001, size=40)
+    ts[:3] = (1, 1000, 1)
+    stacked, single = NoiseOracle(mix, sched), NoiseOracle(mix, sched)
+    for cond in ALL_CONDITIONS:
+        got = stacked.predict(zs, ts, cond)
+        assert got.shape == zs.shape
+        for s in range(len(zs)):
+            assert got[s].tobytes() == single.predict(zs[s], int(ts[s]), cond).tobytes()
+    got = stacked.density_bundle(zs)
+    assert got.shape == (len(zs), 3)
+    for s in range(len(zs)):
+        assert got[s].tobytes() == np.array(single.density_bundle(zs[s])).tobytes()
+
+
+def test_stacked_predict_needs_one_timestep_per_point():
+    oracle = NoiseOracle(toy_mixture(), linear_beta_schedule())
+    with pytest.raises(ValueError, match=r"a stack of 3 points needs 3 timesteps, got shape \(2,\)"):
+        oracle.predict(np.zeros((3, 2)), np.array([5, 6]), FULL_COND)

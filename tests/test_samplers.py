@@ -57,3 +57,21 @@ def test_sequence_deterministic_given_seed():
 def test_invalid_sampler_configs(kwargs):
     with pytest.raises(ValueError):
         TimestepSampler(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_min", 1.5), ("t_max", 3.5), ("total_steps", 5.0), ("t_min", True),
+    ("t_max", np.True_), ("total_steps", True), ("t_max", "800"),
+])
+def test_sampler_refuses_a_field_that_is_not_an_integer(field, value):
+    """rng.integers would truncate 1.5 and 3.5 and emit t = 1, below t_min."""
+    kwargs = dict(kind=SamplerKind.UNIFORM, t_min=1, t_max=3, total_steps=5)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=rf"{field} must be an integer, got {value!r}"):
+        TimestepSampler(**kwargs)
+
+
+def test_sampler_accepts_numpy_integers():
+    sampler = TimestepSampler(SamplerKind.UNIFORM, np.int64(2), np.int32(4), np.int64(50))
+    ts = timestep_sequence(sampler, np.random.default_rng(0))
+    assert ts.min() >= 2 and ts.max() <= 4
