@@ -13,6 +13,7 @@ remainder, so the counts always sum to the total exactly.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from collections.abc import Iterable
@@ -168,13 +169,19 @@ class SmoothedStepSolver:
     """One-pass solve of the per-step update under the smoothness penalty.
 
     The applied delta solves  delta = -lr * (G + w1 * grad_smooth(delta)),
-    i.e. (I + s L^T L) delta = -lr * G  with  s = lr * w1 * 2 / N.  Its relative
-    error tracks eps * kappa, kappa <= kappa_bound = 1 + s * (2 * dmax)^2 (dmax
-    the largest degree). A system with eps * kappa_bound > SOLVE_TOLERANCE is
-    rejected with a ValueError: on grid_mesh(10, 10) that is lr * w1 > 3.5e9.
-    At the edge of the range an all-ones solve is off by at most 5e-8 on
-    grids up to 100 x 100 and on the icosphere. A negative or non-finite lr or
-    w1 is a ValueError naming it: for s < 0 the system is indefinite.
+    i.e. (I + s L^T L) delta = -lr * G  with  s = lr * w1 * 2 / N.  L is
+    symmetric, so with a = sqrt(s) that matrix is (I - iaL)(I + iaL), and its
+    inverse is the mean of (I - iaL)^-1 and (I + iaL)^-1. For a real b the two
+    are complex conjugates, so delta = Re[(I - iaL)^-1 b]: one complex factor
+    of I - iaL, which has L's sparsity where L^T L has L^2's, per solver.
+    kappa(I + s L^T L) <= kappa_bound = 1 + s * (2 * dmax)^2 (dmax the largest
+    degree), and a system with eps * kappa_bound > SOLVE_TOLERANCE is rejected
+    with a ValueError: on grid_mesh(10, 10) that is lr * w1 > 3.5e9. The factored
+    matrix's condition number is only sqrt(kappa), so the bound is conservative:
+    at its edge a random right-hand side is within 5e-14 of an eigendecomposition
+    reference (relative to its largest entry) on the shipped meshes and
+    grid_mesh(5, 4). A negative or non-finite lr or w1 is a ValueError naming
+    it: for s < 0 the system is indefinite.
     """
 
     def __init__(self, mesh: LatentMesh, w1: float, lr: float):
@@ -196,17 +203,17 @@ class SmoothedStepSolver:
                              f"* kappa_bound must be <= {SOLVE_TOLERANCE:g}")
         import scipy.sparse as sp  # here: toy runs, plots and descents skip its ~0.2 s import
 
-        mat = sp.identity(n, format="csc") + scale * (self.lap.T @ self.lap)
-        # The matrix is symmetric positive definite (L is symmetric), so a
-        # symmetric minimum-degree ordering of A^T + A fills in far less than
-        # splu's default column ordering.
+        mat = sp.identity(n, dtype=complex, format="csc") - 1j * math.sqrt(scale) * self.lap
+        # The matrix is complex symmetric (L is symmetric), so a symmetric
+        # minimum-degree ordering of A^T + A fills in far less than splu's
+        # default column ordering.
         self._solve = sp.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
 
     def step_delta(self, grad: np.ndarray) -> np.ndarray:
         raw = -self.lr * grad
         if self._solve is None:
             return raw
-        return self._solve(raw)
+        return self._solve(raw).real
 
 
 def view_gradient(mesh: LatentMesh, view: ViewSpec, t: int, rng: np.random.Generator,

@@ -318,20 +318,22 @@ def test_solver_solves_the_fixed_point(mesh):
 
 @pytest.mark.parametrize("rows,cols", [(10, 10), (100, 100)])
 def test_step_delta_matches_per_column_lu_solve_bitwise(rows, cols):
+    """One (N, 2) solve equals per-column solves of the same complex factor of
+    I - i*a*L, a = sqrt(s), real part taken."""
     from scipy.sparse import identity
     from scipy.sparse.linalg import splu
 
     big = grid_mesh(rows=rows, cols=cols)
     lr, w1, n = 0.02, 300.0, big.num_vertices
     solver = SmoothedStepSolver(big, w1=w1, lr=lr)
-    lu = splu((identity(n, format="csc")
-               + (lr * w1 * 2.0 / n) * (solver.lap.T @ solver.lap)).tocsc(),
+    a = np.sqrt(lr * w1 * 2.0 / n)
+    lu = splu((identity(n, dtype=complex, format="csc") - 1j * a * solver.lap).tocsc(),
               permc_spec="MMD_AT_PLUS_A")
     rng = np.random.default_rng(rows)
     for _ in range(3):
         grad = rng.standard_normal((n, 2))
         raw = -lr * grad
-        want = np.column_stack([lu.solve(raw[:, d]) for d in range(2)])
+        want = np.column_stack([lu.solve(raw[:, d]).real for d in range(2)])
         np.testing.assert_array_equal(solver.step_delta(grad), want)
 
 
@@ -396,6 +398,40 @@ def test_all_ones_solve_is_accurate_at_the_edge_of_the_range(name):
     assert np.abs(solver.step_delta(-ones) - 1.0).max() <= SOLVE_TOLERANCE
     with pytest.raises(ValueError, match=OUT_OF_RANGE):
         SmoothedStepSolver(big, w1=edge * (1.0 + 1e-9), lr=1.0)
+
+
+@pytest.mark.parametrize("name", ["grid-5x4", "grid-shipped", "icosphere"])
+@pytest.mark.parametrize("where", ["lr-w1-6", "edge"])
+def test_random_solve_matches_the_eigendecomposition(name, where):
+    """Against V diag(1 / (1 + s lam^2)) V^T b from L = V diag(lam) V^T, a random
+    right-hand side comes back within the tolerance, at the default lr * w1 and
+    just inside the edge of the range (L 1 = 0 makes an all-ones one exact)."""
+    big = {"grid-5x4": lambda: grid_mesh(rows=5, cols=4),
+           "grid-shipped": lambda: load_mesh("pkg:grid_mesh.json"),
+           "icosphere": lambda: load_mesh("pkg:icosphere_mesh.json")}[name]()
+    n = big.num_vertices
+    lr_w1 = 6.0 if where == "lr-w1-6" else edge_of_range(big) * (1.0 - 1e-9)
+    solver = SmoothedStepSolver(big, w1=lr_w1, lr=1.0)
+    lam, vec = np.linalg.eigh(build_laplacian(big).toarray())
+    grad = np.random.default_rng(n).standard_normal((n, 2))
+    want = vec @ ((vec.T @ -grad) / (1.0 + (lr_w1 * 2.0 / n) * lam ** 2)[:, None])
+    got = solver.step_delta(grad)
+    assert np.abs(got - want).max() <= SOLVE_TOLERANCE * np.abs(want).max()
+
+
+@pytest.mark.parametrize("w1", [0.0, 300.0], ids=["w1-0", "w1-300"])
+@pytest.mark.parametrize("name", ["grid-5x4", "one-vertex"])
+def test_step_delta_is_real_with_the_gradient_shape(name, w1):
+    """The complex factor stays inside the solver: with_codes would see a complex
+    delta's imaginary part dropped (a ComplexWarning, an error in this suite)."""
+    big = {"grid-5x4": lambda: grid_mesh(rows=5, cols=4),
+           "one-vertex": lambda: LatentMesh(edges=[], codes=[[0.5, -0.5]], regions=[0])}[name]()
+    solver = SmoothedStepSolver(big, w1=w1, lr=0.02)
+    grad = np.random.default_rng(11).standard_normal((big.num_vertices, 2))
+    delta = solver.step_delta(grad)
+    assert delta.dtype == np.float64
+    assert delta.shape == grad.shape
+    big.with_codes(big.codes + delta)
 
 
 @pytest.mark.parametrize("lr, w1, name", [
