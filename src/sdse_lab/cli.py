@@ -194,8 +194,9 @@ def cmd_mesh_edit(args: argparse.Namespace) -> int:
                                  "view_counts": rep.allocation.counts,
                                  "weights": rep.allocation.weights,
                                  "dispersion": rep.dispersion})
-    # The measuring pass that sets the allocation does not depend on w1.
-    alloc = reports[0].allocation
+    # The first listed seed's allocation (summary.json holds each seed's); the
+    # measuring pass that sets it does not depend on w1.
+    alloc = runs[0][1][0].allocation
     regions = sorted(alloc.counts)
     with open(out_dir / "allocation.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# digest={digest}\n")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import expect, number
 from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
 from .mesh import LatentMesh, _laplacian, squared_norms
 from .mixtures import START_POINT, Condition, ConditionedMixture, FULL_COND, IMAGE_COND
@@ -81,8 +82,7 @@ def convergence_check(traj: Trajectory, modes: np.ndarray, tol: float = 0.05,
     EMA stalled below grad_tol while still far from every mode. Diverged: the
     norm guard tripped. Otherwise wandering.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    expect(number(tol, "tol") > 0, "tol", "must be > 0")
     modes = np.atleast_2d(np.asarray(modes, dtype=float))
     final = traj.final_theta
     with np.errstate(over="ignore" if traj.guard_tripped else None):  # the guard named it
@@ -230,13 +230,15 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     raises ValueError naming the seed and the step; codes of another dimension
     than the mixture's, start codes already past the guard, or a timestep range
     outside [1, T] (outside [1, middle_max] when a region targets FULL_COND,
-    whose staged estimator refuses larger t) raise it before any step, as do
-    views_per_step or first_batch above MAX_VIEWS_PER_STEP.
+    whose staged estimator refuses larger t) raise it before any step, as do a
+    config steps that is not an integer >= 1 and a views_per_step or first_batch
+    that is not an integer in [1, MAX_VIEWS_PER_STEP].
     """
-    for name in ("views_per_step", "first_batch"):
-        if getattr(config, name) > MAX_VIEWS_PER_STEP:
-            raise ValueError(f"{name} = {getattr(config, name)} exceeds the "
-                             f"{MAX_VIEWS_PER_STEP} views one step may hold")
+    steps = number(config.steps, "steps", integer=True, minimum=1)
+    views_per_step = number(config.views_per_step, "views_per_step", integer=True,
+                            minimum=1, maximum=MAX_VIEWS_PER_STEP)
+    first_batch = number(config.first_batch, "first_batch", integer=True, minimum=1,
+                         maximum=MAX_VIEWS_PER_STEP)
     if mesh.latent_dim != mix.dim:
         raise ValueError(f"mesh codes are {mesh.latent_dim}-D but the mixture is "
                          f"{mix.dim}-D; they must match")
@@ -262,20 +264,20 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
         current = mesh
 
         # Measuring pass: uniformly spread views, streamed into the region weights.
-        base_counts = allocate_views(uniform, config.first_batch)
+        base_counts = allocate_views(uniform, first_batch)
         weights_map = region_weights(
             (view_gradient(current, view, t, rng, oracle, profile[view.region],
                            config.weights, config.thresholds)
              for view, t in _draw_views(current, base_counts.counts, rng, config)),
             current)
         allocation = allocate_views(weights_map if config.allocator else uniform,
-                                    config.views_per_step)
+                                    views_per_step)
 
         grad_rows = []
         hit = None
         # A step that overflows leaves the divergence guard, which names it.
         with np.errstate(over="ignore"):
-            for step in range(1, config.steps + 1):
+            for step in range(1, steps + 1):
                 batch = list(_draw_views(current, allocation.counts, rng, config))
                 try:
                     current, row = edit_step(current, batch, oracle, profile, rng, solver,

@@ -10,6 +10,7 @@ the value with the type JSON gave it, or raises a ConfigError reading
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from importlib.resources import files
 from pathlib import Path
@@ -78,9 +79,10 @@ def get(obj, path: str, read, *args, default=None, **opts):
 
 
 def number(value, path: str, integer: bool = False, minimum=None, maximum=None):
-    """A finite JSON number (not a bool) within [minimum, maximum]; an int if `integer`."""
+    """A finite real number (not a bool or numpy bool) within [minimum, maximum]; an
+    int if `integer`. Config readers and the Python entry points both read through it."""
     # plain ifs rather than expect(): array() calls this once per element
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(path, "expected a number")
     if not abs(value) <= sys.float_info.max:  # also NaN and ints beyond the float range
         raise ConfigError(path, "expected a finite number")

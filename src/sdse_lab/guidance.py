@@ -18,11 +18,11 @@ refuses large timesteps outright.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import number
 from .mixtures import FULL_COND, IMAGE_COND, UNCONDITIONED
 from .oracle import NoiseOracle
 
@@ -35,10 +35,8 @@ class GuidanceWeights:
     omega_i: float = 1.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_t) and math.isfinite(self.omega_i)):
-            raise ValueError("guidance scales must be finite")
-        if self.omega_t < 0 or self.omega_i < 0:
-            raise ValueError("guidance scales must be >= 0")
+        number(self.omega_t, "omega_t", minimum=0.0)
+        number(self.omega_i, "omega_i", minimum=0.0)
 
 
 @dataclass(frozen=True)

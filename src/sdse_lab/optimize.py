@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fields import expect, number
 from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds, term_residual
 from .mixtures import ConditionedMixture
 from .oracle import NoiseOracle
@@ -160,12 +161,11 @@ def optimize_seeds(theta0, kind: EstimatorKind, sampler: TimestepSampler,
     if not within_guard(theta):
         raise ValueError(f"theta0 lies beyond the divergence guard: its norm must be "
                          f"<= {DIVERGENCE_GUARD:g}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not seeds:
-        raise ValueError("seeds must hold at least one seed")
-    if not 0 <= lr < np.inf:
-        raise ValueError(f"lr must be a finite number >= 0, got {lr}")
+    steps = number(steps, "steps", integer=True, minimum=1)
+    lr = number(lr, "lr", minimum=0.0)
+    expect(len(seeds) > 0, "seeds", "must hold at least one seed")
+    seeds = [number(seed, f"seeds[{i}]", integer=True, minimum=0)
+             for i, seed in enumerate(seeds)]
     if sampler.t_max > sched.num_steps:
         raise ValueError(f"sampler t_max = {sampler.t_max} lies beyond the schedule's "
                          f"{sched.num_steps} steps")

@@ -75,7 +75,7 @@ class NoiseOracle:
         # Keyed by plain (text, image) tuples: Condition's dataclass __hash__ runs in Python.
         self._supports: dict[tuple[bool, bool], tuple[np.ndarray, np.ndarray]] = {}
         self._density_log_wts: np.ndarray | None = None
-        self._eval_key: tuple[int, bytes] | None = None
+        self._eval_key: tuple | None = None
         self._eval_val: tuple[float, tuple] | None = None
 
     def _support(self, cond: Condition) -> tuple[np.ndarray, np.ndarray]:
@@ -89,16 +89,15 @@ class NoiseOracle:
         """eps_hat(z_t, t, cond) at a point (d,), or row by row at a stack of points
         (S, d) with timesteps t (S,); ValueError naming a t outside [1, T]."""
         z_t = np.asarray(z_t, dtype=float)
-        if z_t.ndim == 1:
-            key = (t, z_t.tobytes())
+        if z_t.ndim == 1:  # the type too: a bool equals 0 or 1 and must not hit their row
+            key = (type(t), t, z_t.tobytes())
         else:
             t = np.asarray(t)
             if t.shape != z_t.shape[:1]:
                 raise ValueError(f"a stack of {len(z_t)} points needs {len(z_t)} timesteps, "
                                  f"got shape {t.shape}")
             key = (t.dtype, t.tobytes(), z_t.tobytes())
-        # a bool equals 0 or 1, so it must not hit a cached row
-        if key != self._eval_key or (type(t) is not int and isinstance(t, (bool, np.bool_))):
+        if key != self._eval_key:
             row = self.schedule.index(t)  # before the read: row -1 would wrap silently
             neg_sigma = (-self.schedule.sigmas.item(row) if z_t.ndim == 1
                          else -self.schedule.sigmas[row][:, None])

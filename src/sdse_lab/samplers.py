@@ -9,10 +9,11 @@ sequence never increases.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fields import expect, number
 
 
 class SamplerKind(enum.Enum):
@@ -29,24 +30,18 @@ class TimestepSampler:
     jitter: float = 0.0
 
     def __post_init__(self):
-        for name in ("t_min", "t_max", "total_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.t_min <= self.t_max:
-            raise ValueError("need 1 <= t_min <= t_max")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
+        for name in ("t_min", "t_max", "total_steps"):  # rng.integers would truncate 1.5
+            object.__setattr__(self, name,
+                               number(getattr(self, name), name, integer=True, minimum=1))
+        expect(self.t_min <= self.t_max, "t_max", "must be >= t_min")
+        number(self.jitter, "jitter", minimum=0.0)
 
 
 def timestep_sequence(sampler: TimestepSampler, rng: np.random.Generator,
                       steps: int | None = None) -> np.ndarray:
     """Full emitted timestep sequence for a run, deterministic given the rng state."""
-    n = sampler.total_steps if steps is None else int(steps)
-    if n < 1:
-        raise ValueError("steps must be >= 1")
+    n = sampler.total_steps if steps is None else number(steps, "steps", integer=True,
+                                                         minimum=1)
     if sampler.kind is SamplerKind.UNIFORM:
         return rng.integers(sampler.t_min, sampler.t_max + 1, size=n).astype(int)
     env = np.linspace(sampler.t_max, sampler.t_min, n)  # [t_max] when n == 1

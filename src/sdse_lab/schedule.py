@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import number
+
 
 @dataclass(frozen=True, eq=False)
 class NoiseSchedule:
@@ -72,6 +74,5 @@ def linear_beta_schedule(num_steps: int = 1000) -> NoiseSchedule:
 
     The standard schedule: num_steps betas evenly spaced over [1e-4, 2e-2].
     """
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
+    num_steps = number(num_steps, "num_steps", integer=True, minimum=1)
     return NoiseSchedule(np.cumprod(1.0 - np.linspace(1e-4, 2e-2, num_steps)))

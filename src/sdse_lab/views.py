@@ -14,13 +14,13 @@ remainder, so the counts always sum to the total exactly.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import number
 from .guidance import GuidanceWeights, StageThresholds, sdse_residual
 from .mesh import LatentMesh, build_laplacian, smoothness_loss
 from .mixtures import Condition, FULL_COND, IMAGE_COND
@@ -44,8 +44,7 @@ def make_view(mesh: LatentMesh, region: int, rng: np.random.Generator,
 
     `support` is an integer >= 1, or a ValueError naming it is raised before any draw.
     """
-    if isinstance(support, bool) or not isinstance(support, numbers.Integral) or support < 1:
-        raise ValueError(f"support must be an integer >= 1, got {support!r}")
+    support = number(support, "support", integer=True, minimum=1)
     verts = mesh.region_vertices(region)
     if verts.size == 0:
         raise ValueError(f"region {region} has no vertices")
@@ -115,9 +114,7 @@ def allocate_views(weights: dict[int, float], total: int) -> RegionAllocation:
     `total` is an integer in [0, MAX_VIEW_TOTAL] and `weights` names at least
     one region; anything else is a ValueError naming the argument.
     """
-    if (isinstance(total, bool) or not isinstance(total, numbers.Integral)
-            or not 0 <= total <= MAX_VIEW_TOTAL):
-        raise ValueError(f"total must be an integer in [0, {MAX_VIEW_TOTAL}], got {total!r}")
+    total = number(total, "total", integer=True, minimum=0, maximum=MAX_VIEW_TOTAL)
     if not weights:
         raise ValueError("weights must name at least one region")
     regions = sorted(weights)
@@ -177,17 +174,18 @@ class SmoothedStepSolver:
     kappa(I + s L^T L) <= kappa_bound = 1 + s * (2 * dmax)^2 (dmax the largest
     degree), and a system with eps * kappa_bound > SOLVE_TOLERANCE is rejected
     with a ValueError: on grid_mesh(10, 10) that is lr * w1 > 3.5e9. The factored
-    matrix's condition number is only sqrt(kappa), so the bound is conservative:
-    at its edge a random right-hand side is within 5e-14 of an eigendecomposition
-    reference (relative to its largest entry) on the shipped meshes and
-    grid_mesh(5, 4). A negative or non-finite lr or w1 is a ValueError naming
-    it: for s < 0 the system is indefinite.
+    matrix's condition number is only sqrt(kappa), but that bounds the error of
+    the complex solution, and for a high-frequency b the real part is about
+    a * lambda times smaller than it. So the bound is needed: on grid_mesh(10, 10)
+    L's top eigenvector comes back within 2.5e-7 of an eigendecomposition
+    reference (relative to its largest entry) at the edge, but only within 7e-5
+    at lr * w1 = 1e12, while a random b stays within 5e-14 at either. A negative
+    or non-finite lr or w1 is a ValueError naming it: for s < 0 the system is
+    indefinite.
     """
 
     def __init__(self, mesh: LatentMesh, w1: float, lr: float):
-        for name, value in (("lr", lr), ("w1", w1)):
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+        lr, w1 = number(lr, "lr", minimum=0.0), number(w1, "w1", minimum=0.0)
         self.lap = build_laplacian(mesh)
         self.lr = float(lr)
         n = mesh.num_vertices

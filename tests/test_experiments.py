@@ -67,6 +67,16 @@ def test_nan_distance_rejected():
         convergence_check(traj, MODES, tol=0.05)
 
 
+@pytest.mark.parametrize("tol, message", [
+    (np.nan, "expected a finite number"), (0.0, "must be > 0"), (True, "expected a number"),
+], ids=["nan", "zero", "bool"])
+def test_tol_that_is_not_a_positive_finite_number_is_refused(tol, message):
+    """A NaN tol used to be taken, and no run could then be CONVERGED."""
+    traj = make_traj([[0.5, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=f"^tol: {message}$"):
+        convergence_check(traj, MODES, tol=tol)
+
+
 def test_moving_far_iterate_is_wandering():
     rng = np.random.default_rng(0)
     thetas = rng.uniform(-1, 3, size=(80, 2))
@@ -308,15 +318,24 @@ def test_mesh_edit_refuses_a_bad_timestep_range_before_any_step(t_min, t_max):
                       config=MeshEditConfig(steps=1, t_min=t_min, t_max=t_max))
 
 
-@pytest.mark.parametrize("field, value", [("w1", -300.0), ("lr", -0.02)])
-def test_mesh_edit_refuses_a_negative_step_setting_before_any_view(monkeypatch, field, value):
+@pytest.mark.parametrize("field, value, message", [
+    ("w1", -300.0, "must be >= 0.0"), ("lr", -0.02, "must be >= 0.0"),
+    ("steps", 0, "must be >= 1"), ("steps", 2.5, "expected an integer"),
+    ("steps", True, "expected a number"), ("views_per_step", 0, "must be >= 1"),
+    ("first_batch", 2.5, "expected an integer"),
+], ids=["w1--300.0", "lr--0.02", "steps-zero", "steps-fractional", "steps-bool", "views-zero",
+        "first-batch-fractional"])
+def test_mesh_edit_refuses_a_negative_step_setting_before_any_view(monkeypatch, field, value,
+                                                                   message):
+    """steps = 0 used to run no step and report nothing, and 2.5 ended in numpy's
+    TypeError."""
     def no_view(*args):
         raise AssertionError("a view was drawn")
 
     monkeypatch.setattr(experiments, "make_view", no_view)
     mesh = grid_mesh(rows=5, cols=5, num_regions=5)
-    config = MeshEditConfig(steps=1, **{field: value})
-    with pytest.raises(ValueError, match=rf"^{field} must be a finite number >= 0, got {value}$"):
+    config = MeshEditConfig(**{"steps": 1, field: value})
+    with pytest.raises(ValueError, match=f"^{field}: {re.escape(message)}$"):
         run_mesh_edit(mesh, "head_dominant", MIX, SCHED, seeds=[0], config=config)
 
 
@@ -343,9 +362,7 @@ def test_mesh_edit_refuses_more_views_than_a_step_may_hold(monkeypatch, field):
 
     monkeypatch.setattr(experiments, "_draw_views", no_draw)
     config = MeshEditConfig(steps=1, **{field: MAX_VIEWS_PER_STEP + 1})
-    message = (f"{field} = {MAX_VIEWS_PER_STEP + 1} exceeds the {MAX_VIEWS_PER_STEP} "
-               f"views one step may hold")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{field}: must be <= {MAX_VIEWS_PER_STEP}$"):
         run_mesh_edit(grid_mesh(rows=5, cols=5, num_regions=5), "head_dominant", MIX, SCHED,
                       seeds=[0], config=config)
 

@@ -61,6 +61,17 @@ def test_cfg_direct_substitution():
     np.testing.assert_allclose(out, [1.5, 15.0])
 
 
+@pytest.mark.parametrize("field", ["omega_t", "omega_i"])
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "expected a finite number"), (-np.inf, "expected a finite number"),
+    (-1.0, "must be >= 0.0"), (True, "expected a number"),
+], ids=["nan", "-inf", "negative", "bool"])
+def test_guidance_scale_that_is_not_a_finite_number_of_at_least_zero_is_refused(
+        field, value, message):
+    with pytest.raises(ValueError, match=f"^{field}: {message}$"):
+        GuidanceWeights(**{field: value})
+
+
 def test_cfg_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         cfg_combine([0.0], [1.0, 0.0], [1.0, 2.0], W_DEFAULT)

@@ -72,6 +72,44 @@ def test_non_finite_lr_rejected(setup, lr):
                        mix, sched, lr=lr, steps=20, seed=0)
 
 
+@pytest.mark.parametrize("steps, message", [
+    (2.5, "steps: expected an integer"), (True, "steps: expected a number"),
+    (0, "steps: must be >= 1"),
+], ids=["fractional", "bool", "zero"])
+def test_steps_not_an_integer_of_at_least_one_is_refused(setup, steps, message):
+    """2.5 and True used to end in numpy's TypeError while sizing the log."""
+    mix, sched = setup
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        optimize_point([0.5, 1.0], EstimatorKind.SDSE, uniform(1, 800, 20),
+                       mix, sched, lr=1e-2, steps=steps, seed=0)
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ([1.5], "seeds[0]: expected an integer"), ([True], "seeds[0]: expected a number"),
+    ([-1], "seeds[0]: must be >= 0"), ([0, np.nan], "seeds[1]: expected a finite number"),
+], ids=["fractional", "bool", "negative", "nan-second"])
+def test_seed_that_is_not_a_non_negative_integer_is_refused_naming_it(setup, seeds, message):
+    """A bool seed used to run as the seed True; 1.5 and -1 ended in numpy's errors,
+    which name no seed."""
+    mix, sched = setup
+    args = ([0.5, 1.0], EstimatorKind.SDSE, uniform(1, 800, 20), mix, sched, 1e-2, 20)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        optimize_seeds(*args, seeds)
+    if len(seeds) == 1:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optimize_point(*args, seeds[0])
+
+
+def test_integral_seed_and_steps_are_read_as_ints(setup):
+    mix, sched = setup
+    traj, = optimize_seeds([0.5, 1.0], EstimatorKind.SDSE, uniform(1, 800, 20), mix, sched,
+                           1e-2, np.int64(20), [np.int64(3)])
+    want = optimize_point([0.5, 1.0], EstimatorKind.SDSE, uniform(1, 800, 20), mix, sched,
+                          lr=1e-2, steps=20, seed=3)
+    assert type(traj.seed) is int and traj.seed == 3
+    assert traj.thetas.tobytes() == want.thetas.tobytes()
+
+
 def _reference_descent(theta0, kind, sampler, mix, sched, lr, steps, seed):
     """The descent written out step by step: diffuse with sqrt_ab[t-1] and sigma[t-1],
     take the residual, step, log the densities, stop once the guard trips."""

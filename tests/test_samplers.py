@@ -59,19 +59,50 @@ def test_invalid_sampler_configs(kwargs):
         TimestepSampler(**kwargs)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("t_min", 1.5), ("t_max", 3.5), ("total_steps", 5.0), ("t_min", True),
-    ("t_max", np.True_), ("total_steps", True), ("t_max", "800"),
-])
-def test_sampler_refuses_a_field_that_is_not_an_integer(field, value):
+@pytest.mark.parametrize("field, value, message", [
+    ("t_min", 1.5, "expected an integer"), ("t_max", 3.5, "expected an integer"),
+    ("t_min", True, "expected a number"), ("t_max", np.True_, "expected a number"),
+    ("total_steps", True, "expected a number"), ("t_max", "800", "expected a number"),
+], ids=["t_min-1.5", "t_max-3.5", "t_min-True", "t_max-value4", "total_steps-True", "t_max-800"])
+def test_sampler_refuses_a_field_that_is_not_an_integer(field, value, message):
     """rng.integers would truncate 1.5 and 3.5 and emit t = 1, below t_min."""
     kwargs = dict(kind=SamplerKind.UNIFORM, t_min=1, t_max=3, total_steps=5)
     kwargs[field] = value
-    with pytest.raises(ValueError, match=rf"{field} must be an integer, got {value!r}"):
+    with pytest.raises(ValueError, match=f"^{field}: {message}$"):
         TimestepSampler(**kwargs)
+
+
+def test_sampler_reads_an_integral_float_as_an_int():
+    """The JSON rule: 5.0 is the integer 5."""
+    sampler = TimestepSampler(SamplerKind.UNIFORM, t_min=1, t_max=3, total_steps=5.0)
+    assert sampler.total_steps == 5 and type(sampler.total_steps) is int
+
+
+@pytest.mark.parametrize("jitter, message", [
+    (np.nan, "expected a finite number"), (np.inf, "expected a finite number"),
+    (-1.0, "must be >= 0.0"), (True, "expected a number"),
+], ids=["nan", "inf", "negative", "bool"])
+def test_sampler_refuses_a_jitter_that_is_not_a_finite_number_of_at_least_zero(jitter, message):
+    """A NaN jitter used to sample with no jitter at all (NaN > 0 is false)."""
+    with pytest.raises(ValueError, match=f"^jitter: {message}$"):
+        TimestepSampler(SamplerKind.NON_INCREASING, 1, 800, 100, jitter=jitter)
+
+
+@pytest.mark.parametrize("steps, message", [
+    (2.5, "expected an integer"), (0, "must be >= 1"), (True, "expected a number"),
+], ids=["fractional", "zero", "bool"])
+def test_sequence_refuses_steps_that_are_not_an_integer_of_at_least_one(steps, message):
+    """2.5 used to cut the run to 2 steps; refused before any draw."""
+    sampler = TimestepSampler(SamplerKind.UNIFORM, 1, 800, 100)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^steps: {message}$"):
+        timestep_sequence(sampler, rng, steps)
+    assert rng.bit_generator.state == state
 
 
 def test_sampler_accepts_numpy_integers():
     sampler = TimestepSampler(SamplerKind.UNIFORM, np.int64(2), np.int32(4), np.int64(50))
+    assert [type(v) for v in (sampler.t_min, sampler.t_max, sampler.total_steps)] == [int] * 3
     ts = timestep_sequence(sampler, np.random.default_rng(0))
     assert ts.min() >= 2 and ts.max() <= 4

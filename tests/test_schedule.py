@@ -37,6 +37,16 @@ def test_invalid_schedules_rejected(bad):
         NoiseSchedule(np.asarray(bad, dtype=float))
 
 
+@pytest.mark.parametrize("num_steps, message", [
+    (2.5, "expected an integer"), (0, "must be >= 1"), (True, "expected a number"),
+], ids=["fractional", "zero", "bool"])
+def test_linear_schedule_refuses_a_step_count_that_is_not_an_integer_of_at_least_one(
+        num_steps, message):
+    """2.5 used to end in numpy's TypeError inside linspace."""
+    with pytest.raises(ValueError, match=f"^num_steps: {message}$"):
+        linear_beta_schedule(num_steps)
+
+
 def test_timestep_range_checked():
     sched = linear_beta_schedule(num_steps=10)
     with pytest.raises(ValueError):

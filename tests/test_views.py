@@ -68,11 +68,14 @@ def test_make_view_draws_match_choice_and_dirichlet_bitwise():
             assert got_rng.random() == want_rng.random()
 
 
-@pytest.mark.parametrize("support", [0, -2, 2.5, True], ids=["zero", "negative", "float", "bool"])
-def test_make_view_refuses_a_bad_support_before_any_draw(mesh, support):
+@pytest.mark.parametrize("support, message", [
+    (0, "must be >= 1"), (-2, "must be >= 1"), (2.5, "expected an integer"),
+    (True, "expected a number"),
+], ids=["zero", "negative", "float", "bool"])
+def test_make_view_refuses_a_bad_support_before_any_draw(mesh, support, message):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match=rf"^support must be an integer >= 1, got {support!r}$"):
+    with pytest.raises(ValueError, match=f"^support: {message}$"):
         make_view(mesh, 0, rng, support)
     assert rng.bit_generator.state == state
 
@@ -268,17 +271,17 @@ def test_weight_that_is_not_finite_and_non_negative_is_refused_naming_its_region
 
 
 @pytest.mark.parametrize("weights, total, message", [
-    ({0: 1.0}, 10**20, "total must be an integer in"),
-    ({0: 1.0}, MAX_VIEW_TOTAL + 1, "total must be an integer in"),
-    ({0: 1.0}, -1, "total must be an integer in"),
-    ({0: 1.0}, 2.5, "total must be an integer in"),
-    ({0: 1.0}, True, "total must be an integer in"),
+    ({0: 1.0}, 10**20, f"total: must be <= {MAX_VIEW_TOTAL}"),
+    ({0: 1.0}, MAX_VIEW_TOTAL + 1, f"total: must be <= {MAX_VIEW_TOTAL}"),
+    ({0: 1.0}, -1, "total: must be >= 0"),
+    ({0: 1.0}, 2.5, "total: expected an integer"),
+    ({0: 1.0}, True, "total: expected a number"),
     ({}, 3, "weights must name at least one region"),
 ], ids=["beyond-int64", "beyond-bound", "negative", "fractional", "bool", "no-regions"])
 def test_bad_total_or_empty_weights_is_refused_naming_it(weights, total, message):
     """Without the check 10**20 wraps to a negative count, 2.5 fails inside
     numpy and no regions drops the views."""
-    with pytest.raises(ValueError, match=f"^{message}"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         allocate_views(weights, total)
 
 
@@ -401,11 +404,15 @@ def test_all_ones_solve_is_accurate_at_the_edge_of_the_range(name):
 
 
 @pytest.mark.parametrize("name", ["grid-5x4", "grid-shipped", "icosphere"])
-@pytest.mark.parametrize("where", ["lr-w1-6", "edge"])
+@pytest.mark.parametrize("where", ["lr-w1-6", "edge", "edge-top-eigenvector",
+                                   "edge-second-eigenvector"])
 def test_random_solve_matches_the_eigendecomposition(name, where):
     """Against V diag(1 / (1 + s lam^2)) V^T b from L = V diag(lam) V^T, a random
     right-hand side comes back within the tolerance, at the default lr * w1 and
-    just inside the edge of the range (L 1 = 0 makes an all-ones one exact)."""
+    just inside the edge of the range (L 1 = 0 makes an all-ones one exact). So
+    do L's top two eigenvectors at the edge: the answer there is about a lam times
+    smaller than the complex solve whose real part it is, and its error comes
+    closest to the tolerance (3.5e-8 to 2.5e-7 here)."""
     big = {"grid-5x4": lambda: grid_mesh(rows=5, cols=4),
            "grid-shipped": lambda: load_mesh("pkg:grid_mesh.json"),
            "icosphere": lambda: load_mesh("pkg:icosphere_mesh.json")}[name]()
@@ -414,6 +421,9 @@ def test_random_solve_matches_the_eigendecomposition(name, where):
     solver = SmoothedStepSolver(big, w1=lr_w1, lr=1.0)
     lam, vec = np.linalg.eigh(build_laplacian(big).toarray())
     grad = np.random.default_rng(n).standard_normal((n, 2))
+    if where.endswith("eigenvector"):
+        top = vec[:, -1 if where == "edge-top-eigenvector" else -2]
+        grad = np.column_stack([top, -0.5 * top])
     want = vec @ ((vec.T @ -grad) / (1.0 + (lr_w1 * 2.0 / n) * lam ** 2)[:, None])
     got = solver.step_delta(grad)
     assert np.abs(got - want).max() <= SOLVE_TOLERANCE * np.abs(want).max()
@@ -434,14 +444,15 @@ def test_step_delta_is_real_with_the_gradient_shape(name, w1):
     big.with_codes(big.codes + delta)
 
 
-@pytest.mark.parametrize("lr, w1, name", [
-    (0.02, -300.0, "w1"), (-0.02, 300.0, "lr"), (np.nan, 0.0, "lr"), (np.inf, 0.0, "lr"),
-    (0.02, np.nan, "w1"), (0.02, np.inf, "w1"),
+@pytest.mark.parametrize("lr, w1, message", [
+    (0.02, -300.0, "w1: must be >= 0.0"), (-0.02, 300.0, "lr: must be >= 0.0"),
+    (np.nan, 0.0, "lr: expected a finite number"), (np.inf, 0.0, "lr: expected a finite number"),
+    (0.02, np.nan, "w1: expected a finite number"), (0.02, np.inf, "w1: expected a finite number"),
 ], ids=["w1-negative", "lr-negative", "lr-nan", "lr-inf", "w1-nan", "w1-inf"])
-def test_solver_refuses_a_negative_or_non_finite_lr_or_w1(mesh, lr, w1, name):
+def test_solver_refuses_a_negative_or_non_finite_lr_or_w1(mesh, lr, w1, message):
     """For s < 0 the system is indefinite and its condition bound does not hold;
     a non-finite lr at w1 = 0 would only show as diverged codes at step 1."""
-    with pytest.raises(ValueError, match=rf"^{name} must be a finite number >= 0, got "):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         SmoothedStepSolver(mesh, w1=w1, lr=lr)
 
 
