@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
-from .experiments import MAX_VIEWS_PER_STEP, PROFILES, MeshEditConfig
+from .experiments import PROFILES, MeshEditConfig
 from .fields import boolean, choice, expect, get, items, known_fields, number, text
 from .fields import resolve_data_path  # noqa: F401  (imported from here by callers)
 from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds
@@ -25,20 +25,16 @@ from .schedule import linear_beta_schedule
 def parse_thresholds(cfg: dict) -> StageThresholds:
     """The config's staging thresholds {"M": small_max, "L": middle_max}."""
     th = cfg.get("thresholds", {})
-    default = StageThresholds()
-    small = get(th, "thresholds.M", number, default=default.small_max, integer=True,
+    small = get(th, "thresholds.M", number, default=StageThresholds.small_max, integer=True,
                 minimum=1)
-    middle = get(th, "thresholds.L", number, default=default.middle_max, integer=True,
-                 minimum=2)
+    middle = get(th, "thresholds.L", number, default=StageThresholds.middle_max,
+                 integer=True, minimum=2)
     expect(small < middle, "thresholds.L", "must exceed thresholds.M")
     return StageThresholds(small_max=small, middle_max=middle)
 
 
 def _parse_weights(cfg: dict) -> GuidanceWeights:
-    default = GuidanceWeights()
-    return GuidanceWeights(
-        omega_t=get(cfg, "omega_t", number, default=default.omega_t, minimum=0.0),
-        omega_i=get(cfg, "omega_i", number, default=default.omega_i, minimum=0.0))
+    return GuidanceWeights(**{key: cfg[key] for key in ("omega_t", "omega_i") if key in cfg})
 
 
 def _distinct(values, path: str, key=lambda value: value):
@@ -59,6 +55,9 @@ ESTIMATOR_NAMES = {k.value: k for k in EstimatorKind}
 SAMPLER_NAMES = {k.value: k for k in SamplerKind}
 # Both commands run on the standard linear-beta schedule; samplers must stay inside it.
 SCHEDULE_STEPS = linear_beta_schedule().num_steps
+# Mesh-edit keys passed to MeshEditConfig as the file gives them; the record reads them.
+EDIT_KEYS = ("steps", "views_per_step", "first_batch", "lr", "allocator", "support",
+             "threshold_distance")
 
 
 def _timestep_range(obj: dict, prefix: str, thresholds: StageThresholds,
@@ -172,9 +171,8 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
     mesh_path = get(cfg, "mesh_path", text)
     mixture_path = get(cfg, "mixture_path", text)
     profile = get(cfg, "profile", choice, PROFILES, default="head_dominant")
-    default = MeshEditConfig()
 
-    w1 = cfg.get("w1", default.w1)
+    w1 = cfg.get("w1", MeshEditConfig.w1)
     if isinstance(w1, list):
         # a repeat is an equal number (0.0, -0.0) or one that writes the same w1_{:g} file
         w1_values = _distinct(tuple(float(v) for v in items(w1, "w1", number, minimum=0.0)),
@@ -184,28 +182,15 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
 
     thresholds = parse_thresholds(cfg)
     t_min, t_max = _timestep_range(cfg, "", thresholds, "the SDSE mesh edit")
-    edit = MeshEditConfig(
-        steps=get(cfg, "steps", number, default=default.steps, integer=True, minimum=1),
-        views_per_step=get(cfg, "views_per_step", number, default=default.views_per_step,
-                           integer=True, minimum=1, maximum=MAX_VIEWS_PER_STEP),
-        first_batch=get(cfg, "first_batch", number, default=default.first_batch,
-                        integer=True, minimum=1, maximum=MAX_VIEWS_PER_STEP),
-        lr=get(cfg, "lr", number, default=default.lr, minimum=0.0),
-        w1=w1_values[0], allocator=get(cfg, "allocator", boolean, default=default.allocator),
-        t_min=t_min, t_max=t_max,
-        support=get(cfg, "support", number, default=default.support, integer=True,
-                    minimum=1),
-        threshold_distance=get(cfg, "threshold_distance", number,
-                               default=default.threshold_distance, minimum=0.0),
-        weights=_parse_weights(cfg), thresholds=thresholds)
+    edit = MeshEditConfig(**{key: cfg[key] for key in EDIT_KEYS if key in cfg}, t_min=t_min,
+                          t_max=t_max, w1=w1_values[0], weights=_parse_weights(cfg),
+                          thresholds=thresholds)
     seeds = _parse_seeds(cfg)
 
     raw = {
         "mesh_path": mesh_path, "mixture_path": mixture_path, "profile": profile,
-        "w1": list(w1_values), "allocator": edit.allocator, "steps": edit.steps,
-        "views_per_step": edit.views_per_step, "first_batch": edit.first_batch,
-        "lr": edit.lr, "t_min": t_min, "t_max": t_max, "support": edit.support,
-        "threshold_distance": edit.threshold_distance,
+        "w1": list(w1_values), "t_min": t_min, "t_max": t_max,
+        **{key: getattr(edit, key) for key in EDIT_KEYS},
         "omega_t": edit.weights.omega_t, "omega_i": edit.weights.omega_i,
         "thresholds": {"M": edit.thresholds.small_max, "L": edit.thresholds.middle_max},
         "seeds": list(seeds),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import expect, number
+from .fields import boolean, expect, number, seed_list
 from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
 from .mesh import LatentMesh, _laplacian, squared_norms
 from .mixtures import START_POINT, Condition, ConditionedMixture, FULL_COND, IMAGE_COND
@@ -109,6 +109,7 @@ def run_full_schedule(estimator: EstimatorKind, sampler: TimestepSampler,
                       theta0=START_POINT) -> list[tuple[Trajectory, ConvergenceReport]]:
     """Full scheduled runs at the default guidance weights and staging thresholds,
     plus convergence classification against the joint modes."""
+    seeds = seed_list(seeds)
     oracle = NoiseOracle(mix, sched)
     modes = mix.mode_points(FULL_COND)
     out = []
@@ -137,6 +138,10 @@ MAX_VIEWS_PER_STEP = 75_000
 
 @dataclass(frozen=True)
 class MeshEditConfig:
+    """One edit's settings, read by `fields.number` when built (a ConfigError names the field):
+    integers >= 1 with t_min <= t_max, view counts <= MAX_VIEWS_PER_STEP, finite lr, w1 and
+    threshold_distance >= 0, and an `allocator` that is true or false."""
+
     steps: int = 400
     views_per_step: int = 10
     first_batch: int = 250
@@ -149,6 +154,16 @@ class MeshEditConfig:
     threshold_distance: float = 0.5
     weights: GuidanceWeights = GuidanceWeights()
     thresholds: StageThresholds = StageThresholds()
+
+    def __post_init__(self):
+        count, real = {"integer": True, "minimum": 1}, {"minimum": 0.0}
+        views = dict(count, maximum=MAX_VIEWS_PER_STEP)
+        for name, rule in (("steps", count), ("views_per_step", views), ("first_batch", views),
+                           ("lr", real), ("w1", real), ("t_min", count), ("t_max", count),
+                           ("support", count), ("threshold_distance", real)):
+            object.__setattr__(self, name, number(getattr(self, name), name, **rule))
+        boolean(self.allocator, "allocator")
+        expect(self.t_min <= self.t_max, "t_max", "must be >= t_min")
 
 
 @dataclass
@@ -223,22 +238,16 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
                   config: MeshEditConfig = MeshEditConfig()) -> list[EditReport]:
     """Edit the mesh codes per seed, reporting allocation, progress, and dispersion.
 
-    The gradient-aware allocation is computed from the first iteration's
-    uniformly-spread measuring batch only and stays fixed for the whole run;
-    the measuring batch does not move the codes, so allocator on/off pairs
-    start identically. A step that takes a code past the divergence guard
-    raises ValueError naming the seed and the step; codes of another dimension
-    than the mixture's, start codes already past the guard, or a timestep range
-    outside [1, T] (outside [1, middle_max] when a region targets FULL_COND,
-    whose staged estimator refuses larger t) raise it before any step, as do a
-    config steps that is not an integer >= 1 and a views_per_step or first_batch
-    that is not an integer in [1, MAX_VIEWS_PER_STEP].
+    The gradient-aware allocation is computed from the first iteration's uniformly-spread
+    measuring batch only and stays fixed for the whole run; the measuring batch does not
+    move the codes, so allocator on/off pairs start identically. A step that takes a code
+    past the divergence guard raises ValueError naming the seed and the step. Refused before
+    any draw (the config read its own fields when built): seeds that `fields.seed_list`
+    refuses (a ConfigError naming seeds[i]), codes of another dimension than the mixture's
+    or past the guard, and a t_max beyond T, or beyond middle_max when a region targets
+    FULL_COND, whose staged estimator refuses larger t (a ValueError).
     """
-    steps = number(config.steps, "steps", integer=True, minimum=1)
-    views_per_step = number(config.views_per_step, "views_per_step", integer=True,
-                            minimum=1, maximum=MAX_VIEWS_PER_STEP)
-    first_batch = number(config.first_batch, "first_batch", integer=True, minimum=1,
-                         maximum=MAX_VIEWS_PER_STEP)
+    seeds = seed_list(seeds)
     if mesh.latent_dim != mix.dim:
         raise ValueError(f"mesh codes are {mesh.latent_dim}-D but the mixture is "
                          f"{mix.dim}-D; they must match")
@@ -251,7 +260,7 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     t_cap, cap = sched.num_steps, "the schedule's steps"
     if edited and config.thresholds.middle_max < t_cap:
         t_cap, cap = config.thresholds.middle_max, "middle_max, as a region targets FULL_COND"
-    if not 1 <= config.t_min <= config.t_max <= t_cap:
+    if config.t_max > t_cap:
         raise ValueError(f"need 1 <= t_min <= t_max <= {t_cap} ({cap}); got t_min = "
                          f"{config.t_min}, t_max = {config.t_max}")
     oracle = NoiseOracle(mix, sched)
@@ -264,20 +273,20 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
         current = mesh
 
         # Measuring pass: uniformly spread views, streamed into the region weights.
-        base_counts = allocate_views(uniform, first_batch)
+        base_counts = allocate_views(uniform, config.first_batch)
         weights_map = region_weights(
             (view_gradient(current, view, t, rng, oracle, profile[view.region],
                            config.weights, config.thresholds)
              for view, t in _draw_views(current, base_counts.counts, rng, config)),
             current)
         allocation = allocate_views(weights_map if config.allocator else uniform,
-                                    views_per_step)
+                                    config.views_per_step)
 
         grad_rows = []
         hit = None
         # A step that overflows leaves the divergence guard, which names it.
         with np.errstate(over="ignore"):
-            for step in range(1, steps + 1):
+            for step in range(1, config.steps + 1):
                 batch = list(_draw_views(current, allocation.counts, rng, config))
                 try:
                     current, row = edit_step(current, batch, oracle, profile, rng, solver,

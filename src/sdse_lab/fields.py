@@ -97,6 +97,12 @@ def number(value, path: str, integer: bool = False, minimum=None, maximum=None):
     return value
 
 
+def seed_list(seeds) -> list[int]:
+    """Non-empty `seeds` whose `seeds[i]` are integers >= 0, as ints: the runners' rule."""
+    expect(len(seeds) > 0, "seeds", "must hold at least one seed")
+    return [number(s, f"seeds[{i}]", integer=True, minimum=0) for i, s in enumerate(seeds)]
+
+
 _MAX_DIMS = 64  # numpy's limit on array dimensions
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import number
+from .fields import expect, number
 from .mixtures import FULL_COND, IMAGE_COND, UNCONDITIONED
 from .oracle import NoiseOracle
 
@@ -47,8 +47,10 @@ class StageThresholds:
     middle_max: int = 800
 
     def __post_init__(self):
-        if not 0 < self.small_max < self.middle_max:
-            raise ValueError("thresholds must satisfy 0 < small_max < middle_max")
+        for name in ("small_max", "middle_max"):
+            object.__setattr__(self, name, number(getattr(self, name), name, integer=True,
+                                                  minimum=1))
+        expect(self.small_max < self.middle_max, "middle_max", "must exceed small_max")
 
 
 @dataclass(frozen=True)

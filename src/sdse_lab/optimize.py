@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import expect, number
+from .fields import number, seed_list
 from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds, term_residual
 from .mixtures import ConditionedMixture
 from .oracle import NoiseOracle
@@ -163,9 +163,7 @@ def optimize_seeds(theta0, kind: EstimatorKind, sampler: TimestepSampler,
                          f"<= {DIVERGENCE_GUARD:g}")
     steps = number(steps, "steps", integer=True, minimum=1)
     lr = number(lr, "lr", minimum=0.0)
-    expect(len(seeds) > 0, "seeds", "must hold at least one seed")
-    seeds = [number(seed, f"seeds[{i}]", integer=True, minimum=0)
-             for i, seed in enumerate(seeds)]
+    seeds = seed_list(seeds)
     if sampler.t_max > sched.num_steps:
         raise ValueError(f"sampler t_max = {sampler.t_max} lies beyond the schedule's "
                          f"{sched.num_steps} steps")

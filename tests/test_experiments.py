@@ -9,6 +9,7 @@ from sdse_lab.experiments import (MAX_VIEWS_PER_STEP, Classification, MeshEditCo
                                   PROFILES, convergence_check, mode_distance_of_regions,
                                   phase_band, region_dispersion, residual_ema_norm,
                                   run_full_schedule, run_mesh_edit)
+from sdse_lab.fields import ConfigError
 from sdse_lab.guidance import EstimatorKind, StageThresholds
 from sdse_lab.mesh import LatentMesh, grid_mesh, smoothness_loss
 from sdse_lab.mixtures import FULL_COND, IMAGE_COND, toy_mixture
@@ -130,6 +131,21 @@ def test_full_schedule_zero_lr_wanders_at_start():
         np.testing.assert_array_equal(traj.final_theta, [0.5, 1.0])
         assert report.classification in (Classification.WANDERING,
                                          Classification.INTERMEDIATE_TRAP)
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ([], "seeds: must hold at least one seed"), ([0, 2.5], "seeds[1]: expected an integer"),
+], ids=["empty", "fractional-second"])
+def test_full_schedule_reads_its_seed_list_before_any_run(monkeypatch, seeds, message):
+    """[] used to return no run, and [0, 2.5] ran seed 0 before blaming seeds[0]."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a descent was run")
+
+    monkeypatch.setattr(experiments, "optimize_point", no_run)
+    sampler = TimestepSampler(SamplerKind.NON_INCREASING, 1, 800, 10)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_full_schedule(EstimatorKind.SDSE, sampler, MIX, SCHED, seeds=seeds, lr=1e-2,
+                          steps=10)
 
 
 def test_full_schedule_rejects_out_of_band_sampler():
@@ -305,14 +321,17 @@ def test_mesh_edit_requires_complete_profile():
                       config=MeshEditConfig(steps=1))
 
 
-@pytest.mark.parametrize("t_min, t_max", [(9, 3), (1, 1200), (700, 1000), (0, 5)],
-                         ids=["reversed", "beyond-schedule", "beyond-middle-max", "zero"])
-def test_mesh_edit_refuses_a_bad_timestep_range_before_any_step(t_min, t_max):
+@pytest.mark.parametrize("t_min, t_max, message", [
+    (9, 3, "t_max: must be >= t_min"), (1, 1200, None), (700, 1000, None),
+    (0, 5, "t_min: must be >= 1"),
+], ids=["reversed", "beyond-schedule", "beyond-middle-max", "zero"])
+def test_mesh_edit_refuses_a_bad_timestep_range_before_any_step(t_min, t_max, message):
     """Without the check these fail inside numpy's integer draw, or mid-run
-    naming a drawn timestep rather than the range."""
+    naming a drawn timestep rather than the range. The config refuses a reversed
+    or zero range when built; run_mesh_edit refuses a t_max past its cap."""
     mesh = grid_mesh(rows=5, cols=5, num_regions=5)
-    message = (f"need 1 <= t_min <= t_max <= 800 (middle_max, as a region targets "
-               f"FULL_COND); got t_min = {t_min}, t_max = {t_max}")
+    message = message or (f"need 1 <= t_min <= t_max <= 800 (middle_max, as a region "
+                          f"targets FULL_COND); got t_min = {t_min}, t_max = {t_max}")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_mesh_edit(mesh, "head_dominant", MIX, SCHED, seeds=[0],
                       config=MeshEditConfig(steps=1, t_min=t_min, t_max=t_max))
@@ -323,20 +342,30 @@ def test_mesh_edit_refuses_a_bad_timestep_range_before_any_step(t_min, t_max):
     ("steps", 0, "must be >= 1"), ("steps", 2.5, "expected an integer"),
     ("steps", True, "expected a number"), ("views_per_step", 0, "must be >= 1"),
     ("first_batch", 2.5, "expected an integer"),
+    ("t_min", 1.5, "expected an integer"), ("t_max", 2.5, "expected an integer"),
+    ("threshold_distance", np.nan, "expected a finite number"),
+    ("threshold_distance", np.inf, "expected a finite number"),
+    ("threshold_distance", -1.0, "must be >= 0.0"),
+    ("allocator", "no", "expected true or false"), ("allocator", 0, "expected true or false"),
+    ("allocator", None, "expected true or false"), ("support", 2.5, "expected an integer"),
 ], ids=["w1--300.0", "lr--0.02", "steps-zero", "steps-fractional", "steps-bool", "views-zero",
-        "first-batch-fractional"])
+        "first-batch-fractional", "t-min-fractional", "t-max-fractional", "distance-nan",
+        "distance-inf", "distance-negative", "allocator-no", "allocator-zero",
+        "allocator-none", "support-fractional"])
 def test_mesh_edit_refuses_a_negative_step_setting_before_any_view(monkeypatch, field, value,
                                                                    message):
-    """steps = 0 used to run no step and report nothing, and 2.5 ended in numpy's
-    TypeError."""
+    """The config refuses these when built. steps = 0 used to run no step and report
+    nothing, 2.5 ended in numpy's TypeError, t_min = 1.5 ran (rng.integers truncates
+    it), a NaN or negative threshold_distance ran to the end, and allocator = "no"
+    ran with the allocator."""
     def no_view(*args):
         raise AssertionError("a view was drawn")
 
     monkeypatch.setattr(experiments, "make_view", no_view)
     mesh = grid_mesh(rows=5, cols=5, num_regions=5)
-    config = MeshEditConfig(**{"steps": 1, field: value})
-    with pytest.raises(ValueError, match=f"^{field}: {re.escape(message)}$"):
-        run_mesh_edit(mesh, "head_dominant", MIX, SCHED, seeds=[0], config=config)
+    with pytest.raises(ConfigError, match=f"^{field}: {re.escape(message)}$"):
+        run_mesh_edit(mesh, "head_dominant", MIX, SCHED, seeds=[0],
+                      config=MeshEditConfig(**{"steps": 1, field: value}))
 
 
 def test_mesh_edit_caps_timesteps_at_middle_max_only_for_a_full_cond_region():
@@ -361,10 +390,34 @@ def test_mesh_edit_refuses_more_views_than_a_step_may_hold(monkeypatch, field):
         raise AssertionError("a view was drawn")
 
     monkeypatch.setattr(experiments, "_draw_views", no_draw)
-    config = MeshEditConfig(steps=1, **{field: MAX_VIEWS_PER_STEP + 1})
     with pytest.raises(ValueError, match=f"^{field}: must be <= {MAX_VIEWS_PER_STEP}$"):
         run_mesh_edit(grid_mesh(rows=5, cols=5, num_regions=5), "head_dominant", MIX, SCHED,
-                      seeds=[0], config=config)
+                      seeds=[0], config=MeshEditConfig(steps=1, **{field: MAX_VIEWS_PER_STEP + 1}))
+
+
+def test_mesh_edit_config_stores_integral_fields_as_ints():
+    config = MeshEditConfig(steps=5.0, t_min=np.int64(2), t_max=700.0, support=np.float64(4),
+                            views_per_step=10.0, first_batch=np.int32(30))
+    got = [config.steps, config.t_min, config.t_max, config.support, config.views_per_step,
+           config.first_batch]
+    assert got == [5, 2, 700, 4, 10, 30]
+    assert all(type(value) is int for value in got)
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ([1.5], "seeds[0]: expected an integer"), ([True], "seeds[0]: expected a number"),
+    ([-1], "seeds[0]: must be >= 0"), ([], "seeds: must hold at least one seed"),
+], ids=["fractional", "bool", "negative", "empty"])
+def test_mesh_edit_refuses_a_bad_seed_list_before_any_draw(monkeypatch, seeds, message):
+    """[1.5] used to end in numpy's TypeError, [True] ran as seed True, [-1] gave
+    numpy's error naming no seed, and [] returned no report."""
+    def no_draw(*args):
+        raise AssertionError("a view was drawn")
+
+    monkeypatch.setattr(experiments, "_draw_views", no_draw)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_mesh_edit(grid_mesh(rows=5, cols=5, num_regions=5), "head_dominant", MIX, SCHED,
+                      seeds=seeds, config=MeshEditConfig(steps=1))
 
 
 @pytest.mark.parametrize("code", [2000.0, -1000.5, 1e200])

@@ -12,6 +12,7 @@ from sdse_lab.guidance import (
     sdse_residual,
     term_residual,
 )
+from sdse_lab.fields import ConfigError
 from sdse_lab.mixtures import (
     FULL_COND,
     IMAGE_COND,
@@ -70,6 +71,31 @@ def test_guidance_scale_that_is_not_a_finite_number_of_at_least_zero_is_refused(
         field, value, message):
     with pytest.raises(ValueError, match=f"^{field}: {message}$"):
         GuidanceWeights(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["small_max", "middle_max"])
+@pytest.mark.parametrize("value, message", [
+    (2.5, "expected an integer"), (True, "expected a number"), ("800", "expected a number"),
+    (np.nan, "expected a finite number"), (0, "must be >= 1"),
+], ids=["fractional", "bool", "string", "nan", "zero"])
+def test_stage_threshold_that_is_not_an_integer_of_at_least_one_is_refused(field, value,
+                                                                           message):
+    """small_max = 2.5 or True used to be accepted, and middle_max = "800" ended in
+    a TypeError."""
+    with pytest.raises(ConfigError, match=f"^{field}: {message}$"):
+        StageThresholds(**{field: value})
+
+
+@pytest.mark.parametrize("small, middle", [(800, 800), (801, 800), (150, 149)])
+def test_stage_thresholds_need_middle_max_above_small_max(small, middle):
+    with pytest.raises(ConfigError, match="^middle_max: must exceed small_max$"):
+        StageThresholds(small_max=small, middle_max=middle)
+
+
+def test_stage_thresholds_store_integral_values_as_ints():
+    th = StageThresholds(small_max=150.0, middle_max=np.int64(800))
+    assert (th.small_max, th.middle_max) == (150, 800)
+    assert type(th.small_max) is int and type(th.middle_max) is int
 
 
 def test_cfg_rejects_mismatched_shapes():
