@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from .experiments import PROFILES, MeshEditConfig
 from .fields import boolean, choice, expect, get, items, known_fields, number, text
 from .fields import resolve_data_path  # noqa: F401  (imported from here by callers)
-from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds
+from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds, check_t_max
 from .mixtures import START_POINT
 from .optimize import DIVERGENCE_GUARD, within_guard
 from .samplers import SamplerKind, TimestepSampler
@@ -55,23 +55,10 @@ ESTIMATOR_NAMES = {k.value: k for k in EstimatorKind}
 SAMPLER_NAMES = {k.value: k for k in SamplerKind}
 # Both commands run on the standard linear-beta schedule; samplers must stay inside it.
 SCHEDULE_STEPS = linear_beta_schedule().num_steps
-# Mesh-edit keys passed to MeshEditConfig as the file gives them; the record reads them.
-EDIT_KEYS = ("steps", "views_per_step", "first_batch", "lr", "allocator", "support",
-             "threshold_distance")
-
-
-def _timestep_range(obj: dict, prefix: str, thresholds: StageThresholds,
-                    staged: str) -> tuple[int, int]:
-    """[`prefix`t_min, `prefix`t_max] inside the schedule, and within thresholds.L if
-    `staged` names what runs staged; the defaults are MeshEditConfig's."""
-    t_min = get(obj, f"{prefix}t_min", number, default=MeshEditConfig.t_min, integer=True,
-                minimum=1)
-    t_max = get(obj, f"{prefix}t_max", number, default=MeshEditConfig.t_max, integer=True,
-                minimum=1, maximum=SCHEDULE_STEPS)
-    expect(t_min <= t_max, f"{prefix}t_max", f"must be >= {prefix}t_min")
-    expect(not staged or t_max <= thresholds.middle_max, f"{prefix}t_max",
-           f"must be <= thresholds.L ({thresholds.middle_max}) for {staged}")
-    return t_min, t_max
+# Mesh-edit keys passed to MeshEditConfig as the file gives them; the record reads them,
+# and run_mesh_edit caps t_max.
+EDIT_KEYS = ("steps", "views_per_step", "first_batch", "lr", "allocator", "t_min", "t_max",
+             "support", "threshold_distance")
 
 
 def config_digest(cfg: dict) -> str:
@@ -119,8 +106,13 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
     sampler = cfg.get("sampler", {})
     kind_name = get(sampler, "sampler.kind", choice, SAMPLER_NAMES, default="non_increasing")
     thresholds = parse_thresholds(cfg)
-    staged = ", ".join(e.value for e in estimators if e in STAGED)
-    t_min, t_max = _timestep_range(sampler, "sampler.", thresholds, staged)
+    # cmd_toy writes as it runs, so the run's cap is checked here, before any output
+    t_min = get(sampler, "sampler.t_min", number, default=1, integer=True, minimum=1)
+    t_max = get(sampler, "sampler.t_max", number, default=StageThresholds.middle_max,
+                integer=True, minimum=1)
+    expect(t_min <= t_max, "sampler.t_max", "must be >= sampler.t_min")
+    check_t_max(t_max, SCHEDULE_STEPS, thresholds, any(e in STAGED for e in estimators),
+                "sampler.t_max")
     jitter = get(sampler, "sampler.jitter", number, default=TimestepSampler.jitter,
                  minimum=0.0)
 
@@ -180,17 +172,14 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
     else:
         w1_values = (float(number(w1, "w1", minimum=0.0)),)
 
-    thresholds = parse_thresholds(cfg)
-    t_min, t_max = _timestep_range(cfg, "", thresholds, "the SDSE mesh edit")
-    edit = MeshEditConfig(**{key: cfg[key] for key in EDIT_KEYS if key in cfg}, t_min=t_min,
-                          t_max=t_max, w1=w1_values[0], weights=_parse_weights(cfg),
-                          thresholds=thresholds)
+    edit = MeshEditConfig(**{key: cfg[key] for key in EDIT_KEYS if key in cfg},
+                          w1=w1_values[0], weights=_parse_weights(cfg),
+                          thresholds=parse_thresholds(cfg))
     seeds = _parse_seeds(cfg)
 
     raw = {
         "mesh_path": mesh_path, "mixture_path": mixture_path, "profile": profile,
-        "w1": list(w1_values), "t_min": t_min, "t_max": t_max,
-        **{key: getattr(edit, key) for key in EDIT_KEYS},
+        "w1": list(w1_values), **{key: getattr(edit, key) for key in EDIT_KEYS},
         "omega_t": edit.weights.omega_t, "omega_i": edit.weights.omega_i,
         "thresholds": {"M": edit.thresholds.small_max, "L": edit.thresholds.middle_max},
         "seeds": list(seeds),

@@ -13,16 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import boolean, expect, number, seed_list
-from .guidance import EstimatorKind, GuidanceWeights, StageThresholds
+from .fields import boolean, expect, instance, number, seed_list
+from .guidance import EstimatorKind, GuidanceWeights, StageThresholds, check_t_max
 from .mesh import LatentMesh, _laplacian, squared_norms
 from .mixtures import START_POINT, Condition, ConditionedMixture, FULL_COND, IMAGE_COND
 from .optimize import DIVERGENCE_GUARD, Trajectory, optimize_point
 from .oracle import NoiseOracle
 from .samplers import TimestepSampler
 from .schedule import NoiseSchedule
-from .views import (RegionAllocation, SmoothedStepSolver, allocate_views, edit_step,
-                    make_view, region_weights, view_gradient)
+from .views import (MAX_VIEWS_PER_STEP, RegionAllocation, SmoothedStepSolver, allocate_views,
+                    edit_step, make_view, region_weights, view_gradient)
 
 DEFAULT_EMA_WINDOW = 50
 
@@ -130,17 +130,12 @@ BODY_DOMINANT = {0: IMAGE_COND, 1: IMAGE_COND, 2: FULL_COND, 3: FULL_COND, 4: FU
 PROFILES = {"head_dominant": HEAD_DOMINANT, "body_dominant": BODY_DOMINANT}
 
 
-# Most views one edit step, or the measuring batch, holds at once. A view with its
-# t and gradient takes about 1.3 kB (support 8, 2-D codes, measured with
-# tracemalloc), so a batch at the limit holds about 100 MB.
-MAX_VIEWS_PER_STEP = 75_000
-
-
 @dataclass(frozen=True)
 class MeshEditConfig:
     """One edit's settings, read by `fields.number` when built (a ConfigError names the field):
     integers >= 1 with t_min <= t_max, view counts <= MAX_VIEWS_PER_STEP, finite lr, w1 and
-    threshold_distance >= 0, and an `allocator` that is true or false."""
+    threshold_distance >= 0, an `allocator` that is true or false, and a GuidanceWeights
+    `weights` and StageThresholds `thresholds`. `run_mesh_edit` caps t_max."""
 
     steps: int = 400
     views_per_step: int = 10
@@ -163,6 +158,8 @@ class MeshEditConfig:
                            ("support", count), ("threshold_distance", real)):
             object.__setattr__(self, name, number(getattr(self, name), name, **rule))
         boolean(self.allocator, "allocator")
+        instance(self.weights, "weights", GuidanceWeights)
+        instance(self.thresholds, "thresholds", StageThresholds)
         expect(self.t_min <= self.t_max, "t_max", "must be >= t_min")
 
 
@@ -244,8 +241,9 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     past the divergence guard raises ValueError naming the seed and the step. Refused before
     any draw (the config read its own fields when built): seeds that `fields.seed_list`
     refuses (a ConfigError naming seeds[i]), codes of another dimension than the mixture's
-    or past the guard, and a t_max beyond T, or beyond middle_max when a region targets
-    FULL_COND, whose staged estimator refuses larger t (a ValueError).
+    or past the guard (a ValueError), and a t_max beyond T, or beyond middle_max when a
+    region targets FULL_COND, whose SDSE refuses larger t (a ConfigError naming t_max from
+    `guidance.check_t_max`, the cap every run shares; the config reader leaves it here).
     """
     seeds = seed_list(seeds)
     if mesh.latent_dim != mix.dim:
@@ -257,12 +255,7 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
                          f"is {largest:g}, beyond the guard {DIVERGENCE_GUARD:g}")
     profile = profile_targets(mesh, profile)
     edited = [r for r, c in profile.items() if c == FULL_COND]
-    t_cap, cap = sched.num_steps, "the schedule's steps"
-    if edited and config.thresholds.middle_max < t_cap:
-        t_cap, cap = config.thresholds.middle_max, "middle_max, as a region targets FULL_COND"
-    if config.t_max > t_cap:
-        raise ValueError(f"need 1 <= t_min <= t_max <= {t_cap} ({cap}); got t_min = "
-                         f"{config.t_min}, t_max = {config.t_max}")
+    check_t_max(config.t_max, sched.num_steps, config.thresholds, bool(edited), "t_max")
     oracle = NoiseOracle(mix, sched)
     modes = mix.mode_points(FULL_COND)
     uniform = dict.fromkeys(profile, 1.0)

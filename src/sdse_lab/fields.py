@@ -138,6 +138,11 @@ def boolean(value, path: str) -> bool:
     return value
 
 
+def instance(value, path: str, cls):
+    expect(isinstance(value, cls), path, f"expected a {cls.__name__}")
+    return value
+
+
 def choice(value, path: str, names) -> str:
     """One of `names` (strings)."""
     expect(isinstance(value, str) and value in names, path,

@@ -78,6 +78,16 @@ class EstimatorKind(enum.Enum):
 STAGED = (EstimatorKind.SDSE, EstimatorKind.SDSE_PRIME)
 
 
+def check_t_max(t_max: int, num_steps: int, thresholds: StageThresholds, staged: bool,
+                path: str) -> None:
+    """A run's timestep cap, checked before it draws: a ConfigError at `path` unless
+    t_max <= num_steps, and t_max <= middle_max if `staged` (a staged estimator, such as
+    the SDSE of a FULL_COND region, runs)."""
+    expect(t_max <= num_steps, path, f"must be <= {num_steps}, the schedule's last step")
+    expect(not staged or t_max <= thresholds.middle_max, path,
+           f"must be <= middle_max ({thresholds.middle_max}) when a staged estimator runs")
+
+
 def cfg_combine(eps_uncond, eps_img, eps_full, w: GuidanceWeights) -> np.ndarray:
     """Guided noise prediction from the three oracle queries.
 

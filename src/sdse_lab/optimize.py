@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import number, seed_list
-from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds, term_residual
+from .fields import instance, number, seed_list
+from .guidance import (STAGED, EstimatorKind, GuidanceWeights, StageThresholds, check_t_max,
+                       term_residual)
 from .mixtures import ConditionedMixture
 from .oracle import NoiseOracle
 from .samplers import TimestepSampler, timestep_sequence
@@ -150,7 +151,9 @@ def optimize_seeds(theta0, kind: EstimatorKind, sampler: TimestepSampler,
     set if the iterate norm ever exceeds 1e3 or stops being finite; a theta0
     beyond it is refused. Several seeds step as the rows of one (S, d) iterate,
     and a row leaves it when it trips the guard; each seed's trajectory is bit
-    for bit the one it gets alone.
+    for bit the one it gets alone. Refused before any draw, by a ConfigError naming it:
+    weights or thresholds not of their record type, and a sampler.t_max past the cap
+    every run shares (`guidance.check_t_max`: the schedule, and middle_max if staged).
     """
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if not np.all(np.isfinite(theta)):
@@ -164,12 +167,9 @@ def optimize_seeds(theta0, kind: EstimatorKind, sampler: TimestepSampler,
     steps = number(steps, "steps", integer=True, minimum=1)
     lr = number(lr, "lr", minimum=0.0)
     seeds = seed_list(seeds)
-    if sampler.t_max > sched.num_steps:
-        raise ValueError(f"sampler t_max = {sampler.t_max} lies beyond the schedule's "
-                         f"{sched.num_steps} steps")
-    if kind in STAGED and sampler.t_max > thresholds.middle_max:
-        raise ValueError(f"sampler range must lie within [1, middle_max = "
-                         f"{thresholds.middle_max}] for {kind.value}")
+    instance(weights, "weights", GuidanceWeights)
+    instance(thresholds, "thresholds", StageThresholds)
+    check_t_max(sampler.t_max, sched.num_steps, thresholds, kind in STAGED, "sampler.t_max")
     if oracle is None:
         oracle = NoiseOracle(mix, sched)
     elif oracle.mixture is not mix or oracle.schedule is not sched:

@@ -101,20 +101,20 @@ class RegionAllocation:
     counts: dict[int, int]
 
 
-# Largest view total allocate_views takes. The float quotas must sum to the total
-# within one view for largest remainder to fill it exactly; their rounding error
-# is a few ulps of the total, so at 2**53 two regions already miss it, while at
-# 2**40 it stays below 1/100 of a view for any region count.
-MAX_VIEW_TOTAL = 2**40
+# Most views one edit step, or the measuring batch, holds at once, and so the largest
+# total allocate_views takes. A view with its t and gradient takes about 1.3 kB
+# (support 8, 2-D codes, measured with tracemalloc), so a batch at the limit holds
+# about 100 MB.
+MAX_VIEWS_PER_STEP = 75_000
 
 
 def allocate_views(weights: dict[int, float], total: int) -> RegionAllocation:
     """Proportional quotas rounded by largest remainder (ties broken by region id).
 
-    `total` is an integer in [0, MAX_VIEW_TOTAL] and `weights` names at least
+    `total` is an integer in [0, MAX_VIEWS_PER_STEP] and `weights` names at least
     one region; anything else is a ValueError naming the argument.
     """
-    total = number(total, "total", integer=True, minimum=0, maximum=MAX_VIEW_TOTAL)
+    total = number(total, "total", integer=True, minimum=0, maximum=MAX_VIEWS_PER_STEP)
     if not weights:
         raise ValueError("weights must name at least one region")
     regions = sorted(weights)

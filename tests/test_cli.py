@@ -10,12 +10,13 @@ import pytest
 
 import sdse_lab
 from sdse_lab.cli import main
-from sdse_lab.experiments import MAX_VIEWS_PER_STEP, run_full_schedule
+from sdse_lab.experiments import run_full_schedule
 from sdse_lab.guidance import EstimatorKind
 from sdse_lab.mixtures import toy_mixture
 from sdse_lab.optimize import trajectory_from_csv
 from sdse_lab.samplers import SamplerKind, TimestepSampler
 from sdse_lab.schedule import linear_beta_schedule
+from sdse_lab.views import MAX_VIEWS_PER_STEP
 
 TOY_CONFIG = {
     "mixture_path": "pkg:toy_gmm.json",
@@ -269,8 +270,8 @@ def test_toy_infinite_lr_is_config_error(tmp_path, capsys):
 def test_toy_large_phase_with_staged_estimators_is_config_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["toy", "--phase", "large", "--steps", "3", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: sampler.t_max: must be <= thresholds.L (800) for sdse, sdse_prime")
+    assert capsys.readouterr().err == ("config error: sampler.t_max: must be <= middle_max "
+                                       "(800) when a staged estimator runs\n")
     assert not (out / "summary.json").exists() and not list(out.glob("*.csv"))
 
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from sdse_lab import experiments
-from sdse_lab.experiments import (MAX_VIEWS_PER_STEP, Classification, MeshEditConfig, Phase,
-                                  PROFILES, convergence_check, mode_distance_of_regions,
-                                  phase_band, region_dispersion, residual_ema_norm,
-                                  run_full_schedule, run_mesh_edit)
+from sdse_lab.experiments import (Classification, MeshEditConfig, Phase, PROFILES,
+                                  convergence_check, mode_distance_of_regions, phase_band,
+                                  region_dispersion, residual_ema_norm, run_full_schedule,
+                                  run_mesh_edit)
 from sdse_lab.fields import ConfigError
 from sdse_lab.guidance import EstimatorKind, StageThresholds
 from sdse_lab.mesh import LatentMesh, grid_mesh, smoothness_loss
@@ -17,8 +17,8 @@ from sdse_lab.optimize import Trajectory, optimize_point, optimize_seeds
 from sdse_lab.oracle import NoiseOracle, forward_diffuse
 from sdse_lab.samplers import SamplerKind, TimestepSampler
 from sdse_lab.schedule import linear_beta_schedule
-from sdse_lab.views import (SmoothedStepSolver, allocate_views, backprop_view, make_view,
-                            region_weights, target_residual)
+from sdse_lab.views import (MAX_VIEWS_PER_STEP, SmoothedStepSolver, allocate_views,
+                            backprop_view, make_view, region_weights, target_residual)
 
 MIX = toy_mixture()
 SCHED = linear_beta_schedule()
@@ -158,7 +158,8 @@ def test_full_schedule_rejects_out_of_band_sampler():
 @pytest.mark.parametrize("estimator", [EstimatorKind.SDSE, EstimatorKind.SDSE_PRIME])
 def test_full_schedule_rejects_large_timesteps_for_staged_estimators(estimator):
     sampler = TimestepSampler(SamplerKind.UNIFORM, 1, 801, 10)
-    with pytest.raises(ValueError, match=f"middle_max.*{estimator.value}"):
+    message = "sampler.t_max: must be <= middle_max (800) when a staged estimator runs"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         run_full_schedule(estimator, sampler, MIX, SCHED, seeds=[0], lr=1e-2, steps=10)
 
 
@@ -166,7 +167,8 @@ def test_full_schedule_rejects_large_timesteps_for_staged_estimators(estimator):
                                                        (EstimatorKind.SDSE, 50, 800)])
 def test_full_schedule_names_a_sampler_beyond_the_schedule(estimator, num_steps, t_max):
     sampler = TimestepSampler(SamplerKind.UNIFORM, 1, t_max, 10)
-    with pytest.raises(ValueError, match=rf"t_max = {t_max} .* schedule's {num_steps} steps"):
+    message = f"sampler.t_max: must be <= {num_steps}, the schedule's last step"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         run_full_schedule(estimator, sampler, MIX, linear_beta_schedule(num_steps),
                           seeds=[0], lr=1e-2, steps=10)
 
@@ -322,7 +324,9 @@ def test_mesh_edit_requires_complete_profile():
 
 
 @pytest.mark.parametrize("t_min, t_max, message", [
-    (9, 3, "t_max: must be >= t_min"), (1, 1200, None), (700, 1000, None),
+    (9, 3, "t_max: must be >= t_min"),
+    (1, 1200, "t_max: must be <= 1000, the schedule's last step"),
+    (700, 1000, "t_max: must be <= middle_max (800) when a staged estimator runs"),
     (0, 5, "t_min: must be >= 1"),
 ], ids=["reversed", "beyond-schedule", "beyond-middle-max", "zero"])
 def test_mesh_edit_refuses_a_bad_timestep_range_before_any_step(t_min, t_max, message):
@@ -330,9 +334,7 @@ def test_mesh_edit_refuses_a_bad_timestep_range_before_any_step(t_min, t_max, me
     naming a drawn timestep rather than the range. The config refuses a reversed
     or zero range when built; run_mesh_edit refuses a t_max past its cap."""
     mesh = grid_mesh(rows=5, cols=5, num_regions=5)
-    message = message or (f"need 1 <= t_min <= t_max <= 800 (middle_max, as a region "
-                          f"targets FULL_COND); got t_min = {t_min}, t_max = {t_max}")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         run_mesh_edit(mesh, "head_dominant", MIX, SCHED, seeds=[0],
                       config=MeshEditConfig(steps=1, t_min=t_min, t_max=t_max))
 
@@ -348,16 +350,18 @@ def test_mesh_edit_refuses_a_bad_timestep_range_before_any_step(t_min, t_max, me
     ("threshold_distance", -1.0, "must be >= 0.0"),
     ("allocator", "no", "expected true or false"), ("allocator", 0, "expected true or false"),
     ("allocator", None, "expected true or false"), ("support", 2.5, "expected an integer"),
+    ("weights", (7.5, 1.5), "expected a GuidanceWeights"),
+    ("thresholds", (150, 800), "expected a StageThresholds"),
 ], ids=["w1--300.0", "lr--0.02", "steps-zero", "steps-fractional", "steps-bool", "views-zero",
         "first-batch-fractional", "t-min-fractional", "t-max-fractional", "distance-nan",
         "distance-inf", "distance-negative", "allocator-no", "allocator-zero",
-        "allocator-none", "support-fractional"])
+        "allocator-none", "support-fractional", "weights-tuple", "thresholds-tuple"])
 def test_mesh_edit_refuses_a_negative_step_setting_before_any_view(monkeypatch, field, value,
                                                                    message):
     """The config refuses these when built. steps = 0 used to run no step and report
     nothing, 2.5 ended in numpy's TypeError, t_min = 1.5 ran (rng.integers truncates
-    it), a NaN or negative threshold_distance ran to the end, and allocator = "no"
-    ran with the allocator."""
+    it), a NaN or negative threshold_distance ran to the end, allocator = "no" ran with
+    the allocator, and a tuple thresholds ended in an AttributeError traceback."""
     def no_view(*args):
         raise AssertionError("a view was drawn")
 
@@ -376,9 +380,8 @@ def test_mesh_edit_caps_timesteps_at_middle_max_only_for_a_full_cond_region():
     config = MeshEditConfig(steps=2, first_batch=20, t_min=700, t_max=1000)
     report, = run_mesh_edit(mesh, anchored, MIX, SCHED, seeds=[0], config=config)
     assert report.steps_to_threshold is None
-    message = ("need 1 <= t_min <= t_max <= 1000 (the schedule's steps); got t_min = 1, "
-               "t_max = 1001")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    message = "t_max: must be <= 1000, the schedule's last step"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         run_mesh_edit(mesh, anchored, MIX, SCHED, seeds=[0],
                       config=MeshEditConfig(steps=1, t_max=1001))
 

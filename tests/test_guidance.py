@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sdse_lab.configs import parse_toy_config
+from sdse_lab.experiments import MeshEditConfig, run_mesh_edit
 from sdse_lab.guidance import (
     EstimatorKind,
     GuidanceWeights,
@@ -13,13 +15,16 @@ from sdse_lab.guidance import (
     term_residual,
 )
 from sdse_lab.fields import ConfigError
+from sdse_lab.mesh import grid_mesh
 from sdse_lab.mixtures import (
     FULL_COND,
     IMAGE_COND,
     UNCONDITIONED,
     toy_mixture,
 )
+from sdse_lab.optimize import optimize_point
 from sdse_lab.oracle import NoiseOracle
+from sdse_lab.samplers import SamplerKind, TimestepSampler
 from sdse_lab.schedule import linear_beta_schedule
 
 from mixture_helper import mixture_of
@@ -307,3 +312,43 @@ def test_dispatcher_covers_every_kind(oracle):
         out = term_residual(kind, oracle, z, t, eps, W_DEFAULT)
         assert out.shape == (2,)
         assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("staged, middle_max, t_max, message", [
+    (False, 800, 1000, None),
+    (False, 800, 1001, "must be <= 1000, the schedule's last step"),
+    (True, 800, 800, None),
+    (True, 800, 801, "must be <= middle_max (800) when a staged estimator runs"),
+    (True, 700, 700, None),
+    (True, 700, 701, "must be <= middle_max (700) when a staged estimator runs"),
+], ids=["at-num-steps", "past-num-steps", "at-middle-max", "past-middle-max",
+        "at-custom-middle-max", "past-custom-middle-max"])
+def test_every_run_caps_t_max_by_one_rule(staged, middle_max, t_max, message):
+    """The toy config reader, the point descent and the mesh edit accept or refuse a t_max
+    alike, with one message under their own path; a staged run is SDSE, or a mesh whose
+    regions all target FULL_COND, and an unstaged one SDS, or all IMAGE_COND."""
+    thresholds = StageThresholds(middle_max=middle_max)
+    kind = EstimatorKind.SDSE if staged else EstimatorKind.SDS
+    mix, sched = toy_mixture(), linear_beta_schedule()
+    toy = {"mixture_path": "pkg:toy_gmm.json", "estimators": [kind.value], "steps": 1,
+           "sampler": {"kind": "uniform", "t_min": 1, "t_max": t_max},
+           "thresholds": {"M": 150, "L": middle_max}}
+    edit = MeshEditConfig(steps=1, views_per_step=2, first_batch=5, t_max=t_max,
+                          thresholds=thresholds)
+    runs = [
+        ("sampler.t_max", lambda: parse_toy_config(toy)),
+        ("sampler.t_max", lambda: optimize_point(
+            [0.5, 1.0], kind, TimestepSampler(SamplerKind.UNIFORM, 1, t_max, 1), mix, sched,
+            lr=1e-2, steps=1, seed=0, thresholds=thresholds)),
+        ("t_max", lambda: run_mesh_edit(
+            grid_mesh(rows=5, cols=5, num_regions=5),
+            dict.fromkeys(range(5), FULL_COND if staged else IMAGE_COND), mix, sched, [0],
+            edit)),
+    ]
+    for path, run in runs:
+        if message is None:
+            run()
+            continue
+        with pytest.raises(ConfigError) as err:
+            run()
+        assert (err.value.field_path, str(err.value)) == (path, f"{path}: {message}")

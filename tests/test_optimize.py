@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from sdse_lab import optimize
+from sdse_lab.fields import ConfigError
 from sdse_lab.guidance import (STAGED, EstimatorKind, GuidanceWeights, StageThresholds,
                                term_residual)
 from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED, ConditionedMixture,
@@ -191,7 +193,8 @@ def test_oracle_on_other_inputs_is_rejected(setup, other):
 
 def test_sampler_beyond_the_schedule_is_named(setup):
     mix, sched = setup
-    with pytest.raises(ValueError, match=r"t_max = 1001 .* schedule's 1000 steps"):
+    with pytest.raises(ConfigError, match=r"^sampler\.t_max: must be <= 1000, the schedule's "
+                                          r"last step$"):
         optimize_point([0.5, 1.0], EstimatorKind.SDS, uniform(1, 1001, 20),
                        mix, sched, lr=1e-2, steps=20, seed=0)
 
@@ -231,14 +234,32 @@ def test_start_point_on_the_guard_runs(setup):
     assert traj.num_rows == 11 and not traj.guard_tripped
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("weights", (7.5, 1.5), "expected a GuidanceWeights"),
+    ("thresholds", (150, 800), "expected a StageThresholds"),
+], ids=["weights-tuple", "thresholds-tuple"])
+def test_record_argument_of_another_type_is_refused_before_any_draw(setup, monkeypatch, field,
+                                                                     value, message):
+    """A tuple thresholds reaches the t_max cap, which reads thresholds.middle_max."""
+    def no_draw(*args):
+        raise AssertionError("a timestep was drawn")
+
+    monkeypatch.setattr(optimize, "timestep_sequence", no_draw)
+    mix, sched = setup
+    with pytest.raises(ConfigError, match=f"^{field}: {message}$"):
+        optimize_seeds([0.5, 1.0], EstimatorKind.SDSE, uniform(1, 800, 10), mix, sched,
+                       lr=1e-2, steps=10, seeds=[0, 1], **{field: value})
+
+
 @pytest.mark.parametrize("kind", [EstimatorKind.SDSE, EstimatorKind.SDSE_PRIME])
 def test_staged_estimator_beyond_middle_max_is_named(setup, kind):
     """Refused before the descent starts, against the thresholds it is given."""
     mix, sched = setup
-    with pytest.raises(ValueError, match=rf"middle_max = 800\] for {kind.value}"):
+    message = r"^sampler\.t_max: must be <= middle_max \({}\) when a staged estimator runs$"
+    with pytest.raises(ConfigError, match=message.format(800)):
         optimize_point([0.5, 1.0], kind, uniform(1, 801, 10), mix, sched,
                        lr=1e-2, steps=10, seed=0)
-    with pytest.raises(ValueError, match=rf"middle_max = 700\] for {kind.value}"):
+    with pytest.raises(ConfigError, match=message.format(700)):
         optimize_point([0.5, 1.0], kind, uniform(1, 701, 10), mix, sched, lr=1e-2,
                        steps=10, seed=0, thresholds=StageThresholds(middle_max=700))
 

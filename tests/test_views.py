@@ -8,7 +8,7 @@ from sdse_lab.mesh import LatentMesh, build_laplacian, grid_mesh, load_mesh
 from sdse_lab.mixtures import FULL_COND, IMAGE_COND, toy_mixture
 from sdse_lab.oracle import NoiseOracle
 from sdse_lab.schedule import linear_beta_schedule
-from sdse_lab.views import (MAX_VIEW_TOTAL, SOLVE_TOLERANCE, SmoothedStepSolver, ViewSpec,
+from sdse_lab.views import (MAX_VIEWS_PER_STEP, SOLVE_TOLERANCE, SmoothedStepSolver, ViewSpec,
                             allocate_views, backprop_view, edit_step, make_view,
                             region_weights, render_view)
 
@@ -271,8 +271,8 @@ def test_weight_that_is_not_finite_and_non_negative_is_refused_naming_its_region
 
 
 @pytest.mark.parametrize("weights, total, message", [
-    ({0: 1.0}, 10**20, f"total: must be <= {MAX_VIEW_TOTAL}"),
-    ({0: 1.0}, MAX_VIEW_TOTAL + 1, f"total: must be <= {MAX_VIEW_TOTAL}"),
+    ({0: 1.0}, 10**20, f"total: must be <= {MAX_VIEWS_PER_STEP}"),
+    ({0: 1.0}, MAX_VIEWS_PER_STEP + 1, f"total: must be <= {MAX_VIEWS_PER_STEP}"),
     ({0: 1.0}, -1, "total: must be >= 0"),
     ({0: 1.0}, 2.5, "total: expected an integer"),
     ({0: 1.0}, True, "total: expected a number"),
@@ -286,10 +286,9 @@ def test_bad_total_or_empty_weights_is_refused_naming_it(weights, total, message
 
 
 def test_allocation_at_the_bound_sums_to_total():
-    """Two regions whose float quotas overshoot 2**53 by one view still fill
-    the largest total taken exactly."""
-    alloc = allocate_views({0: 0.3, 1: 0.6}, np.int64(MAX_VIEW_TOTAL))
-    assert sum(alloc.counts.values()) == MAX_VIEW_TOTAL
+    """The largest total taken, given as a numpy integer, is filled exactly."""
+    alloc = allocate_views({0: 0.3, 1: 0.6}, np.int64(MAX_VIEWS_PER_STEP))
+    assert sum(alloc.counts.values()) == MAX_VIEWS_PER_STEP
     assert alloc.counts[1] - 2 * alloc.counts[0] in (-2, -1, 0, 1)
 
 
