@@ -106,12 +106,11 @@ def cmd_toy(args: argparse.Namespace) -> int:
     oracle = NoiseOracle(mixture, sched)
     digest = cfg.digest
     modes = mixture.mode_points(FULL_COND)
-    sampler = cfg.sampler()
     runs = []
     for estimator in cfg.estimators:
         trajs = []
         for seed in cfg.seeds:
-            traj = optimize_point(cfg.theta0, estimator, sampler, mixture, sched,
+            traj = optimize_point(cfg.theta0, estimator, cfg.sampler(), mixture, sched,
                                   lr=cfg.lr, steps=cfg.steps, seed=seed,
                                   weights=cfg.weights, thresholds=cfg.thresholds,
                                   config_digest=digest, oracle=oracle)

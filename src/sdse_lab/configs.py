@@ -13,28 +13,18 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .experiments import PROFILES, MeshEditConfig
-from .fields import boolean, choice, expect, get, items, known_fields, number, text
+from .fields import boolean, choice, expect, get, items, known_fields, number, record, text
 from .fields import resolve_data_path  # noqa: F401  (imported from here by callers)
 from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds, check_t_max
 from .mixtures import START_POINT
 from .optimize import DIVERGENCE_GUARD, within_guard
-from .samplers import SamplerKind, TimestepSampler
+from .samplers import TimestepSampler
 from .schedule import linear_beta_schedule
 
 
 def parse_thresholds(cfg: dict) -> StageThresholds:
-    """The config's staging thresholds {"M": small_max, "L": middle_max}."""
-    th = cfg.get("thresholds", {})
-    small = get(th, "thresholds.M", number, default=StageThresholds.small_max, integer=True,
-                minimum=1)
-    middle = get(th, "thresholds.L", number, default=StageThresholds.middle_max,
-                 integer=True, minimum=2)
-    expect(small < middle, "thresholds.L", "must exceed thresholds.M")
-    return StageThresholds(small_max=small, middle_max=middle)
-
-
-def _parse_weights(cfg: dict) -> GuidanceWeights:
-    return GuidanceWeights(**{key: cfg[key] for key in ("omega_t", "omega_i") if key in cfg})
+    return record(StageThresholds, cfg.get("thresholds", {}), "thresholds",
+                  {"M": "small_max", "L": "middle_max"})
 
 
 def _distinct(values, path: str, key=lambda value: value):
@@ -52,11 +42,11 @@ def _parse_seeds(cfg: dict) -> tuple[int, ...]:
 
 
 ESTIMATOR_NAMES = {k.value: k for k in EstimatorKind}
-SAMPLER_NAMES = {k.value: k for k in SamplerKind}
 # Both commands run on the standard linear-beta schedule; samplers must stay inside it.
 SCHEDULE_STEPS = linear_beta_schedule().num_steps
-# Mesh-edit keys passed to MeshEditConfig as the file gives them; the record reads them,
-# and run_mesh_edit caps t_max.
+# Keys handed to GuidanceWeights and MeshEditConfig as the file gives them; the records
+# read them, and run_mesh_edit caps t_max.
+WEIGHT_KEYS = ("omega_t", "omega_i")
 EDIT_KEYS = ("steps", "views_per_step", "first_batch", "lr", "allocator", "t_min", "t_max",
              "support", "threshold_distance")
 
@@ -74,10 +64,7 @@ class ToyRunConfig:
     mixture_path: str
     estimators: tuple[EstimatorKind, ...]
     weights: GuidanceWeights
-    sampler_kind: SamplerKind
-    t_min: int
-    t_max: int
-    jitter: float
+    timestep_sampler: TimestepSampler
     thresholds: StageThresholds
     lr: float
     steps: int
@@ -90,9 +77,7 @@ class ToyRunConfig:
         return config_digest(self.raw)
 
     def sampler(self) -> TimestepSampler:
-        return TimestepSampler(kind=self.sampler_kind, t_min=self.t_min,
-                               t_max=self.t_max, total_steps=self.steps,
-                               jitter=self.jitter)
+        return self.timestep_sampler
 
 
 def parse_toy_config(cfg: dict) -> ToyRunConfig:
@@ -101,23 +86,17 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
     names = _distinct(get(cfg, "estimators", items, choice, ESTIMATOR_NAMES), "estimators")
     estimators = [ESTIMATOR_NAMES[name] for name in names]
 
-    weights = _parse_weights(cfg)
-
-    sampler = cfg.get("sampler", {})
-    kind_name = get(sampler, "sampler.kind", choice, SAMPLER_NAMES, default="non_increasing")
+    weights = record(GuidanceWeights, cfg, "", WEIGHT_KEYS)
+    steps = get(cfg, "steps", number, default=2000, integer=True, minimum=1)
     thresholds = parse_thresholds(cfg)
+    sampler = record(TimestepSampler, cfg.get("sampler", {}), "sampler",
+                     ("kind", "t_min", "t_max", "jitter"), kind="non_increasing", t_min=1,
+                     t_max=StageThresholds.middle_max, total_steps=steps)
     # cmd_toy writes as it runs, so the run's cap is checked here, before any output
-    t_min = get(sampler, "sampler.t_min", number, default=1, integer=True, minimum=1)
-    t_max = get(sampler, "sampler.t_max", number, default=StageThresholds.middle_max,
-                integer=True, minimum=1)
-    expect(t_min <= t_max, "sampler.t_max", "must be >= sampler.t_min")
-    check_t_max(t_max, SCHEDULE_STEPS, thresholds, any(e in STAGED for e in estimators),
-                "sampler.t_max")
-    jitter = get(sampler, "sampler.jitter", number, default=TimestepSampler.jitter,
-                 minimum=0.0)
+    check_t_max(sampler.t_max, SCHEDULE_STEPS, thresholds,
+                any(e in STAGED for e in estimators), "sampler.t_max")
 
     lr = get(cfg, "lr", number, default=1e-2, minimum=0.0)
-    steps = get(cfg, "steps", number, default=2000, integer=True, minimum=1)
     seeds = _parse_seeds(cfg)
 
     theta0 = get(cfg, "theta0", items, number, default=list(START_POINT))
@@ -131,16 +110,16 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
     raw = {
         "mixture_path": path, "estimators": [e.value for e in estimators],
         "omega_t": weights.omega_t, "omega_i": weights.omega_i,
-        "sampler": {"kind": kind_name, "t_min": t_min, "t_max": t_max, "jitter": jitter},
+        "sampler": {"kind": sampler.kind.value, "t_min": sampler.t_min,
+                    "t_max": sampler.t_max, "jitter": sampler.jitter},
         "thresholds": {"M": thresholds.small_max, "L": thresholds.middle_max},
         "lr": lr, "steps": steps, "seeds": list(seeds), "theta0": list(theta0),
         "noising": True,
     }
     known_fields(cfg, "", raw)
     return ToyRunConfig(mixture_path=path, estimators=tuple(estimators), weights=weights,
-                        sampler_kind=SAMPLER_NAMES[kind_name], t_min=t_min,
-                        t_max=t_max, jitter=jitter, thresholds=thresholds,
-                        lr=lr, steps=steps, seeds=seeds, theta0=theta0, raw=raw)
+                        timestep_sampler=sampler, thresholds=thresholds, lr=lr, steps=steps,
+                        seeds=seeds, theta0=theta0, raw=raw)
 
 
 @dataclass(frozen=True)
@@ -172,9 +151,9 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
     else:
         w1_values = (float(number(w1, "w1", minimum=0.0)),)
 
-    edit = MeshEditConfig(**{key: cfg[key] for key in EDIT_KEYS if key in cfg},
-                          w1=w1_values[0], weights=_parse_weights(cfg),
-                          thresholds=parse_thresholds(cfg))
+    edit = record(MeshEditConfig, cfg, "", EDIT_KEYS, w1=w1_values[0],
+                  weights=record(GuidanceWeights, cfg, "", WEIGHT_KEYS),
+                  thresholds=parse_thresholds(cfg))
     seeds = _parse_seeds(cfg)
 
     raw = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import re
 import sys
 from importlib.resources import files
 from pathlib import Path
@@ -76,6 +77,20 @@ def get(obj, path: str, read, *args, default=None, **opts):
         expect(default is not None, path, "missing required field")
         return default
     return read(obj[key], path, *args, **opts)
+
+
+def record(cls, obj, path: str, keys, **values):
+    """cls(**values), given obj[key] as field keys[key] for each key of the JSON object `obj`
+    at `path` (`keys`: a dict, or keys named as their fields). A ConfigError names config
+    paths: {"L": 1} under "thresholds" reads `thresholds.L: must exceed thresholds.M`."""
+    keys = keys if isinstance(keys, dict) else dict(zip(keys, keys))
+    expect(isinstance(obj, dict), path, "expected an object")
+    where = {name: f"{path}.{key}" if path else key for key, name in keys.items()}
+    try:
+        return cls(**{**values, **{name: obj[key] for key, name in keys.items() if key in obj}})
+    except ConfigError as err:  # each field name outside a quoted value as its config path
+        said = re.sub(r"(?<!')\b\w+\b(?!')", lambda m: where.get(m[0], m[0]), str(err))
+        raise ConfigError(*said.split(": ", 1)) from None
 
 
 def number(value, path: str, integer: bool = False, minimum=None, maximum=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import expect, number
+from .fields import choice, expect, number
 
 
 class SamplerKind(enum.Enum):
@@ -21,15 +21,21 @@ class SamplerKind(enum.Enum):
     NON_INCREASING = "non_increasing"
 
 
+SAMPLER_NAMES = {k.value: k for k in SamplerKind}
+
+
 @dataclass(frozen=True)
 class TimestepSampler:
-    kind: SamplerKind
+    kind: SamplerKind  # or its name, as a config file gives it
     t_min: int
     t_max: int
     total_steps: int
     jitter: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, SamplerKind):
+            object.__setattr__(self, "kind",
+                               SAMPLER_NAMES[choice(self.kind, "kind", SAMPLER_NAMES)])
         for name in ("t_min", "t_max", "total_steps"):  # rng.integers would truncate 1.5
             object.__setattr__(self, name,
                                number(getattr(self, name), name, integer=True, minimum=1))

@@ -290,6 +290,7 @@ def test_non_object_config_is_config_error(tmp_path, capsys, argv):
 
 
 INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
+NAN = float("nan")  # and NaN as NaN
 
 
 @pytest.mark.parametrize("command,override,env,field", [
@@ -326,6 +327,22 @@ INF = float("inf")  # json.dumps writes it as Infinity, which json.loads accepts
                  "views_per_step", id="mesh-views-per-step-beyond-step-limit"),
     pytest.param("mesh-edit", {"first_batch": MAX_VIEWS_PER_STEP + 1}, None, "first_batch",
                  id="mesh-first-batch-beyond-step-limit"),
+    *[pytest.param(command, {"thresholds": thresholds}, None, field,
+                   id=f"{command.partition('-')[0]}-{name}")
+      for command in ("toy", "mesh-edit")
+      for name, thresholds, field in [
+          ("thresholds-M-not-below-L", {"M": 800, "L": 150}, "thresholds.L"),
+          ("thresholds-M-zero", {"M": 0, "L": 800}, "thresholds.M"),
+          ("thresholds-L-one", {"M": 150, "L": 1}, "thresholds.L"),
+          ("thresholds-M-string", {"M": "150", "L": 800}, "thresholds.M")]],
+    pytest.param("toy", {"sampler": {"kind": "uniform", "t_min": 100, "t_max": 5}}, None,
+                 "sampler.t_max", id="toy-sampler-t-min-above-t-max"),
+    pytest.param("toy", {"sampler": {"kind": "uniform", "t_min": 0, "t_max": 5}}, None,
+                 "sampler.t_min", id="toy-sampler-t-min-zero"),
+    pytest.param("toy", {"sampler": {"kind": "non_increasing", "jitter": -1.0}}, None,
+                 "sampler.jitter", id="toy-sampler-jitter-negative"),
+    pytest.param("toy", {"sampler": {"kind": "non_increasing", "jitter": NAN}}, None,
+                 "sampler.jitter", id="toy-sampler-jitter-nan"),
     pytest.param("toy", {"stpes": 3}, None, "stpes", id="toy-unknown-key"),
     pytest.param("toy", {"sampler": {"kind": "uniform", "tmax": 5}}, None, "sampler.tmax",
                  id="toy-sampler-unknown-key"),
@@ -366,7 +383,6 @@ def test_negative_seed_flag_is_config_error_naming_it(tmp_path, capsys, command)
 GOOD_COMPONENT = {"weight": 1.0, "mean": [1.5, 1.4], "covariance": 0.05, "label": "both"}
 GOOD_MESH = {"vertices": 3, "edges": [[0, 1], [1, 2]], "regions": [0, 1, 2],
              "codes": [[0.5, 1.0], [0.5, 1.0], [0.5, 1.0]]}
-NAN = float("nan")
 
 
 @pytest.mark.parametrize("kind,override,field", [

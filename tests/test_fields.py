@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdse_lab.configs import parse_mesh_config, parse_toy_config, resolve_data_path
-from sdse_lab.fields import ConfigError, array, choice, get, items, load_json, number
+from sdse_lab.fields import ConfigError, array, choice, get, items, load_json, number, record
+from sdse_lab.guidance import StageThresholds
 from sdse_lab.mesh import LatentMesh, load_mesh, mesh_from_dict
 from sdse_lab.mixtures import load_mixture, mixture_from_dict
+from sdse_lab.samplers import TimestepSampler
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,6 +89,35 @@ def test_get_items_and_choice_name_the_path():
         choice("c", "profile", ("b", "a"))
 
 
+THRESHOLD_KEYS = {"M": "small_max", "L": "middle_max"}
+
+
+def test_record_builds_through_the_key_map():
+    assert record(StageThresholds, {"M": 100.0}, "thresholds", THRESHOLD_KEYS,
+                  middle_max=700) == StageThresholds(100, 700)
+    assert record(StageThresholds, {"L": 900}, "thresholds", THRESHOLD_KEYS,
+                  middle_max=700) == StageThresholds(150, 900)
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"M": 0}, "thresholds.M: must be >= 1"),
+    ({"L": "800"}, "thresholds.L: expected a number"),
+    ({"M": 800, "L": 150}, "thresholds.L: must exceed thresholds.M"),
+    ([], "thresholds: expected an object"),
+])
+def test_record_names_the_config_path(obj, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as err:
+        record(StageThresholds, obj, "thresholds", THRESHOLD_KEYS)
+    assert err.value.field_path == message.partition(":")[0]
+
+
+def test_record_leaves_a_quoted_value_as_given():
+    with pytest.raises(ConfigError, match=r"^sampler\.kind: expected one of \['non_increasing', "
+                                          r"'uniform'\], got 't_min'$"):
+        record(TimestepSampler, {"kind": "t_min"}, "sampler",
+               {"kind": "kind", "t_min": "t_min"}, t_min=1, t_max=5, total_steps=3)
+
+
 def test_latent_mesh_rejects_non_finite_codes():
     with pytest.raises(ValueError, match="codes must be finite"):
         LatentMesh(edges=((0, 1),), codes=[[0.0], [np.nan]], regions=[0, 0])
@@ -120,6 +152,31 @@ def parse_config(path):
         "icosphere_mesh"])
 def test_shipped_inputs_parse(path, parse):
     parse(resolve_data_path(str(path)))
+
+
+@pytest.mark.parametrize("path,digest", [
+    ("pkg:toy_default.json", "462b38529ddd786bdb12fac388a5df6018485869b7a57199fef3b5d8afead8a2"),
+    (ROOT / "configs" / "toy_example.json",
+     "24a55a731cc807b5a1e0ec042f7c396c56844386f22039f2c03aecb0dc8f213f"),
+    ("pkg:mesh_default.json", "f1f441f2b7d9cb5289635e89957df3d6f3b085a2c72e78991cd5a7ea7736dcaa"),
+    (ROOT / "configs" / "mesh_example.json",
+     "4875ccd118d613a7819a5c299e9e7ea05c09ec8973fcabc2e3c998e9d7741539"),
+], ids=["toy_default", "toy_example", "mesh_default", "mesh_example"])
+def test_shipped_config_digests_are_pinned(path, digest):
+    """Every output carries the digest, so a reader change must not move it."""
+    cfg = load_json(path)
+    assert (parse_mesh_config if "mesh_path" in cfg else parse_toy_config)(cfg).digest == digest
+
+
+def test_sampler_and_thresholds_digest_is_pinned():
+    cfg = parse_toy_config({"mixture_path": "pkg:toy_gmm.json", "estimators": ["m4"],
+                            "sampler": {"kind": "uniform", "t_min": 5.0, "t_max": 700.0,
+                                        "jitter": 0},
+                            "thresholds": {"M": 100.0, "L": 700.0}})
+    sampler = cfg.raw["sampler"]
+    assert sampler == {"kind": "uniform", "t_min": 5, "t_max": 700, "jitter": 0}
+    assert [type(sampler[key]) for key in ("t_min", "t_max", "jitter")] == [int] * 3
+    assert cfg.digest == "9cf26854b42c5e12c649b4372a2d3c3d8ea26acd3634f682f8e6cc0f615a7470"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sdse_lab.fields import ConfigError
 from sdse_lab.samplers import SamplerKind, TimestepSampler, timestep_sequence
 
 
@@ -57,6 +58,22 @@ def test_sequence_deterministic_given_seed():
 def test_invalid_sampler_configs(kwargs):
     with pytest.raises(ValueError):
         TimestepSampler(**kwargs)
+
+
+def test_sampler_reads_a_kind_name_as_its_kind():
+    """A name samples as its SamplerKind does; "uniform" used to run the non-increasing
+    sampler ([10 8 6 3 1] on seed 0)."""
+    sampler = TimestepSampler("uniform", 1, 10, 5)
+    assert sampler == TimestepSampler(SamplerKind.UNIFORM, 1, 10, 5)
+    assert timestep_sequence(sampler, np.random.default_rng(0)).tolist() == [9, 7, 6, 3, 4]
+    assert TimestepSampler("non_increasing", 1, 10, 5).kind is SamplerKind.NON_INCREASING
+
+
+@pytest.mark.parametrize("kind", [None, "bogus", "UNIFORM", ["uniform"], 1])
+def test_sampler_refuses_a_kind_that_is_not_a_sampler_kind_or_its_name(kind):
+    with pytest.raises(ConfigError, match=r"^kind: expected one of \['non_increasing', "
+                                          r"'uniform'\], got "):
+        TimestepSampler(kind, 1, 10, 5)
 
 
 @pytest.mark.parametrize("field, value, message", [
