@@ -69,6 +69,8 @@ def _resolve_toy_config(args: argparse.Namespace) -> ToyRunConfig:
         cfg["estimators"] = list(args.estimator)
     if args.phase:
         lo, hi = phase_band(Phase(args.phase), parse_thresholds(cfg), SCHEDULE_STEPS)
+        expect(lo <= hi <= SCHEDULE_STEPS, "--phase", f"the {args.phase} band {lo}..{hi} of the "
+               f"config's thresholds is empty or past the schedule's last step ({SCHEDULE_STEPS})")
         sampler = cfg.setdefault("sampler", {})
         expect(isinstance(sampler, dict), "sampler", "expected an object")
         sampler.update(kind="uniform", t_min=lo, t_max=hi)

@@ -13,11 +13,12 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .experiments import PROFILES, MeshEditConfig
-from .fields import boolean, choice, expect, get, items, known_fields, number, record, text
+from .fields import (boolean, choice, distinct, expect, get, items, known_fields, number,
+                     record, seed_list, text)
 from .fields import resolve_data_path  # noqa: F401  (imported from here by callers)
 from .guidance import STAGED, EstimatorKind, GuidanceWeights, StageThresholds, check_t_max
 from .mixtures import START_POINT
-from .optimize import DIVERGENCE_GUARD, within_guard
+from .optimize import start_point
 from .samplers import TimestepSampler
 from .schedule import linear_beta_schedule
 
@@ -25,20 +26,6 @@ from .schedule import linear_beta_schedule
 def parse_thresholds(cfg: dict) -> StageThresholds:
     return record(StageThresholds, cfg.get("thresholds", {}), "thresholds",
                   {"M": "small_max", "L": "middle_max"})
-
-
-def _distinct(values, path: str, key=lambda value: value):
-    """`values`, the list at `path`; ConfigError on an entry whose key an earlier one has."""
-    first: dict = {}
-    for i, value in enumerate(values):
-        j = first.setdefault(key(value), i)
-        expect(j == i, f"{path}[{i}]", f"repeats {path}[{j}] ({key(value)})")
-    return values
-
-
-def _parse_seeds(cfg: dict) -> tuple[int, ...]:
-    return tuple(_distinct(get(cfg, "seeds", items, number, default=[0], integer=True,
-                               minimum=0), "seeds"))
 
 
 ESTIMATOR_NAMES = {k.value: k for k in EstimatorKind}
@@ -83,7 +70,7 @@ class ToyRunConfig:
 def parse_toy_config(cfg: dict) -> ToyRunConfig:
     path = get(cfg, "mixture_path", text)
 
-    names = _distinct(get(cfg, "estimators", items, choice, ESTIMATOR_NAMES), "estimators")
+    names = distinct(get(cfg, "estimators", items, choice, ESTIMATOR_NAMES), "estimators")
     estimators = [ESTIMATOR_NAMES[name] for name in names]
 
     weights = record(GuidanceWeights, cfg, "", WEIGHT_KEYS)
@@ -92,18 +79,13 @@ def parse_toy_config(cfg: dict) -> ToyRunConfig:
     sampler = record(TimestepSampler, cfg.get("sampler", {}), "sampler",
                      ("kind", "t_min", "t_max", "jitter"), kind="non_increasing", t_min=1,
                      t_max=StageThresholds.middle_max, total_steps=steps)
-    # cmd_toy writes as it runs, so the run's cap is checked here, before any output
+    # cmd_toy writes as it runs, so this reader also checks the run's cap and start point
     check_t_max(sampler.t_max, SCHEDULE_STEPS, thresholds,
                 any(e in STAGED for e in estimators), "sampler.t_max")
 
     lr = get(cfg, "lr", number, default=1e-2, minimum=0.0)
-    seeds = _parse_seeds(cfg)
-
-    theta0 = get(cfg, "theta0", items, number, default=list(START_POINT))
-    expect(len(theta0) == 2, "theta0", "expected a 2-element list")
-    theta0 = tuple(float(v) for v in theta0)
-    expect(within_guard(theta0), "theta0",
-           f"lies beyond the divergence guard: its norm must be <= {DIVERGENCE_GUARD:g}")
+    seeds = tuple(get(cfg, "seeds", seed_list, default=[0]))
+    theta0 = tuple(start_point(cfg.get("theta0", START_POINT), 2).tolist())
     # accepted so that existing configs keep parsing; the oracle always noises
     expect(get(cfg, "noising", boolean, default=True), "noising", "must be true")
 
@@ -146,15 +128,15 @@ def parse_mesh_config(cfg: dict) -> MeshRunConfig:
     w1 = cfg.get("w1", MeshEditConfig.w1)
     if isinstance(w1, list):
         # a repeat is an equal number (0.0, -0.0) or one that writes the same w1_{:g} file
-        w1_values = _distinct(tuple(float(v) for v in items(w1, "w1", number, minimum=0.0)),
-                              "w1", key=lambda v: f"w1_{v + 0.0:g}")
+        w1_values = distinct(tuple(float(v) for v in items(w1, "w1", number, minimum=0.0)),
+                             "w1", key=lambda v: f"w1_{v + 0.0:g}")
     else:
         w1_values = (float(number(w1, "w1", minimum=0.0)),)
 
     edit = record(MeshEditConfig, cfg, "", EDIT_KEYS, w1=w1_values[0],
                   weights=record(GuidanceWeights, cfg, "", WEIGHT_KEYS),
                   thresholds=parse_thresholds(cfg))
-    seeds = _parse_seeds(cfg)
+    seeds = tuple(get(cfg, "seeds", seed_list, default=[0]))
 
     raw = {
         "mesh_path": mesh_path, "mixture_path": mixture_path, "profile": profile,

@@ -19,7 +19,7 @@ from .mesh import LatentMesh, _laplacian, squared_norms
 from .mixtures import START_POINT, Condition, ConditionedMixture, FULL_COND, IMAGE_COND
 from .optimize import DIVERGENCE_GUARD, Trajectory, optimize_point
 from .oracle import NoiseOracle
-from .samplers import TimestepSampler
+from .samplers import SamplerKind, TimestepSampler
 from .schedule import NoiseSchedule
 from .views import (MAX_VIEWS_PER_STEP, RegionAllocation, SmoothedStepSolver, allocate_views,
                     edit_step, make_view, region_weights, view_gradient)
@@ -132,10 +132,10 @@ PROFILES = {"head_dominant": HEAD_DOMINANT, "body_dominant": BODY_DOMINANT}
 
 @dataclass(frozen=True)
 class MeshEditConfig:
-    """One edit's settings, read by `fields.number` when built (a ConfigError names the field):
-    integers >= 1 with t_min <= t_max, view counts <= MAX_VIEWS_PER_STEP, finite lr, w1 and
-    threshold_distance >= 0, an `allocator` that is true or false, and a GuidanceWeights
-    `weights` and StageThresholds `thresholds`. `run_mesh_edit` caps t_max."""
+    """One edit's settings, read when built (a ConfigError names the field): by `fields.number`
+    integers >= 1, view counts <= MAX_VIEWS_PER_STEP, finite lr, w1 and threshold_distance >= 0,
+    true or false `allocator`, record-typed `weights` and `thresholds`, and t_min/t_max by the
+    uniform TimestepSampler's range rule. `run_mesh_edit` caps t_max."""
 
     steps: int = 400
     views_per_step: int = 10
@@ -154,13 +154,15 @@ class MeshEditConfig:
         count, real = {"integer": True, "minimum": 1}, {"minimum": 0.0}
         views = dict(count, maximum=MAX_VIEWS_PER_STEP)
         for name, rule in (("steps", count), ("views_per_step", views), ("first_batch", views),
-                           ("lr", real), ("w1", real), ("t_min", count), ("t_max", count),
-                           ("support", count), ("threshold_distance", real)):
+                           ("lr", real), ("w1", real), ("support", count),
+                           ("threshold_distance", real)):
             object.__setattr__(self, name, number(getattr(self, name), name, **rule))
         boolean(self.allocator, "allocator")
         instance(self.weights, "weights", GuidanceWeights)
         instance(self.thresholds, "thresholds", StageThresholds)
-        expect(self.t_min <= self.t_max, "t_max", "must be >= t_min")
+        sampler = TimestepSampler(SamplerKind.UNIFORM, self.t_min, self.t_max, self.steps)
+        object.__setattr__(self, "t_min", sampler.t_min)
+        object.__setattr__(self, "t_max", sampler.t_max)
 
 
 @dataclass
@@ -214,6 +216,8 @@ def _draw_views(mesh: LatentMesh, counts: dict[int, int], rng: np.random.Generat
     for region, count in counts.items():
         for _ in range(count):
             view = make_view(mesh, region, rng, config.support)
+            # timestep_sequence's uniform draw, one t at a time: each t sits between two
+            # views' blend draws, and the traced mesh runs count no timestep_sequence call
             yield view, int(rng.integers(config.t_min, config.t_max + 1))
 
 
@@ -239,11 +243,10 @@ def run_mesh_edit(mesh: LatentMesh, profile: dict[int, Condition] | str,
     measuring batch only and stays fixed for the whole run; the measuring batch does not
     move the codes, so allocator on/off pairs start identically. A step that takes a code
     past the divergence guard raises ValueError naming the seed and the step. Refused before
-    any draw (the config read its own fields when built): seeds that `fields.seed_list`
-    refuses (a ConfigError naming seeds[i]), codes of another dimension than the mixture's
-    or past the guard (a ValueError), and a t_max beyond T, or beyond middle_max when a
-    region targets FULL_COND, whose SDSE refuses larger t (a ConfigError naming t_max from
-    `guidance.check_t_max`, the cap every run shares; the config reader leaves it here).
+    any draw (the config read its own fields when built): seeds `fields.seed_list` refuses,
+    codes of another dimension than the mixture's or past the guard (a ValueError), and a
+    t_max past `guidance.check_t_max`'s cap (middle_max when a region targets FULL_COND,
+    whose SDSE refuses larger t), a ConfigError the config reader leaves to this call.
     """
     seeds = seed_list(seeds)
     if mesh.latent_dim != mix.dim:

@@ -112,10 +112,18 @@ def number(value, path: str, integer: bool = False, minimum=None, maximum=None):
     return value
 
 
-def seed_list(seeds) -> list[int]:
-    """Non-empty `seeds` whose `seeds[i]` are integers >= 0, as ints: the runners' rule."""
-    expect(len(seeds) > 0, "seeds", "must hold at least one seed")
-    return [number(s, f"seeds[{i}]", integer=True, minimum=0) for i, s in enumerate(seeds)]
+def distinct(values, path: str, key=lambda value: value):
+    """`values`, the list at `path`; ConfigError on an entry whose key an earlier one has."""
+    first: dict = {}
+    for i, value in enumerate(values):
+        j = first.setdefault(key(value), i)
+        expect(j == i, f"{path}[{i}]", f"repeats {path}[{j}] ({key(value)})")
+    return values
+
+
+def seed_list(seeds, path: str = "seeds") -> list[int]:
+    """`items` that are distinct integers >= 0, as ints: the seed rule of configs and runners."""
+    return distinct(items(seeds, path, number, integer=True, minimum=0), path)
 
 
 _MAX_DIMS = 64  # numpy's limit on array dimensions
@@ -143,8 +151,9 @@ def array(value, path: str, integer: bool = False, minimum=None, maximum=None) -
 
 
 def items(value, path: str, read, *args, **opts) -> list:
-    """A non-empty list whose element i is read as `path[i]`."""
-    expect(isinstance(value, list) and len(value) > 0, path, "expected a non-empty list")
+    """A non-empty list (from Python, a tuple, range or 1-D array too), item i read as path[i]."""
+    value = value.tolist() if isinstance(value, np.ndarray) else value
+    expect(isinstance(value, (list, tuple, range)) and value, path, "expected a non-empty list")
     return [read(v, f"{path}[{i}]", *args, **opts) for i, v in enumerate(value)]
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import instance, number, seed_list
+from .fields import expect, instance, items, number, seed_list
 from .guidance import (STAGED, EstimatorKind, GuidanceWeights, StageThresholds, check_t_max,
                        term_residual)
 from .mixtures import ConditionedMixture
@@ -37,6 +37,18 @@ def within_guard(theta) -> bool:
     theta = np.asarray(theta, dtype=float)
     with np.errstate(over="ignore"):
         return bool(theta @ theta <= DIVERGENCE_GUARD**2)
+
+
+def start_point(theta0, dim: int) -> np.ndarray:
+    """`fields.items` of numbers (one number will do for a 1-D mixture) as a (dim,) float array
+    inside the guard: the start-point rule of `optimize_seeds` and the toy config."""
+    theta0 = theta0.tolist() if isinstance(theta0, np.ndarray) else theta0  # 0-d: one number
+    theta = np.array(items(theta0, "theta0", number) if isinstance(theta0, (list, tuple))
+                     else [number(theta0, "theta0")], dtype=float)
+    expect(theta.size == dim, "theta0", f"has dimension {theta.size}, not the mixture's {dim}")
+    expect(within_guard(theta), "theta0",
+           f"lies beyond the divergence guard: its norm must be <= {DIVERGENCE_GUARD:g}")
+    return theta
 
 
 TRAJECTORY_COLUMNS = ("step", "t", "theta_0", "theta_1", "res_0", "res_1",
@@ -146,24 +158,15 @@ def optimize_seeds(theta0, kind: EstimatorKind, sampler: TimestepSampler,
                    oracle: NoiseOracle | None = None) -> list[Trajectory]:
     """Run the descent from theta0 once per seed and log every state.
 
-    Deterministic given the seed: its generator draws the timestep sequence
-    first, then one noise sample per step. A run aborts with the guard flag
-    set if the iterate norm ever exceeds 1e3 or stops being finite; a theta0
-    beyond it is refused. Several seeds step as the rows of one (S, d) iterate,
-    and a row leaves it when it trips the guard; each seed's trajectory is bit
-    for bit the one it gets alone. Refused before any draw, by a ConfigError naming it:
-    weights or thresholds not of their record type, and a sampler.t_max past the cap
-    every run shares (`guidance.check_t_max`: the schedule, and middle_max if staged).
+    Deterministic given the seed: its generator draws the timestep sequence first, then one
+    noise sample per step. A run aborts with the guard flag set if the iterate norm ever
+    exceeds 1e3 or stops being finite. Several seeds step as the rows of one (S, d) iterate,
+    and a row leaves it when it trips the guard; each seed's trajectory is bit for bit the
+    one it gets alone. Refused before any draw, by a ConfigError naming it: an argument its
+    rule refuses (`start_point`, `fields.seed_list`, `fields.number`, the record types, and
+    the sampler.t_max cap every run shares, `guidance.check_t_max`).
     """
-    theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta0 must be finite")
-    if theta.size != mix.dim:
-        raise ValueError(f"theta0 has dimension {theta.size} but the mixture has "
-                         f"dimension {mix.dim}")
-    if not within_guard(theta):
-        raise ValueError(f"theta0 lies beyond the divergence guard: its norm must be "
-                         f"<= {DIVERGENCE_GUARD:g}")
+    theta = start_point(theta0, mix.dim)
     steps = number(steps, "steps", integer=True, minimum=1)
     lr = number(lr, "lr", minimum=0.0)
     seeds = seed_list(seeds)

@@ -275,6 +275,25 @@ def test_toy_large_phase_with_staged_estimators_is_config_error(tmp_path, capsys
     assert not (out / "summary.json").exists() and not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("thresholds, phase, band", [
+    ({"M": 150, "L": 1000}, "large", "large band 1001..1000"),
+    ({"M": 150, "L": 1200}, "large", "large band 1201..1000"),
+    ({"M": 150, "L": 1200}, "middle", "middle band 151..1200"),
+    ({"M": 1100, "L": 1200}, "small", "small band 1..1100"),
+], ids=["large-empty", "large-empty-past", "middle-past", "small-past"])
+def test_toy_phase_band_outside_the_schedule_is_config_error_naming_the_flag(
+        tmp_path, capsys, thresholds, phase, band):
+    """The refusal used to name sampler.t_max, a key the file never wrote."""
+    cfg = write_config(tmp_path, {**TOY_CONFIG, "estimators": ["m4"], "thresholds": thresholds})
+    out = tmp_path / "o"
+    assert main(["toy", "--config", cfg, "--phase", phase, "--steps", "3", "--out",
+                 str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: --phase: the {band} of the config's "
+                                       f"thresholds is empty or past the schedule's last "
+                                       f"step (1000)\n")
+    assert not out.exists()
+
+
 def test_toy_phase_on_a_non_object_sampler_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {**TOY_CONFIG, "sampler": [1]})
     assert main(["toy", "--config", cfg, "--phase", "small", "--out", str(tmp_path / "o")]) == 2

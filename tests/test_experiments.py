@@ -134,10 +134,13 @@ def test_full_schedule_zero_lr_wanders_at_start():
 
 
 @pytest.mark.parametrize("seeds, message", [
-    ([], "seeds: must hold at least one seed"), ([0, 2.5], "seeds[1]: expected an integer"),
-], ids=["empty", "fractional-second"])
+    ([], "seeds: expected a non-empty list"), ([0, 2.5], "seeds[1]: expected an integer"),
+    (5, "seeds: expected a non-empty list"), (None, "seeds: expected a non-empty list"),
+    ([1, 1], "seeds[1]: repeats seeds[0] (1)"),
+], ids=["empty", "fractional-second", "int", "none", "repeated"])
 def test_full_schedule_reads_its_seed_list_before_any_run(monkeypatch, seeds, message):
-    """[] used to return no run, and [0, 2.5] ran seed 0 before blaming seeds[0]."""
+    """[] used to return no run, [0, 2.5] ran seed 0 before blaming seeds[0], 5 and None
+    ended in a TypeError, and [1, 1] ran seed 1 twice."""
     def no_run(*args, **kwargs):
         raise AssertionError("a descent was run")
 
@@ -409,11 +412,14 @@ def test_mesh_edit_config_stores_integral_fields_as_ints():
 
 @pytest.mark.parametrize("seeds, message", [
     ([1.5], "seeds[0]: expected an integer"), ([True], "seeds[0]: expected a number"),
-    ([-1], "seeds[0]: must be >= 0"), ([], "seeds: must hold at least one seed"),
-], ids=["fractional", "bool", "negative", "empty"])
+    ([-1], "seeds[0]: must be >= 0"), ([], "seeds: expected a non-empty list"),
+    (5, "seeds: expected a non-empty list"), (None, "seeds: expected a non-empty list"),
+    ([1, 1], "seeds[1]: repeats seeds[0] (1)"),
+], ids=["fractional", "bool", "negative", "empty", "int", "none", "repeated"])
 def test_mesh_edit_refuses_a_bad_seed_list_before_any_draw(monkeypatch, seeds, message):
     """[1.5] used to end in numpy's TypeError, [True] ran as seed True, [-1] gave
-    numpy's error naming no seed, and [] returned no report."""
+    numpy's error naming no seed, [] returned no report, 5 and None ended in a
+    TypeError, and [1, 1] edited seed 1 twice."""
     def no_draw(*args):
         raise AssertionError("a view was drawn")
 

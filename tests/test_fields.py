@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdse_lab.configs import parse_mesh_config, parse_toy_config, resolve_data_path
-from sdse_lab.fields import ConfigError, array, choice, get, items, load_json, number, record
+from sdse_lab.fields import (ConfigError, array, choice, get, items, load_json, number, record,
+                             seed_list)
 from sdse_lab.guidance import StageThresholds
 from sdse_lab.mesh import LatentMesh, load_mesh, mesh_from_dict
 from sdse_lab.mixtures import load_mixture, mixture_from_dict
@@ -87,6 +88,25 @@ def test_get_items_and_choice_name_the_path():
         items([0, -1], "seeds", number, minimum=0)
     with pytest.raises(ConfigError, match=r"^profile: expected one of \['a', 'b'\], got 'c'$"):
         choice("c", "profile", ("b", "a"))
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ([], "seeds: expected a non-empty list"), (5, "seeds: expected a non-empty list"),
+    (None, "seeds: expected a non-empty list"), ("01", "seeds: expected a non-empty list"),
+    ({0: 0}, "seeds: expected a non-empty list"), (np.array(3), "seeds: expected a non-empty list"),
+    ([0, -1, 0], "seeds[1]: must be >= 0"), ([3, 1, 3], "seeds[2]: repeats seeds[0] (3)"),
+    ([2, 2.0], "seeds[1]: repeats seeds[0] (2)"),
+], ids=["empty", "int", "none", "string", "dict", "0-d-array", "negative-before-repeat",
+        "repeat", "repeat-as-float"])
+def test_seed_list_is_one_rule_for_configs_and_callers(seeds, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        seed_list(seeds)
+
+
+def test_seed_list_reads_sequences_as_ints():
+    for seeds in ([3, 0.0], (3, 0), range(3, -1, -3), np.array([3, 0])):
+        got = seed_list(seeds)
+        assert got == [3, 0] and [type(s) for s in got] == [int, int]
 
 
 THRESHOLD_KEYS = {"M": "small_max", "L": "middle_max"}
@@ -177,6 +197,22 @@ def test_sampler_and_thresholds_digest_is_pinned():
     assert sampler == {"kind": "uniform", "t_min": 5, "t_max": 700, "jitter": 0}
     assert [type(sampler[key]) for key in ("t_min", "t_max", "jitter")] == [int] * 3
     assert cfg.digest == "9cf26854b42c5e12c649b4372a2d3c3d8ea26acd3634f682f8e6cc0f615a7470"
+
+
+def test_start_point_and_seeds_digest_is_pinned():
+    cfg = parse_toy_config({"mixture_path": "pkg:toy_gmm.json", "estimators": ["m4"],
+                            "theta0": [1, 2], "seeds": [3.0, 0]})
+    assert cfg.raw["theta0"] == [1.0, 2.0] and [type(v) for v in cfg.raw["theta0"]] == [float] * 2
+    assert cfg.raw["seeds"] == [3, 0] and [type(v) for v in cfg.raw["seeds"]] == [int] * 2
+    assert cfg.digest == "74e737a10a404de8b100e9fa2c82c4a0ea6c04b115f4039dc2a6ed5d7d736b85"
+
+
+def test_mesh_seeds_and_timestep_range_digest_is_pinned():
+    cfg = parse_mesh_config({"mesh_path": "pkg:grid_mesh.json", "mixture_path": "pkg:toy_gmm.json",
+                             "seeds": [2.0, 1], "t_min": 3.0, "t_max": 500})
+    assert cfg.raw["seeds"] == [2, 1] and [type(v) for v in cfg.raw["seeds"]] == [int] * 2
+    assert cfg.raw["t_min"] == 3 and type(cfg.raw["t_min"]) is int
+    assert cfg.digest == "b1ab6c30cf024991d513f1c5940207a43f636ccf2504addc29fa681e484a1c08"
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from sdse_lab.guidance import (STAGED, EstimatorKind, GuidanceWeights, StageThre
 from sdse_lab.mixtures import (FULL_COND, IMAGE_COND, UNCONDITIONED, ConditionedMixture,
                                mixture_density, sub_mixture, toy_mixture)
 from sdse_lab.optimize import (DIVERGENCE_GUARD, Trajectory, optimize_point, optimize_seeds,
-                               trajectory_from_csv)
+                               start_point, trajectory_from_csv)
 from sdse_lab.oracle import NoiseOracle
 from sdse_lab.samplers import SamplerKind, TimestepSampler, timestep_sequence
 from sdse_lab.schedule import linear_beta_schedule
@@ -89,15 +89,17 @@ def test_steps_not_an_integer_of_at_least_one_is_refused(setup, steps, message):
 @pytest.mark.parametrize("seeds, message", [
     ([1.5], "seeds[0]: expected an integer"), ([True], "seeds[0]: expected a number"),
     ([-1], "seeds[0]: must be >= 0"), ([0, np.nan], "seeds[1]: expected a finite number"),
-], ids=["fractional", "bool", "negative", "nan-second"])
+    (5, "seeds: expected a non-empty list"), (None, "seeds: expected a non-empty list"),
+    ([1, 1], "seeds[1]: repeats seeds[0] (1)"),
+], ids=["fractional", "bool", "negative", "nan-second", "int", "none", "repeated"])
 def test_seed_that_is_not_a_non_negative_integer_is_refused_naming_it(setup, seeds, message):
     """A bool seed used to run as the seed True; 1.5 and -1 ended in numpy's errors,
-    which name no seed."""
+    which name no seed; 5 and None ended in a TypeError; [1, 1] ran seed 1 twice."""
     mix, sched = setup
     args = ([0.5, 1.0], EstimatorKind.SDSE, uniform(1, 800, 20), mix, sched, 1e-2, 20)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         optimize_seeds(*args, seeds)
-    if len(seeds) == 1:
+    if isinstance(seeds, list) and len(seeds) == 1:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             optimize_point(*args, seeds[0])
 
@@ -209,8 +211,8 @@ LINE_MIXTURE = ConditionedMixture([1.0], [[0.0]], [[[1.0]]], [FULL_COND])
 def test_start_point_of_another_dimension_is_refused(setup, theta0, mix, dims):
     """Refused before the descent, rather than broadcast against the means."""
     _, sched = setup
-    with pytest.raises(ValueError, match=rf"theta0 has dimension {dims[0]} but the mixture "
-                                         rf"has dimension {dims[1]}"):
+    message = f"theta0: has dimension {dims[0]}, not the mixture's {dims[1]}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         optimize_point(theta0, EstimatorKind.SDS, uniform(1, 800, 10), mix, sched,
                        lr=1e-2, steps=10, seed=0)
 
@@ -221,10 +223,43 @@ def test_start_point_beyond_the_guard_is_refused(setup, theta0):
     """Row 0 is an iterate, so theta0 passes the guard's own test or the descent
     does not start (it would otherwise run into NaNs and warnings)."""
     mix, sched = setup
-    with pytest.raises(ValueError, match=r"theta0 lies beyond the divergence guard: its "
-                                         r"norm must be <= 1000"):
+    with pytest.raises(ConfigError, match=r"^theta0: lies beyond the divergence guard: its "
+                                          r"norm must be <= 1000$"):
         optimize_point(theta0, EstimatorKind.SDS, uniform(1, 800, 10), mix, sched,
                        lr=1e-2, steps=10, seed=0)
+
+
+@pytest.mark.parametrize("theta0, message", [
+    (["0.5", "1.0"], "theta0[0]: expected a number"),
+    ([True, 1.0], "theta0[0]: expected a number"),
+    (np.array(["0.5", "1.0"]), "theta0[0]: expected a number"),
+    ([np.nan, 1.0], "theta0[0]: expected a finite number"),
+    ([0.5, np.inf], "theta0[1]: expected a finite number"),
+    ([[0.5, 1.0]], "theta0[0]: expected a number"),
+    ("0.5", "theta0: expected a number"),
+], ids=["strings", "bool", "string-array", "nan", "inf-second", "nested", "string"])
+def test_start_point_that_is_not_numbers_is_refused_naming_it(setup, theta0, message):
+    """theta0 is read by the config files' number rule: strings and bools used to be
+    converted by numpy and run, and a nested point ended in numpy's matmul error."""
+    mix, sched = setup
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        optimize_point(theta0, EstimatorKind.SDS, uniform(1, 800, 10), mix, sched,
+                       lr=1e-2, steps=10, seed=0)
+
+
+@pytest.mark.parametrize("theta0", [
+    [0.5, 1], (0.5, 1.0), np.array([0.5, 1.0]), np.array([0.5, 1.0], dtype=np.float32),
+    [np.float64(0.5), np.int64(1)],
+], ids=["list", "tuple", "array", "float32-array", "numpy-scalars"])
+def test_start_point_takes_every_numeric_shape(setup, theta0):
+    mix, sched = setup
+    want = np.asarray(theta0, dtype=float)
+    assert start_point(theta0, 2).tobytes() == want.tobytes()
+    traj = optimize_point(theta0, EstimatorKind.SDS, uniform(1, 800, 10), mix, sched,
+                          lr=1e-2, steps=10, seed=0)
+    assert traj.thetas[0].tobytes() == want.tobytes()
+    for one in (0.5, np.float64(0.5), np.array(0.5), [0.5]):  # one number, for a 1-D mixture
+        assert start_point(one, 1).tolist() == [0.5]
 
 
 def test_start_point_on_the_guard_runs(setup):
